@@ -346,7 +346,6 @@ def cmd_serve(args) -> int:
 
     signal.signal(signal.SIGINT, _handle)
     signal.signal(signal.SIGTERM, _handle)
-    _info(f"listening on {host}:{port}")
     stats = run_pipeline(config, shutdown=shutdown)
     _info(stats.format_line())
     return 0
@@ -396,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-hz", type=float)
     p.add_argument("--window-size", type=int)
     p.add_argument("--stride", type=int)
-    p.add_argument("--queue-capacity", type=int)
+    p.add_argument("--queue-capacity", type=int,
+                   help="queue bound in samples (default 1024)")
     p.add_argument("--overflow", choices=("block", "drop_oldest"))
     p.add_argument("--sink", action="append",
                    help="stdout | file:<path> | webhook:<url> (repeatable)")
@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--window-size", type=int)
     p.add_argument("--stride", type=int)
-    p.add_argument("--queue-capacity", type=int)
+    p.add_argument("--queue-capacity", type=int,
+                   help="queue bound in samples (default 1024)")
     p.add_argument("--overflow", choices=("block", "drop_oldest"))
     p.add_argument("--stats-interval", type=float)
     p.add_argument("--sink", action="append",

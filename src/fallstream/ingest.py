@@ -8,7 +8,7 @@ converted to one canonical unit regime: m/s^2, integer milliseconds.
 The live wire protocol is newline-delimited UTF-8 text, one sample per
 line: ``device_id,t_ms,ax,ay,az`` (no label). device_id must match
 ``[A-Za-z0-9_-]{1,64}``, t_ms is a base-10 integer, accelerations are
-decimal floats.
+decimal floats. A line longer than MAX_LINE_BYTES is malformed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from queue import Queue
 from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigError, ParseError, UnknownActivity
@@ -30,6 +29,10 @@ from .errors import ConfigError, ParseError, UnknownActivity
 STANDARD_GRAVITY_MS2 = 9.80665
 
 WIRE_DEVICE_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+# Longest accepted wire line, newline excluded; valid lines are < 200 bytes.
+# A longer line is malformed, and a reader never buffers more than this of
+# one unterminated line.
+MAX_LINE_BYTES = 1024
 
 
 class BinaryClass(Enum):
@@ -323,29 +326,22 @@ def parse_wire_line(line: str) -> Sample | None:
     return Sample(device_id, t_ms, ax, ay, az)
 
 
-class _NullStats:
-    samples_in = 0
-    malformed = 0
-    timestamp_regressions = 0
-
-
 class SocketSource:
     """TCP listener turning protocol lines into a single sample stream.
 
     Each connection is read by its own thread, so lines are never reordered
-    within a connection. Parsed samples flow to ``emit(list_of_samples)``
-    (the pipeline's queue) or, without an emit callback, to an internal
-    queue consumed by iterating the source. ``stats`` may be any object
-    with integer samples_in / malformed / timestamp_regressions attributes.
+    within a connection. Every ``recv`` chunk's complete lines are parsed in
+    one pass and handed on as one ``emit(list_of_samples)`` call (the
+    pipeline's queue). ``stats`` is any object with integer samples_in /
+    malformed / timestamp_regressions attributes; readers update them under
+    one lock.
     """
 
-    def __init__(self, host: str, port: int, emit: Callable | None = None,
-                 stats=None):
+    def __init__(self, host: str, port: int, emit: Callable, stats):
         self.host = host
         self.port = port
         self._emit = emit
-        self.stats = stats if stats is not None else _NullStats()
-        self._iter_queue: Queue | None = Queue() if emit is None else None
+        self.stats = stats
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._conns: list[socket.socket] = []
@@ -359,9 +355,13 @@ class SocketSource:
     def start(self) -> None:
         """Bind and start accepting; bind failures propagate (fatal)."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen()
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self.port))
+            listener.listen()
+        except OSError:
+            listener.close()
+            raise
         self.port = listener.getsockname()[1]
         self._listener = listener
         t = threading.Thread(target=self._accept_loop, daemon=True)
@@ -385,52 +385,77 @@ class SocketSource:
                 t.start()
                 self._threads.append(t)
 
-    def _deliver(self, sample: Sample) -> None:
-        prev = self._last_t.get(sample.device_id)
-        if prev is not None and sample.t_ms < prev:
-            self.stats.timestamp_regressions += 1
-        self._last_t[sample.device_id] = sample.t_ms
-        if self._emit is not None:
-            self._emit([sample])
-        else:
-            self._iter_queue.put(sample)
-
     def _read_conn(self, conn: socket.socket) -> None:
-        buf = b""
+        tail = b""  # the unterminated start of the next line
+        skipping = False  # discarding an over-long line through its newline
         try:
             while not self._stopping.is_set():
                 chunk = conn.recv(4096)
                 if not chunk:
                     break
-                buf += chunk
-                while b"\n" in buf:
-                    raw, buf = buf.split(b"\n", 1)
-                    self._handle_line(raw)
+                if skipping:
+                    end = chunk.find(b"\n")
+                    if end < 0:
+                        continue
+                    chunk = chunk[end + 1:]
+                    skipping = False
+                cut = chunk.rfind(b"\n")
+                if cut < 0:
+                    tail += chunk
+                else:
+                    self._handle_lines((tail + chunk[:cut]).split(b"\n"))
+                    tail = chunk[cut + 1:]
+                if len(tail) > MAX_LINE_BYTES:
+                    self._count_dropped_line()
+                    tail = b""
+                    skipping = True
         except OSError:
             pass
         finally:
             # an unterminated tail at disconnect is an incomplete record
-            if buf.strip():
-                self.stats.samples_in += 1
-                self.stats.malformed += 1
+            if tail.strip():
+                self._count_dropped_line()
             conn.close()
 
-    def _handle_line(self, raw: bytes) -> None:
-        self.stats.samples_in += 1
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
+    def _handle_lines(self, lines: list[bytes]) -> None:
+        parse = parse_wire_line  # the module global, so wrappers see calls
+        samples = []
+        for raw in lines:
+            if len(raw) > MAX_LINE_BYTES:
+                continue
+            try:
+                sample = parse(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                continue
+            if sample is not None:
+                samples.append(sample)
+        regressions = 0
+        with self._stats_lock:
+            last_t = self._last_t
+            for sample in samples:
+                prev = last_t.get(sample.device_id)
+                if prev is not None and sample.t_ms < prev:
+                    regressions += 1
+                last_t[sample.device_id] = sample.t_ms
+            self.stats.samples_in += len(lines)
+            self.stats.malformed += len(lines) - len(samples)
+            self.stats.timestamp_regressions += regressions
+        if samples:
+            self._emit(samples)
+
+    def _count_dropped_line(self) -> None:
+        with self._stats_lock:
+            self.stats.samples_in += 1
             self.stats.malformed += 1
-            return
-        sample = parse_wire_line(line)
-        if sample is None:
-            self.stats.malformed += 1
-            return
-        self._deliver(sample)
 
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # closing alone does not wake a thread blocked in accept()
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         with self._lock:
             for conn in self._conns:
@@ -441,14 +466,3 @@ class SocketSource:
                 conn.close()
         for t in self._threads:
             t.join(timeout=5.0)
-        if self._iter_queue is not None:
-            self._iter_queue.put(None)
-
-    def __iter__(self) -> Iterator[Sample]:
-        if self._iter_queue is None:
-            raise RuntimeError("source was started with an emit callback")
-        while True:
-            item = self._iter_queue.get()
-            if item is None:
-                return
-            yield item

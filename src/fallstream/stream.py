@@ -1,11 +1,13 @@
 """The running pipeline: source -> windower -> features -> model -> sinks.
 
-Two execution contexts: the source (replay thread or socket reader
-threads) feeds one bounded queue of sample batches; the consumer loop
-assembles windows, classifies them, and delivers detections to every sink
-in per-device order. Overflow policy ``block`` gives lossless backpressure
-(replay default); ``drop_oldest`` sheds the oldest queued batch and counts
-the shed samples (live default).
+Two execution contexts: the source (paced replay thread or socket reader
+threads) feeds one queue of sample batches, bounded in samples; the
+consumer loop assembles windows, classifies them, and delivers detections
+to every sink in per-device order. A max-speed replay runs "as fast as the
+consumer accepts" literally: the consumer queues the next chunk itself
+before each get, so no thread handoff paces it. Overflow policy ``block``
+gives lossless backpressure (replay default); ``drop_oldest`` sheds the
+oldest queued batches and counts the shed samples (live default).
 
 Detections serialize to one JSON line with a fixed key order:
 ``device_id, t_start_ms, t_end_ms, p_fall, class, seq, model_digest``.
@@ -127,29 +129,37 @@ class PipelineConfig:
 
 
 class BoundedQueue:
-    """Thread-safe bounded queue of sample batches with two full-queue modes."""
+    """Thread-safe queue of sample batches, bounded in samples, with two
+    full-queue modes. A batch larger than the capacity still enters an
+    empty queue, so a put never waits forever."""
 
     def __init__(self, capacity: int, policy: str, stats: PipelineStats):
         self._capacity = capacity
         self._block = policy == "block"
         self._stats = stats
         self._items: deque = deque()
+        self._queued = 0  # samples in _items
         self._cond = threading.Condition()
         self._closed = False
 
     def put(self, batch: list) -> None:
+        n = len(batch)
         with self._cond:
             if self._block:
-                while len(self._items) >= self._capacity and not self._closed:
+                while (self._items and self._queued + n > self._capacity
+                       and not self._closed):
                     self._cond.wait(0.1)
-            elif len(self._items) >= self._capacity:
-                shed = self._items.popleft()
-                self._stats.overflow_drops += len(shed)
+            else:
+                while self._items and self._queued + n > self._capacity:
+                    shed = len(self._items.popleft())
+                    self._queued -= shed
+                    self._stats.overflow_drops += shed
             if self._closed:
                 # arrivals racing a shutdown are shed, not lost silently
-                self._stats.overflow_drops += len(batch)
+                self._stats.overflow_drops += n
                 return
             self._items.append(batch)
+            self._queued += n
             self._cond.notify_all()
 
     def get(self, timeout: float):
@@ -159,6 +169,7 @@ class BoundedQueue:
                 self._cond.wait(timeout)
             if self._items:
                 item = self._items.popleft()
+                self._queued -= len(item)
                 self._cond.notify_all()
                 return item
             return QUEUE_CLOSED if self._closed else _TIMEOUT
@@ -266,27 +277,21 @@ def classify_samples(
     return detections
 
 
-def _replay_producer(spec: ReplaySpec, queue: BoundedQueue,
-                     stats: PipelineStats, stop: threading.Event) -> None:
+def _replay_chunks(samples: list[Sample], stats: PipelineStats):
+    for i in range(0, len(samples), REPLAY_CHUNK):
+        chunk = samples[i:i + REPLAY_CHUNK]
+        stats.samples_in += len(chunk)
+        yield chunk
+
+
+def _paced_producer(spec: ReplaySpec, queue: BoundedQueue,
+                    stats: PipelineStats, stop: threading.Event) -> None:
     try:
-        if math.isinf(spec.speed):
-            batch: list[Sample] = []
-            for sample in spec.samples:
-                if stop.is_set():
-                    break
-                stats.samples_in += 1
-                batch.append(sample)
-                if len(batch) >= REPLAY_CHUNK:
-                    queue.put(batch)
-                    batch = []
-            if batch:
-                queue.put(batch)
-        else:
-            for sample in replay_source(spec.samples, spec.rate_hz, spec.speed):
-                if stop.is_set():
-                    break
-                stats.samples_in += 1
-                queue.put([sample])
+        for sample in replay_source(spec.samples, spec.rate_hz, spec.speed):
+            if stop.is_set():
+                break
+            stats.samples_in += 1
+            queue.put([sample])
     finally:
         queue.close()
 
@@ -315,9 +320,15 @@ def run_pipeline(
     stop_source = threading.Event()
 
     socket_source = None
-    if isinstance(config.source, ReplaySpec):
+    chunks = None
+    if isinstance(config.source, ReplaySpec) and math.isinf(config.source.speed):
+        # a producer thread that may run only one queue capacity ahead
+        # waits for the interpreter lock once per chunk and starves the
+        # consumer; pulling the next chunk in the consumer avoids both
+        chunks = _replay_chunks(config.source.samples, stats)
+    elif isinstance(config.source, ReplaySpec):
         producer = threading.Thread(
-            target=_replay_producer,
+            target=_paced_producer,
             args=(config.source, queue, stats, stop_source),
             daemon=True,
         )
@@ -327,6 +338,8 @@ def run_pipeline(
             config.source.host, config.source.port, emit=queue.put, stats=stats
         )
         socket_source.start()
+        print(f"listening on {socket_source.host}:{socket_source.port}",
+              file=sys.stderr, flush=True)
 
     reporter_stop = threading.Event()
     if config.stats_interval_s:
@@ -347,6 +360,13 @@ def run_pipeline(
                     # close the queue first so blocked reader threads can exit
                     queue.close()
                     socket_source.stop()
+            if chunks is not None:
+                chunk = next(chunks, None) if not stopping else None
+                if chunk is None:
+                    queue.close()
+                    chunks = None
+                else:
+                    queue.put(chunk)
             batch = queue.get(timeout=0.2)
             if batch is QUEUE_CLOSED:
                 break

@@ -1,8 +1,10 @@
 import json
+import re
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -334,6 +336,33 @@ class TestServe:
         assert proc.returncode == 0
         assert out.read_text() == ""
         assert "partial_window_drops=199" in stderr
+
+    def test_port_zero_logs_the_bound_port(self, tmp_path, artifact_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fallstream", "serve",
+             "--listen", "127.0.0.1:0",
+             "--artifact", str(artifact_path),
+             "--sink", f"file:{tmp_path / 'live.jsonl'}",
+             "--stats-interval", "3600"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        watchdog = threading.Timer(20.0, proc.kill)
+        watchdog.start()
+        try:
+            first = proc.stderr.readline()
+            match = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+)\n", first)
+            assert match, first
+            port = int(match.group(1))
+            assert port != 0
+            assert _wait_for_port(port)
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=15)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
 
     def test_bad_listen_spec_fails(self, tmp_path, artifact_path):
         rc = main(["serve", "--listen", "nocolon",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fallstream.errors import ConfigError, ParseError, UnknownActivity
 from fallstream.ingest import (
+    MAX_LINE_BYTES,
     MOBIACT_ACTIVITIES,
     STANDARD_GRAVITY_MS2,
     BinaryClass,
@@ -20,6 +21,7 @@ from fallstream.ingest import (
     parse_wire_line,
     replay_source,
 )
+from fallstream.stream import PipelineStats
 
 BASIC = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4)
 
@@ -227,53 +229,99 @@ def _connect_and_send(port, payload: bytes):
         conn.sendall(payload)
 
 
+def _collecting_source():
+    """A started SocketSource whose batches land in the returned list."""
+    got = []
+    source = SocketSource("127.0.0.1", 0, emit=got.extend,
+                          stats=PipelineStats())
+    source.start()
+    return source, got
+
+
 class TestSocketSource:
     def test_lines_become_samples_in_order(self):
-        source = SocketSource("127.0.0.1", 0)
-        source.start()
+        source, got = _collecting_source()
         payload = b"".join(
             f"dev1,{i * 50},0.1,9.8,0.0\n".encode() for i in range(10)
         )
         _connect_and_send(source.port, payload)
         time.sleep(0.3)
         source.stop()
-        got = list(source)
         assert [s.t_ms for s in got] == [i * 50 for i in range(10)]
         assert source.stats.samples_in == 10
         assert source.stats.malformed == 0
 
     def test_malformed_lines_counted_and_dropped(self):
-        source = SocketSource("127.0.0.1", 0)
-        source.start()
+        source, got = _collecting_source()
         _connect_and_send(
             source.port, b"dev1,abc,0.1,9.8,0.0\ndev1,100,0.1,9.8,0.0\n")
         time.sleep(0.3)
         source.stop()
-        got = list(source)
         assert len(got) == 1
         assert source.stats.malformed == 1
         assert source.stats.samples_in == 2
 
     def test_two_devices_keep_their_own_order(self):
-        source = SocketSource("127.0.0.1", 0)
-        source.start()
+        source, got = _collecting_source()
         a = b"".join(f"a,{i},1,2,3\n".encode() for i in range(20))
         b = b"".join(f"b,{i},1,2,3\n".encode() for i in range(20))
         _connect_and_send(source.port, a)
         _connect_and_send(source.port, b)
         time.sleep(0.3)
         source.stop()
-        got = list(source)
         for dev in ("a", "b"):
             ts = [s.t_ms for s in got if s.device_id == dev]
             assert ts == sorted(ts) and len(ts) == 20
+
+    def test_stop_returns_promptly(self):
+        source, _ = _collecting_source()
+        t0 = time.monotonic()
+        source.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not any(t.is_alive() for t in source._threads)
+
+    def test_unterminated_line_dropped_once_it_passes_the_cap(self):
+        source, got = _collecting_source()
+        with socket.create_connection(("127.0.0.1", source.port),
+                                      timeout=5) as conn:
+            conn.sendall(b"7" * 100_000)
+            deadline = time.monotonic() + 5
+            while source.stats.malformed == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # counted before any newline arrives: nothing past the cap is kept
+            assert source.stats.malformed == 1
+            conn.sendall(b"7" * 100_000 + b"\nd,1,1,2,3\n")
+        time.sleep(0.3)
+        source.stop()
+        assert [s.t_ms for s in got] == [1]
+        assert source.stats.malformed == 1
+        assert source.stats.samples_in == 2
+
+    def test_line_longer_than_cap_is_malformed(self):
+        source, got = _collecting_source()
+        padded = b"d,1,1,2," + b" " * MAX_LINE_BYTES + b"3\n"
+        assert parse_wire_line(padded.decode()) is not None  # only too long
+        # whole within one recv, then split so the cap cuts it while buffered
+        _connect_and_send(source.port, padded + b"d,2,1,2,3\n")
+        with socket.create_connection(("127.0.0.1", source.port),
+                                      timeout=5) as conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.sendall(padded[:-20])
+            time.sleep(0.1)
+            conn.sendall(padded[-20:] + b"d,3,1,2,3\n")
+        time.sleep(0.3)
+        source.stop()
+        assert sorted(s.t_ms for s in got) == [2, 3]
+        assert source.stats.malformed == 2
+        assert source.stats.samples_in == 4
 
     def test_bind_failure_is_fatal(self):
         holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         holder.bind(("127.0.0.1", 0))
         holder.listen()
         port = holder.getsockname()[1]
-        blocked = SocketSource("127.0.0.1", port)
+        blocked = SocketSource("127.0.0.1", port, emit=list().extend,
+                               stats=PipelineStats())
         try:
             with pytest.raises(OSError):
                 blocked.start()

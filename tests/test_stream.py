@@ -2,8 +2,10 @@ import json
 import math
 import re
 import socket
+import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -84,6 +86,49 @@ class TestBoundedQueue:
         assert q.get(0.5) == [1]
         assert done.wait(1.0)
         assert stats.overflow_drops == 0
+
+    def test_capacity_counts_samples_not_batches(self):
+        q = BoundedQueue(4, "block", PipelineStats())
+        q.put([1, 2, 3])
+        done = threading.Event()
+
+        def producer():
+            q.put([4, 5])  # 3 + 2 samples exceed the capacity of 4
+            done.set()
+
+        threading.Thread(target=producer, daemon=True).start()
+        assert not done.wait(0.15)
+        assert q.get(0.5) == [1, 2, 3]
+        assert done.wait(1.0)
+        assert q.get(0.5) == [4, 5]
+
+    def test_oversized_batch_enters_empty_block_queue(self):
+        stats = PipelineStats()
+        q = BoundedQueue(2, "block", stats)
+        done = threading.Event()
+
+        def producer():
+            q.put(list(range(5)))
+            done.set()
+
+        threading.Thread(target=producer, daemon=True).start()
+        assert done.wait(1.0)
+        assert q.get(0.1) == list(range(5))
+        assert stats.overflow_drops == 0
+
+    def test_drop_oldest_sheds_whole_batches_until_the_new_one_fits(self):
+        stats = PipelineStats()
+        q = BoundedQueue(5, "drop_oldest", stats)
+        q.put([1, 2])
+        q.put([3, 4])
+        q.put([5])
+        q.put([6, 7, 8])  # needs 3 of 5 slots: sheds [1, 2] and [3, 4]
+        assert stats.overflow_drops == 4
+        assert q.get(0.1) == [5]
+        assert q.get(0.1) == [6, 7, 8]
+        q.put(list(range(9)))  # larger than the capacity: enters empty queue
+        assert q.get(0.1) == list(range(9))
+        assert stats.overflow_drops == 4
 
     def test_get_drains_then_reports_closed(self):
         from fallstream.stream import QUEUE_CLOSED
@@ -202,6 +247,20 @@ class TestReplayPipeline:
                                     + stats.malformed)
         assert stats.overflow_drops == 0
 
+    def test_max_speed_replay_goes_as_fast_as_the_consumer_accepts(
+            self, artifact_path, tmp_path):
+        samples = _fall_trial(seed=13, n=1234)
+        config = PipelineConfig(
+            source=ReplaySpec(samples=samples),
+            artifact_path=artifact_path,
+            sinks=(f"file:{tmp_path / 'out.jsonl'}",),
+            overflow="drop_oldest",
+            queue_capacity=1,
+        )
+        stats = run_pipeline(config)
+        assert stats.overflow_drops == 0
+        assert stats.windows == 6 and stats.partial_window_drops == 34
+
     def test_per_device_order_and_sequences(self, artifact_path, tmp_path):
         a = make_trial("adl", 650, seed=14, device_id="dev_a")
         b = make_trial("fall", 650, seed=15, device_id="dev_b")
@@ -262,13 +321,14 @@ def _free_port():
         return s.getsockname()[1]
 
 
-def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0):
+def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0,
+                         overflow="drop_oldest"):
     shutdown = threading.Event()
     config = PipelineConfig(
         source=SocketSpec("127.0.0.1", port),
         artifact_path=artifact_path,
         sinks=(f"file:{out}",),
-        overflow="drop_oldest",
+        overflow=overflow,
     )
     result = {}
 
@@ -290,6 +350,32 @@ def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0):
     thread.join(timeout=10)
     assert not thread.is_alive()
     return result["stats"]
+
+
+def _conserved(stats):
+    return stats.samples_in == (stats.malformed + stats.overflow_drops
+                                + 200 * stats.windows
+                                + stats.partial_window_drops)
+
+
+def _wait_for_lines(path, n, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if path.exists() and path.read_text().count("\n") >= n:
+            return
+        time.sleep(0.05)
+
+
+def _send_in_pieces(port, payload: bytes, size: int):
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(0, len(payload), size):
+            conn.sendall(payload[i:i + size])
+
+
+def _wire_form(samples) -> bytes:
+    return "".join(f"{s.device_id},{s.t_ms},{s.ax!r},{s.ay!r},{s.az!r}\n"
+                   for s in samples).encode()
 
 
 class TestSocketPipeline:
@@ -409,3 +495,102 @@ class TestWebhookSink:
         assert stats.detections == 2
         docs = [json.loads(b) for b in _Responder.bodies]
         assert [d["seq"] for d in docs] == [0, 1]
+
+
+class TestBatchedIngest:
+    def test_live_stream_equals_batch_across_chunk_boundaries(
+            self, artifact, artifact_path, tmp_path):
+        trials = {
+            f"d{k}": [replace(s, label=None) for s in make_trial(
+                kind, 650, seed=40 + k, device_id=f"d{k}")]
+            for k, kind in enumerate(("fall", "adl", "adl", "fall"))
+        }
+        # two devices interleaved per connection; lines straddle recvs
+        conns = [
+            ([s for pair in zip(trials["d0"], trials["d1"]) for s in pair], 7),
+            ([s for pair in zip(trials["d2"], trials["d3"]) for s in pair],
+             4097),
+        ]
+        expected = sum(len(classify_samples(artifact, t))
+                       for t in trials.values())
+        out = tmp_path / "live.jsonl"
+
+        def send(port):
+            senders = [
+                threading.Thread(target=_send_in_pieces,
+                                 args=(port, _wire_form(samples), size))
+                for samples, size in conns
+            ]
+            for t in senders:
+                t.start()
+            for t in senders:
+                t.join(timeout=30)
+            _wait_for_lines(out, expected)
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.3, overflow="block")
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert len(docs) == expected == stats.detections == stats.windows
+        for dev, samples in trials.items():
+            mine = [d for d in docs if d["device_id"] == dev]
+            batch = classify_samples(artifact, samples)
+            assert [d["seq"] for d in mine] == list(range(len(batch)))
+            assert [d["p_fall"] for d in mine] == [b.p_fall for b in batch]
+        assert stats.samples_in == 4 * 650
+        assert stats.malformed == stats.overflow_drops == 0
+        assert _conserved(stats)
+
+    def test_counters_exact_under_concurrent_connections(
+            self, artifact_path, tmp_path):
+        out = tmp_path / "live.jsonl"
+
+        def payload(dev):
+            return "".join(
+                f"{dev},bad,1,2,3\n" if i % 50 == 49
+                else f"{dev},{i * 50},0.1,9.8,0.05\n"
+                for i in range(5000)).encode()
+
+        def send(port):
+            senders = [
+                threading.Thread(target=_send_in_pieces,
+                                 args=(port, payload(f"c{k}"), 1500))
+                for k in range(4)
+            ]
+            for t in senders:
+                t.start()
+            for t in senders:
+                t.join(timeout=30)
+            _wait_for_lines(out, 4 * 24)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # readers preempt one another often
+        try:
+            stats = _run_socket_pipeline(artifact_path, out, _free_port(),
+                                         send, settle=0.5, overflow="block")
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.samples_in == 20_000
+        assert stats.malformed == 400
+        assert stats.timestamp_regressions == 0
+        assert stats.windows == stats.detections == 4 * 24
+        assert stats.partial_window_drops == 4 * 100
+        assert stats.overflow_drops == 0
+        assert _conserved(stats)
+
+    def test_unterminated_megabyte_counts_once_and_stream_goes_on(
+            self, artifact_path, tmp_path):
+        out = tmp_path / "live.jsonl"
+
+        def send(port):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=5) as conn:
+                conn.sendall(b"x" * 1_000_000)
+                conn.sendall(b"\n" + "".join(_wire_lines(200)).encode())
+            _wait_for_lines(out, 1)
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.3, overflow="block")
+        assert stats.detections == 1
+        assert stats.malformed == 1
+        assert stats.samples_in == 201
+        assert _conserved(stats)
