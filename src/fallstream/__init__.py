@@ -28,6 +28,7 @@ from .ingest import (
     BinaryClass,
     ColumnMapping,
     Sample,
+    SampleBatch,
     SocketSource,
     convert_adc_to_g,
     load_mapping,
@@ -60,7 +61,7 @@ from .stream import (
     ReplaySpec,
     SocketSpec,
     classify_samples,
-    classify_window,
+    classify_windows,
     detection_line,
     run_pipeline,
 )

@@ -118,30 +118,26 @@ def cmd_prepare(args) -> int:
         raise ParseError(f"no trial files matching {args.pattern!r} in {dataset}")
 
     window = WindowConfig(size=args.window_size, stride=args.stride)
-    vectors = []
+    windows = []
     samples_total = malformed = regressions = partial = 0
-    label_codes: Counter = Counter()
-    label_classes: Counter = Counter()
     for path in files:
-        samples, report = parse_trial_path(path, mapping)
+        batch, report = parse_trial_path(path, mapping)
         samples_total += report.rows
         malformed += report.malformed
         regressions += report.timestamp_regressions
         assembler = WindowAssembler(window, mapping.extra_activities)
-        for sample in samples:
-            for win in assembler.push(sample):
-                fv = extract_features(
-                    win, extra_activities=mapping.extra_activities)
-                if fv.label_class is None:
-                    raise MissingLabel(
-                        f"{path}: unlabeled windows; prepare needs a mapping "
-                        "with a label column"
-                    )
-                vectors.append(fv)
-                label_codes[fv.label_code] += 1
-                label_classes[fv.label_class.value] += 1
+        trial_windows = assembler.push(batch)
+        if any(w.majority_code is None for w in trial_windows):
+            raise MissingLabel(
+                f"{path}: unlabeled windows; prepare needs a mapping "
+                "with a label column"
+            )
+        windows.extend(trial_windows)
         partial += assembler.finish()
 
+    vectors = extract_features(windows, extra_activities=mapping.extra_activities)
+    label_codes = Counter(fv.label_code for fv in vectors)
+    label_classes = Counter(fv.label_class.value for fv in vectors)
     write_feature_csv(args.out, vectors)
     _info(f"trials        : {len(files)}")
     _info(f"rows          : {samples_total} ({malformed} malformed, "
@@ -291,12 +287,12 @@ def cmd_replay(args) -> int:
     if mapping_path is None:
         raise ConfigError("replay needs --mapping (or source.mapping in --config)")
     mapping = load_mapping(mapping_path)
-    samples, report = parse_trial_path(args.trial_file, mapping)
+    batch, report = parse_trial_path(args.trial_file, mapping)
     if report.malformed:
         _info(f"note: {report.malformed} malformed rows skipped while parsing")
 
     source = ReplaySpec(
-        samples=samples,
+        samples=batch,
         rate_hz=float(_pick(args.rate_hz, src_cfg, "rate_hz", 20.0)),
         speed=_parse_speed(_pick(args.speed, src_cfg, "speed", math.inf)),
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -82,181 +83,150 @@ class FeatureVector:
     label_class: BinaryClass | None = None
 
 
-@dataclass(frozen=True)
-class AxisStats:
-    mean: float
-    median: float
-    sd: float
-    skew: float
-    kurt: float
-    min: float
-    max: float
-
-    def as_tuple(self):
-        return (self.mean, self.median, self.sd, self.skew, self.kurt,
-                self.min, self.max)
+# windows per stacked kernel call: bounds the temporaries, each about
+# STACK_BLOCK * 8 * n doubles, whatever the number of windows asked for
+STACK_BLOCK = 64
+_SERIES = 8  # x, y, z, |x|, |y|, |z|, tilt, magnitude
 
 
-def axis_stats(values: np.ndarray) -> AxisStats:
-    """Seven summary statistics of one value series, n >= 2.
-
-    Hand-rolled rather than scipy so the conventions stay pinned. An
-    exactly-constant series short-circuits: in exact arithmetic its
-    central moments are zero, but a rounded mean would leak tiny spread
-    values, so constancy is detected by min == max rather than m2 == 0.
-    The standardized-moment form of skew/kurtosis also keeps tiny-variance
-    windows away from 0/0.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    if n < 2:
-        raise InsufficientData(f"need at least 2 values, got {n}")
-    srt = np.sort(v)
-    lo, hi = float(srt[0]), float(srt[-1])
-    if lo == hi:
-        return AxisStats(mean=lo, median=lo, sd=0.0, skew=0.0, kurt=0.0,
-                         min=lo, max=hi)
-    mean = float(v.mean())
-    dev = v - mean
-    sq = float(dev @ dev)
-    m2 = sq / n
-    if m2 == 0.0:
-        skew = kurt = 0.0
-    else:
-        z = dev / math.sqrt(m2)
-        z2 = z * z
-        skew = float((z2 * z).mean())
-        kurt = float((z2 * z2).mean()) - 3.0
-    mid = n // 2
-    median = float(srt[mid]) if n % 2 else float((srt[mid - 1] + srt[mid]) / 2.0)
-    return AxisStats(
-        mean=mean,
-        median=median,
-        sd=math.sqrt(sq / (n - 1)),
-        skew=skew,
-        kurt=kurt,
-        min=lo,
-        max=hi,
-    )
-
-
-def slope(window: Window, use_abs: bool = False) -> float:
-    """Euclidean norm of the per-axis ranges of the window."""
-    xs, ys, zs = window_axes(window)
-    if use_abs:
-        xs, ys, zs = np.abs(xs), np.abs(ys), np.abs(zs)
-    return math.sqrt(
-        float(np.ptp(xs)) ** 2 + float(np.ptp(ys)) ** 2 + float(np.ptp(zs)) ** 2
-    )
-
-
-def tilt_angle(ax: float, ay: float, az: float) -> float:
-    """Angle between gravity axis and y: asin(y/|a|); 0 for a zero vector."""
-    mag = math.sqrt(ax * ax + ay * ay + az * az)
-    if mag == 0.0:
-        return 0.0
-    return math.asin(max(-1.0, min(1.0, ay / mag)))
-
-
-def magnitude(ax: float, ay: float, az: float) -> float:
-    return math.sqrt(ax * ax + ay * ay + az * az)
-
-
-def zero_crossing_rate(values: np.ndarray) -> float:
-    """Strict sign changes of the de-meaned series over n-1 pairs.
+def zero_crossing_rate(values: np.ndarray) -> np.ndarray | float:
+    """Strict sign changes of the de-meaned series over n-1 pairs, along
+    the last axis.
 
     Exact zeros of the de-meaned series carry the previous nonzero sign,
     so the count equals the alternations of the nonzero-sign subsequence.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size < 2:
-        raise InsufficientData(f"need at least 2 values, got {v.size}")
-    signs = np.sign(v - np.mean(v))
-    signs = signs[signs != 0]
-    if signs.size < 2:
-        return 0.0
-    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    return changes / (v.size - 1)
+    n = v.shape[-1]
+    if n < 2:
+        raise InsufficientData(f"need at least 2 values, got {n}")
+    signs = np.sign(v - np.add.reduce(v, axis=-1, keepdims=True) / n)
+    if not signs.all():
+        # carry the last nonzero sign forward over exact zeros; leading
+        # zeros stay 0 and never count as a change
+        last = np.where(signs != 0, np.arange(n), 0)
+        np.maximum.accumulate(last, axis=-1, out=last)
+        signs = np.take_along_axis(signs, last, axis=-1)
+    changes = np.count_nonzero(
+        (signs[..., 1:] != signs[..., :-1]) & (signs[..., :-1] != 0), axis=-1)
+    return changes / (n - 1)
 
 
-def average_absolute_difference(values: np.ndarray) -> float:
+def average_absolute_difference(values: np.ndarray) -> np.ndarray | float:
+    """Mean absolute deviation from the mean along the last axis; an
+    exactly constant series gives 0."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size < 1:
+    n = v.shape[-1]
+    if n < 1:
         raise InsufficientData("need at least 1 value")
-    if float(np.min(v)) == float(np.max(v)):
-        return 0.0
-    return float(np.mean(np.abs(v - np.mean(v))))
+    dev = v - np.add.reduce(v, axis=-1, keepdims=True) / n
+    aad = np.add.reduce(np.abs(dev), axis=-1) / n
+    const = np.minimum.reduce(v, axis=-1) == np.maximum.reduce(v, axis=-1)
+    return np.where(const, 0.0, aad)[()]
 
 
-def average_resultant_acceleration(window: Window) -> float:
-    xs, ys, zs = window_axes(window)
-    return float(np.mean(np.sqrt(xs**2 + ys**2 + zs**2)))
+def _series(acc: np.ndarray) -> np.ndarray:
+    """The 8 per-sample series of (k, n, 3) windows as one (k, 8, n) stack."""
+    k, n, _ = acc.shape
+    s = np.empty((k, _SERIES, n))
+    s[:, :3] = acc.transpose(0, 2, 1)
+    np.abs(s[:, :3], out=s[:, 3:6])
+    x, y, z = s[:, 0], s[:, 1], s[:, 2]
+    mag = s[:, 7]
+    np.sqrt(x * x + y * y + z * z, out=mag)
+    # tilt = asin(y / |a|), 0 for a zero vector
+    nonzero = mag > 0.0
+    ratio = np.where(nonzero, y / np.where(nonzero, mag, 1.0), 0.0)
+    np.arcsin(np.clip(ratio, -1.0, 1.0), out=s[:, 6])
+    return s
 
 
-def window_axes(window: Window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = window.n
-    xs = np.fromiter((s.ax for s in window.samples), dtype=np.float64, count=n)
-    ys = np.fromiter((s.ay for s in window.samples), dtype=np.float64, count=n)
-    zs = np.fromiter((s.az for s in window.samples), dtype=np.float64, count=n)
-    return xs, ys, zs
+def feature_matrix(acc: np.ndarray) -> np.ndarray:
+    """Schema v1 values of k windows at once: (k, n, 3) -> (k, 58).
+
+    All 8 series are sorted in one call and their moments are row-wise
+    sums along the sample axis, never a BLAS product, so a window's values
+    do not depend on how many windows share the stack.
+
+    Hand-rolled rather than scipy so the conventions stay pinned. An
+    exactly-constant series is detected by min == max: in exact
+    arithmetic its central moments are zero, but a rounded mean would leak
+    tiny spread values, so it gets mean = median = min and zero spread.
+    The standardized-moment form of skew/kurtosis also keeps tiny-variance
+    windows away from 0/0.
+    """
+    acc = np.asarray(acc, dtype=np.float64)
+    k, n, _ = acc.shape
+    if n < 2:
+        raise InsufficientData(f"need at least 2 samples per window, got {n}")
+    s = _series(acc)
+    srt = np.sort(s, axis=-1)
+    lo, hi = srt[..., 0], srt[..., -1]
+    const = lo == hi
+    mid = n // 2
+    median = srt[..., mid] if n % 2 else (srt[..., mid - 1] + srt[..., mid]) / 2.0
+    mean = s.sum(axis=-1) / n
+    dev = s - mean[..., None]
+    sq = (dev * dev).sum(axis=-1)
+    m2 = sq / n
+    flat = const | (m2 == 0.0)
+    # flat rows divide by a zero spread; their skew and kurtosis are 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = dev / np.sqrt(m2)[..., None]
+        z2 = z * z
+        skew = np.where(flat, 0.0, (z2 * z).sum(axis=-1) / n)
+        kurt = np.where(flat, 0.0, (z2 * z2).sum(axis=-1) / n - 3.0)
+    mean = np.where(const, lo, mean)
+    median = np.where(const, lo, median)
+    sd = np.where(const, 0.0, np.sqrt(sq / (n - 1)))
+    seven = np.stack((mean, median, sd, skew, kurt, lo, hi), axis=-1)
+    span = hi - lo
+
+    out = np.empty((k, len(SCHEMA_V1.names)))
+    out[:, 0:21] = seven[:, 0:3].reshape(k, 21)
+    out[:, 21:42] = seven[:, 3:6].reshape(k, 21)
+    sq_span = span * span
+    out[:, 42] = np.sqrt(sq_span[:, 0] + sq_span[:, 1] + sq_span[:, 2])
+    out[:, 43] = np.sqrt(sq_span[:, 3] + sq_span[:, 4] + sq_span[:, 5])
+    out[:, 44:48] = seven[:, 6, [0, 2, 3, 4]]  # tilt mean, sd, skew, kurt
+    out[:, 48:52] = seven[:, 7, [0, 2, 5, 6]]  # mag mean, sd, min, max
+    out[:, 52] = span[:, 7]
+    out[:, 53] = zero_crossing_rate(s[:, 7])
+    out[:, 54:57] = average_absolute_difference(s[:, :3])
+    # identical to the magnitude mean by definition; write the same float
+    out[:, 57] = mean[:, 7]
+    return out
 
 
 def extract_features(
-    window: Window,
+    windows: Sequence[Window],
     schema: FeatureSchema = SCHEMA_V1,
     extra_activities: dict[str, BinaryClass] | None = None,
-) -> FeatureVector:
-    """The full 58-value vector of one window, in schema order."""
+) -> list[FeatureVector]:
+    """The 58-value vectors of equal-length windows, in schema order.
+
+    One call computes every window given, STACK_BLOCK at a time; a
+    window's values are the same whichever call or block it is in.
+    """
     if schema.version != SCHEMA_V1.version:
         raise SchemaMismatch(f"unsupported schema version {schema.version!r}")
-    xs, ys, zs = window_axes(window)
-
-    out: list[float] = []
-    raw_stats = [axis_stats(axis) for axis in (xs, ys, zs)]
-    abs_stats = [axis_stats(np.abs(axis)) for axis in (xs, ys, zs)]
-    for st in raw_stats:
-        out.extend(st.as_tuple())
-    for st in abs_stats:
-        out.extend(st.as_tuple())
-
-    def ranges_norm(stats):
-        return math.sqrt(sum((st.max - st.min) ** 2 for st in stats))
-
-    out.append(ranges_norm(raw_stats))
-    out.append(ranges_norm(abs_stats))
-
-    mag = np.sqrt(xs**2 + ys**2 + zs**2)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(mag > 0.0, ys / np.where(mag > 0.0, mag, 1.0), 0.0)
-    tilt = np.arcsin(np.clip(ratio, -1.0, 1.0))
-    t_stats = axis_stats(tilt)
-    out.extend([t_stats.mean, t_stats.sd, t_stats.skew, t_stats.kurt])
-
-    m_stats = axis_stats(mag)
-    out.extend([
-        m_stats.mean, m_stats.sd, m_stats.min, m_stats.max,
-        m_stats.max - m_stats.min, zero_crossing_rate(mag),
-    ])
-
-    out.append(average_absolute_difference(xs))
-    out.append(average_absolute_difference(ys))
-    out.append(average_absolute_difference(zs))
-    # identical to the magnitude mean by definition; write the same float
-    out.append(m_stats.mean)
-
-    values = np.asarray(out, dtype=np.float64)
-    label_class = None
-    if window.majority_code is not None:
-        label_class = map_activity_to_class(window.majority_code, extra_activities)
-    return FeatureVector(
-        schema_version=schema.version,
-        values=values,
-        device_id=window.device_id,
-        t_start_ms=window.t_start,
-        t_end_ms=window.t_end,
-        label_code=window.majority_code,
-        label_class=label_class,
-    )
+    out = []
+    for first in range(0, len(windows), STACK_BLOCK):
+        block = windows[first:first + STACK_BLOCK]
+        values = feature_matrix(np.stack([w.acc for w in block]))
+        for window, row in zip(block, values):
+            code = window.majority_code
+            out.append(FeatureVector(
+                schema_version=schema.version,
+                values=row,
+                device_id=window.device_id,
+                t_start_ms=window.t_start,
+                t_end_ms=window.t_end,
+                label_code=code,
+                label_class=(None if code is None
+                             else map_activity_to_class(code, extra_activities)),
+            ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -352,7 +322,7 @@ def sisfall_characteristics(buf: SlidingBuffer) -> SisFallFeatures:
     c3 = math.sqrt(float(np.mean(ranges**2)))
 
     def sd(axis, rng):
-        # constant axes are exactly zero-spread (see axis_stats)
+        # constant axes are exactly zero-spread (see feature_matrix)
         return 0.0 if rng == 0.0 else float(np.std(axis, ddof=1))
 
     sx, sy, sz = (sd(v, r) for v, r in zip((xs, ys, zs), ranges))

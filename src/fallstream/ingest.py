@@ -4,6 +4,9 @@ Trial files are delimiter-separated text whose layout differs per dataset,
 so the column roles, delimiter, units, and label vocabulary extensions all
 live in a ColumnMapping (usually loaded from a JSON file). Everything is
 converted to one canonical unit regime: m/s^2, integer milliseconds.
+Parsed samples travel as a SampleBatch: one int64 timestamp column, one
+(n, 3) float64 acceleration array and an optional label column, so trial
+replay and live serving hand the pipeline the same type.
 
 The live wire protocol is newline-delimited UTF-8 text, one sample per
 line: ``device_id,t_ms,ax,ay,az`` (no label). device_id must match
@@ -24,6 +27,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .errors import ConfigError, ParseError, UnknownActivity
 
 STANDARD_GRAVITY_MS2 = 9.80665
@@ -33,6 +38,8 @@ WIRE_DEVICE_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 # A longer line is malformed, and a reader never buffers more than this of
 # one unterminated line.
 MAX_LINE_BYTES = 1024
+# timestamps live in int64 columns; a wider value is malformed
+_T_LIMIT = 2**63
 
 
 class BinaryClass(Enum):
@@ -68,6 +75,58 @@ class Sample:
     ay: float
     az: float
     label: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """Samples as columns, one row per sample in arrival order.
+
+    ``device_id`` is the one device of every row, or a list with one id
+    per row (a live chunk mixes devices). ``labels`` holds one activity
+    code (or None) per row, or is None when no row is labeled.
+    """
+
+    device_id: str | list[str]
+    t_ms: np.ndarray  # (n,) int64
+    acc: np.ndarray  # (n, 3) float64: ax, ay, az in m/s^2
+    labels: list[str | None] | None = None
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+    def rows(self, start: int, stop: int) -> "SampleBatch":
+        """Rows start..stop-1; the columns are views of this batch's."""
+        ids = self.device_id
+        return SampleBatch(
+            ids if isinstance(ids, str) else ids[start:stop],
+            self.t_ms[start:stop],
+            self.acc[start:stop],
+            None if self.labels is None else self.labels[start:stop],
+        )
+
+    def devices(self) -> set[str]:
+        ids = self.device_id
+        return {ids} if isinstance(ids, str) else set(ids)
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[Sample]) -> "SampleBatch":
+        samples = list(samples)
+        ids = [s.device_id for s in samples]
+        labels = [s.label for s in samples]
+        return cls(
+            ids[0] if ids and ids.count(ids[0]) == len(ids) else ids,
+            np.array([s.t_ms for s in samples], dtype=np.int64),
+            np.array([(s.ax, s.ay, s.az) for s in samples],
+                     dtype=np.float64).reshape(-1, 3),
+            labels if any(c is not None for c in labels) else None,
+        )
+
+
+def as_batch(samples: SampleBatch | Iterable[Sample]) -> SampleBatch:
+    """A SampleBatch as is; a sequence of Samples converted once."""
+    if isinstance(samples, SampleBatch):
+        return samples
+    return SampleBatch.from_samples(samples)
 
 
 def map_activity_to_class(
@@ -196,11 +255,13 @@ def _resolve_columns(mapping: ColumnMapping, header_fields: list[str] | None):
 
 def parse_trial_file(
     data: bytes, mapping: ColumnMapping, device_id: str = "trial"
-) -> tuple[list[Sample], ParseReport]:
-    """Parse one trial file into samples; malformed rows are skipped and counted.
+) -> tuple[SampleBatch, ParseReport]:
+    """Parse one trial file into a batch; malformed rows are skipped and counted.
 
-    Raises ParseError when the input is unreadable or more than half of the
-    data rows are malformed (which signals a wrong mapping).
+    A row is malformed when a field it needs is missing or unparseable,
+    an acceleration is not finite, its timestamp does not fit int64 or its
+    label is empty. Raises ParseError when the input is unreadable or more
+    than half of the data rows are malformed (which signals a wrong mapping).
     """
     try:
         text = data.decode("utf-8")
@@ -211,12 +272,12 @@ def parse_trial_file(
     header_fields = None
     if mapping.header:
         if not lines:
-            return [], ParseReport()
+            return SampleBatch(device_id, np.empty(0, dtype=np.int64),
+                               np.empty((0, 3))), ParseReport()
         header_fields = [f.strip() for f in lines[0].split(mapping.delimiter)]
         lines = lines[1:]
 
     t_col, x_col, y_col, z_col, label_col = _resolve_columns(mapping, header_fields)
-    time_factor = _TIME_UNITS[mapping.time_unit]
     if mapping.unit == "m/s2":
         accel_factor = 1.0
     elif mapping.unit == "g":
@@ -226,53 +287,84 @@ def parse_trial_file(
             convert_adc_to_g(1, mapping.adc_range_g, mapping.adc_resolution_bits)
             * STANDARD_GRAVITY_MS2
         )
+    # converter counts must be integers; float() and int() both ignore
+    # surrounding whitespace, so only the label field is stripped
+    number = _count_as_float if mapping.unit == "adc_bits" else float
 
-    report = ParseReport()
-    samples: list[Sample] = []
-    prev_t: int | None = None
+    delimiter = mapping.delimiter
+    ts: list[float] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    zs: list[float] = []
+    labels: list[str] = []
+    codes: dict[str, str] = {}  # raw label field -> code, one object per code
+    blank = unparsed = 0
     for line in lines:
-        if not line.strip():
-            continue
-        report.rows += 1
-        fields = [f.strip() for f in line.split(mapping.delimiter)]
+        fields = line.split(delimiter)
         try:
-            if mapping.unit == "adc_bits":
-                ax = float(int(fields[x_col])) * accel_factor
-                ay = float(int(fields[y_col])) * accel_factor
-                az = float(int(fields[z_col])) * accel_factor
-            else:
-                ax = float(fields[x_col]) * accel_factor
-                ay = float(fields[y_col]) * accel_factor
-                az = float(fields[z_col]) * accel_factor
-            if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
-                raise ValueError("non-finite acceleration")
-            if t_col is None:
-                t_ms = round(len(samples) * 1000.0 / mapping.synthetic_rate_hz)
-            else:
-                t_ms = round(float(fields[t_col]) * time_factor)
-            label = None
+            x = number(fields[x_col])
+            y = number(fields[y_col])
+            z = number(fields[z_col])
+            t = 0.0 if t_col is None else float(fields[t_col])
             if label_col is not None:
-                label = fields[label_col].upper()
-                if not label:
-                    raise ValueError("empty label field")
+                raw = fields[label_col]
+                code = codes.get(raw)
+                if code is None:
+                    code = raw.strip().upper()
+                    if not code:
+                        raise ValueError("empty label field")
+                    codes[raw] = code
+                labels.append(code)
         except (ValueError, IndexError, OverflowError):
-            report.malformed += 1
+            # a blank line always lands here; it is not a row
+            if line.strip():
+                unparsed += 1
+            else:
+                blank += 1
             continue
-        if prev_t is not None and t_ms < prev_t:
-            report.timestamp_regressions += 1
-        prev_t = t_ms
-        samples.append(Sample(device_id, t_ms, ax, ay, az, label))
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
 
+    acc = np.empty((len(xs), 3))
+    acc[:, 0], acc[:, 1], acc[:, 2] = xs, ys, zs
+    if accel_factor != 1.0:
+        acc *= accel_factor
+    ok = np.isfinite(acc).all(axis=1)
+    if t_col is not None:
+        t_ms = np.rint(np.asarray(ts) * _TIME_UNITS[mapping.time_unit])
+        ok &= (t_ms >= -_T_LIMIT) & (t_ms < _T_LIMIT)  # False for nan
+    if not ok.all():
+        acc = acc[ok]
+        if t_col is not None:
+            t_ms = t_ms[ok]
+        if label_col is not None:
+            labels = [c for c, keep in zip(labels, ok.tolist()) if keep]
+    if t_col is None:
+        t_ms = np.rint(np.arange(len(acc)) * 1000.0 / mapping.synthetic_rate_hz)
+    t_ms = t_ms.astype(np.int64)
+
+    report = ParseReport(
+        rows=len(lines) - blank,
+        malformed=unparsed + len(xs) - len(acc),
+        timestamp_regressions=int(np.count_nonzero(t_ms[1:] < t_ms[:-1])),
+    )
     if report.rows and report.malformed * 2 > report.rows:
         raise ParseError(
             f"{report.malformed}/{report.rows} rows malformed; mapping is likely wrong"
         )
-    return samples, report
+    return SampleBatch(device_id, t_ms, acc,
+                       labels if label_col is not None else None), report
+
+
+def _count_as_float(field: str) -> float:
+    return float(int(field))
 
 
 def parse_trial_path(
     path: str | Path, mapping: ColumnMapping, device_id: str | None = None
-) -> tuple[list[Sample], ParseReport]:
+) -> tuple[SampleBatch, ParseReport]:
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -308,8 +400,9 @@ def replay_source(
         yield sample
 
 
-def parse_wire_line(line: str) -> Sample | None:
-    """One protocol line to a Sample, or None when malformed."""
+def parse_wire_line(line: str) -> tuple[str, int, float, float, float] | None:
+    """One protocol line to (device_id, t_ms, ax, ay, az), or None when
+    malformed."""
     fields = line.rstrip("\r").split(",")
     if len(fields) != 5:
         return None
@@ -323,7 +416,9 @@ def parse_wire_line(line: str) -> Sample | None:
         return None
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
         return None
-    return Sample(device_id, t_ms, ax, ay, az)
+    if not -_T_LIMIT <= t_ms < _T_LIMIT:
+        return None
+    return device_id, t_ms, ax, ay, az
 
 
 class SocketSource:
@@ -331,7 +426,7 @@ class SocketSource:
 
     Each connection is read by its own thread, so lines are never reordered
     within a connection. Every ``recv`` chunk's complete lines are parsed in
-    one pass and handed on as one ``emit(list_of_samples)`` call (the
+    one pass and handed on as one ``emit(SampleBatch)`` call (the
     pipeline's queue). ``stats`` is any object with integer samples_in /
     malformed / timestamp_regressions attributes; readers update them under
     one lock.
@@ -419,29 +514,33 @@ class SocketSource:
 
     def _handle_lines(self, lines: list[bytes]) -> None:
         parse = parse_wire_line  # the module global, so wrappers see calls
-        samples = []
+        rows = []
         for raw in lines:
             if len(raw) > MAX_LINE_BYTES:
                 continue
             try:
-                sample = parse(raw.decode("utf-8"))
+                row = parse(raw.decode("utf-8"))
             except UnicodeDecodeError:
                 continue
-            if sample is not None:
-                samples.append(sample)
+            if row is not None:
+                rows.append(row)
         regressions = 0
         with self._stats_lock:
             last_t = self._last_t
-            for sample in samples:
-                prev = last_t.get(sample.device_id)
-                if prev is not None and sample.t_ms < prev:
+            for device_id, t_ms, *_ in rows:
+                prev = last_t.get(device_id)
+                if prev is not None and t_ms < prev:
                     regressions += 1
-                last_t[sample.device_id] = sample.t_ms
+                last_t[device_id] = t_ms
             self.stats.samples_in += len(lines)
-            self.stats.malformed += len(lines) - len(samples)
+            self.stats.malformed += len(lines) - len(rows)
             self.stats.timestamp_regressions += regressions
-        if samples:
-            self._emit(samples)
+        if rows:
+            self._emit(SampleBatch(
+                [r[0] for r in rows],
+                np.array([r[1] for r in rows], dtype=np.int64),
+                np.array([r[2:] for r in rows], dtype=np.float64),
+            ))
 
     def _count_dropped_line(self) -> None:
         with self._stats_lock:

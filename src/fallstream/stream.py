@@ -2,12 +2,15 @@
 
 Two execution contexts: the source (paced replay thread or socket reader
 threads) feeds one queue of sample batches, bounded in samples; the
-consumer loop assembles windows, classifies them, and delivers detections
-to every sink in per-device order. A max-speed replay runs "as fast as the
-consumer accepts" literally: the consumer queues the next chunk itself
-before each get, so no thread handoff paces it. Overflow policy ``block``
+consumer loop assembles windows, classifies the windows each batch
+completes with one feature call, and delivers detections to every sink in
+per-device order. A max-speed replay runs "as fast as the consumer
+accepts" literally: the consumer queues the next chunk itself before each
+get, so no thread handoff paces it. Overflow policy ``block``
 gives lossless backpressure (replay default); ``drop_oldest`` sheds the
-oldest queued batches and counts the shed samples (live default).
+oldest queued batches and counts the shed samples (live default). A shed
+also resets the partial windows of the devices in the shed batch, so no
+window ever joins samples that were not adjacent.
 
 Detections serialize to one JSON line with a fixed key order:
 ``device_id, t_start_ms, t_end_ms, p_fall, class, seq, model_digest``.
@@ -26,11 +29,18 @@ import urllib.request
 from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ConfigError
 from .features import apply_scaler, extract_features
-from .ingest import BinaryClass, Sample, SocketSource, replay_source
+from .ingest import (
+    BinaryClass,
+    Sample,
+    SampleBatch,
+    SocketSource,
+    as_batch,
+    replay_source,
+)
 from .model import ModelArtifact, forward, load_artifact
 from .windowing import Window, WindowAssembler, WindowConfig
 
@@ -95,7 +105,7 @@ class PipelineStats:
 class ReplaySpec:
     """Replay an in-memory sample sequence, optionally paced."""
 
-    samples: list[Sample]
+    samples: SampleBatch | list[Sample]
     rate_hz: float = 20.0
     speed: float = math.inf  # math.inf = as fast as the consumer accepts
 
@@ -131,7 +141,11 @@ class PipelineConfig:
 class BoundedQueue:
     """Thread-safe queue of sample batches, bounded in samples, with two
     full-queue modes. A batch larger than the capacity still enters an
-    empty queue, so a put never waits forever."""
+    empty queue, so a put never waits forever.
+
+    Under ``drop_oldest`` the devices of every shed batch are recorded and
+    handed out with the next batch ``get`` returns: that consumer must
+    reset their partial windows before pushing it."""
 
     def __init__(self, capacity: int, policy: str, stats: PipelineStats):
         self._capacity = capacity
@@ -139,6 +153,7 @@ class BoundedQueue:
         self._stats = stats
         self._items: deque = deque()
         self._queued = 0  # samples in _items
+        self._shed_devices: set[str] = set()
         self._cond = threading.Condition()
         self._closed = False
 
@@ -151,9 +166,10 @@ class BoundedQueue:
                     self._cond.wait(0.1)
             else:
                 while self._items and self._queued + n > self._capacity:
-                    shed = len(self._items.popleft())
-                    self._queued -= shed
-                    self._stats.overflow_drops += shed
+                    shed = self._items.popleft()
+                    self._queued -= len(shed)
+                    self._stats.overflow_drops += len(shed)
+                    self._shed_devices |= shed.devices()
             if self._closed:
                 # arrivals racing a shutdown are shed, not lost silently
                 self._stats.overflow_drops += n
@@ -162,17 +178,22 @@ class BoundedQueue:
             self._queued += n
             self._cond.notify_all()
 
-    def get(self, timeout: float):
-        """A batch, _TIMEOUT when nothing arrived, QUEUE_CLOSED when drained."""
+    def get(self, timeout: float) -> tuple[object, set[str]]:
+        """(batch, devices shed since the last get) — or _TIMEOUT when
+        nothing arrived, QUEUE_CLOSED when drained, each with no devices.
+
+        Sheds take the oldest batches, so every shed batch came after the
+        previous batch handed out and before this one."""
         with self._cond:
             if not self._items and not self._closed:
                 self._cond.wait(timeout)
             if self._items:
                 item = self._items.popleft()
                 self._queued -= len(item)
+                shed, self._shed_devices = self._shed_devices, set()
                 self._cond.notify_all()
-                return item
-            return QUEUE_CLOSED if self._closed else _TIMEOUT
+                return item, shed
+            return (QUEUE_CLOSED if self._closed else _TIMEOUT), set()
 
     def close(self) -> None:
         with self._cond:
@@ -237,61 +258,60 @@ def build_sink(spec: str):
     raise ConfigError(f"unknown sink spec {spec!r}")
 
 
-def classify_window(
+def classify_windows(
     artifact: ModelArtifact,
-    window: Window,
-    seq: int,
+    windows: Sequence[Window],
+    seqs: dict[str, int],
     extra_activities: dict | None = None,
-) -> Detection:
-    fv = extract_features(window, extra_activities=extra_activities)
-    scaled = apply_scaler(fv, artifact.scaler)
-    p = forward(artifact.model, scaled.values)
-    return Detection(
-        device_id=window.device_id,
-        t_start_ms=window.t_start,
-        t_end_ms=window.t_end,
-        p_fall=p,
-        predicted=BinaryClass.FALL if p >= 0.5 else BinaryClass.ADL,
-        model_digest=artifact.digest or "",
-        seq=seq,
-    )
+) -> list[Detection]:
+    """Detections of windows completed together: one feature call for all
+    of them, then scaling and the forward pass per window. ``seqs`` holds
+    each device's next sequence number and is advanced."""
+    detections = []
+    fvs = extract_features(windows, extra_activities=extra_activities)
+    for window, fv in zip(windows, fvs):
+        p = forward(artifact.model, apply_scaler(fv, artifact.scaler).values)
+        seq = seqs.get(window.device_id, 0)
+        seqs[window.device_id] = seq + 1
+        detections.append(Detection(
+            device_id=window.device_id,
+            t_start_ms=window.t_start,
+            t_end_ms=window.t_end,
+            p_fall=p,
+            predicted=BinaryClass.FALL if p >= 0.5 else BinaryClass.ADL,
+            model_digest=artifact.digest or "",
+            seq=seq,
+        ))
+    return detections
 
 
 def classify_samples(
     artifact: ModelArtifact,
-    samples: Iterable[Sample],
+    samples: SampleBatch | Iterable[Sample],
     window: WindowConfig | None = None,
     extra_activities: dict | None = None,
 ) -> list[Detection]:
     """Batch-mode classification; the same code path the pipeline runs."""
     assembler = WindowAssembler(window or WindowConfig(), extra_activities)
-    seqs: dict[str, int] = {}
-    detections = []
-    for sample in samples:
-        for win in assembler.push(sample):
-            seq = seqs.get(win.device_id, 0)
-            seqs[win.device_id] = seq + 1
-            detections.append(
-                classify_window(artifact, win, seq, extra_activities)
-            )
-    return detections
+    windows = assembler.push(as_batch(samples))
+    return classify_windows(artifact, windows, {}, extra_activities)
 
 
-def _replay_chunks(samples: list[Sample], stats: PipelineStats):
-    for i in range(0, len(samples), REPLAY_CHUNK):
-        chunk = samples[i:i + REPLAY_CHUNK]
+def _replay_chunks(batch: SampleBatch, stats: PipelineStats):
+    for i in range(0, len(batch), REPLAY_CHUNK):
+        chunk = batch.rows(i, i + REPLAY_CHUNK)
         stats.samples_in += len(chunk)
         yield chunk
 
 
-def _paced_producer(spec: ReplaySpec, queue: BoundedQueue,
+def _paced_producer(batch: SampleBatch, spec: ReplaySpec, queue: BoundedQueue,
                     stats: PipelineStats, stop: threading.Event) -> None:
     try:
-        for sample in replay_source(spec.samples, spec.rate_hz, spec.speed):
+        for i in replay_source(range(len(batch)), spec.rate_hz, spec.speed):
             if stop.is_set():
                 break
             stats.samples_in += 1
-            queue.put([sample])
+            queue.put(batch.rows(i, i + 1))
     finally:
         queue.close()
 
@@ -321,18 +341,19 @@ def run_pipeline(
 
     socket_source = None
     chunks = None
-    if isinstance(config.source, ReplaySpec) and math.isinf(config.source.speed):
-        # a producer thread that may run only one queue capacity ahead
-        # waits for the interpreter lock once per chunk and starves the
-        # consumer; pulling the next chunk in the consumer avoids both
-        chunks = _replay_chunks(config.source.samples, stats)
-    elif isinstance(config.source, ReplaySpec):
-        producer = threading.Thread(
-            target=_paced_producer,
-            args=(config.source, queue, stats, stop_source),
-            daemon=True,
-        )
-        producer.start()
+    if isinstance(config.source, ReplaySpec):
+        replayed = as_batch(config.source.samples)
+        if math.isinf(config.source.speed):
+            # a producer thread that may run only one queue capacity ahead
+            # waits for the interpreter lock once per chunk and starves the
+            # consumer; pulling the next chunk in the consumer avoids both
+            chunks = _replay_chunks(replayed, stats)
+        else:
+            threading.Thread(
+                target=_paced_producer,
+                args=(replayed, config.source, queue, stats, stop_source),
+                daemon=True,
+            ).start()
     else:
         socket_source = SocketSource(
             config.source.host, config.source.port, emit=queue.put, stats=stats
@@ -367,21 +388,23 @@ def run_pipeline(
                     chunks = None
                 else:
                     queue.put(chunk)
-            batch = queue.get(timeout=0.2)
+            batch, shed = queue.get(timeout=0.2)
+            if shed:
+                # the shed samples broke these devices' runs: a window
+                # never joins samples that were not adjacent
+                stats.partial_window_drops += assembler.reset(shed)
             if batch is QUEUE_CLOSED:
                 break
             if batch is _TIMEOUT:
                 continue
-            for sample in batch:
-                for window in assembler.push(sample):
-                    stats.windows += 1
-                    seq = seqs.get(window.device_id, 0)
-                    seqs[window.device_id] = seq + 1
-                    detection = classify_window(
-                        artifact, window, seq, config.extra_activities
-                    )
-                    stats.detections += 1
-                    _deliver(detection_line(detection), sinks, stats)
+            windows = assembler.push(batch)
+            if not windows:
+                continue
+            stats.windows += len(windows)
+            for detection in classify_windows(artifact, windows, seqs,
+                                              config.extra_activities):
+                stats.detections += 1
+                _deliver(detection_line(detection), sinks, stats)
     finally:
         stop_source.set()
         if socket_source is not None and not stopping:

@@ -5,15 +5,28 @@ default is tumbling 200-sample blocks. Grouping is by count, never by
 wall clock, so timestamp gaps do not split windows (they are only counted
 when a gap threshold is configured). Trailing partial groups are dropped
 and counted.
+
+Samples arrive as SampleBatch columns and windows are array slices: a
+window's ``t_ms`` and ``acc`` are (n,) and (n, 3) arrays, never rows of
+Sample objects.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigError, MissingLabel
-from .ingest import BinaryClass, Sample, map_activity_to_class
+from .ingest import (
+    BinaryClass,
+    Sample,
+    SampleBatch,
+    as_batch,
+    map_activity_to_class,
+)
 
 
 @dataclass(frozen=True)
@@ -31,29 +44,30 @@ class WindowConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window:
     """A full run of samples from one device plus its majority label."""
 
     device_id: str
-    samples: tuple[Sample, ...]
+    t_ms: np.ndarray  # (n,) int64
+    acc: np.ndarray  # (n, 3) float64
     majority_code: str | None = None
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return len(self.t_ms)
 
     @property
     def t_start(self) -> int:
-        return self.samples[0].t_ms
+        return int(self.t_ms[0])
 
     @property
     def t_end(self) -> int:
-        return self.samples[-1].t_ms
+        return int(self.t_ms[-1])
 
 
 def majority_label(
-    samples, extra: dict[str, BinaryClass] | None = None
+    codes: Iterable[str | None], extra: dict[str, BinaryClass] | None = None
 ) -> str:
     """Most frequent activity code of a labeled sample run.
 
@@ -61,14 +75,11 @@ def majority_label(
     within one class the lexicographically smallest code wins. Determinism
     here is what keeps stream and batch runs identical.
     """
-    codes = []
-    for s in samples:
-        if s.label is None:
-            raise MissingLabel(f"sample at t={s.t_ms} has no label")
-        codes.append(s.label)
-    if not codes:
-        raise MissingLabel("empty sample run")
     counts = Counter(codes)
+    if None in counts:
+        raise MissingLabel("a sample in the run has no label")
+    if not counts:
+        raise MissingLabel("empty sample run")
     top = max(counts.values())
     tied = [c for c, k in counts.items() if k == top]
     fall_tied = [
@@ -86,10 +97,12 @@ class WindowStats:
 
 
 class WindowAssembler:
-    """Per-device buffers; emits a Window every time one fills.
+    """Per-device pending samples; emits a Window every time one fills.
 
     Windows get a majority label when their samples are labeled; fully
     unlabeled windows (live mode) get None; a mix raises MissingLabel.
+    A device's pending samples are kept as arrays of exactly that many
+    rows, so an idle partial device costs memory in proportion to them.
     """
 
     def __init__(self, config: WindowConfig,
@@ -97,42 +110,100 @@ class WindowAssembler:
         self.config = config
         self.extra_activities = extra_activities
         self.stats = WindowStats()
-        self._buffers: dict[str, list[Sample]] = {}
+        # device -> (t_ms, acc, labels) of its pending samples
+        self._pending: dict[str, tuple] = {}
         self._last_t: dict[str, int] = {}
 
-    def push(self, sample: Sample) -> list[Window]:
-        cfg = self.config
-        buf = self._buffers.setdefault(sample.device_id, [])
-        if cfg.gap_threshold_ms is not None:
-            prev = self._last_t.get(sample.device_id)
-            if prev is not None and sample.t_ms - prev > cfg.gap_threshold_ms:
-                self.stats.gaps += 1
-            self._last_t[sample.device_id] = sample.t_ms
-        buf.append(sample)
+    def push(self, batch: SampleBatch) -> list[Window]:
+        """Windows completed by this batch, in the order their last
+        samples arrived."""
+        ids = batch.device_id
+        if not len(batch):
+            return []
+        if isinstance(ids, str):
+            return self._extend(ids, batch.t_ms, batch.acc, batch.labels)
+        rows_of: dict[str, list[int]] = {}
+        for i, device_id in enumerate(ids):
+            rows_of.setdefault(device_id, []).append(i)
         out = []
-        if len(buf) == cfg.size:
-            run = tuple(buf)
+        for device_id, rows in rows_of.items():
+            idx = np.array(rows)
+            labels = batch.labels
+            if labels is not None:
+                labels = [labels[i] for i in rows]
+            held = self._pending.get(device_id)
+            pending = 0 if held is None else len(held[0])
+            for win in self._extend(device_id, batch.t_ms[idx],
+                                    batch.acc[idx], labels):
+                # the row of the batch that completed this window
+                out.append((rows[win.n - pending - 1], win))
+                pending -= self.config.stride
+        if len(rows_of) > 1:
+            out.sort(key=lambda item: item[0])
+        return [win for _, win in out]
+
+    def _extend(self, device_id: str, t_ms: np.ndarray, acc: np.ndarray,
+                labels: list | None) -> list[Window]:
+        cfg = self.config
+        if cfg.gap_threshold_ms is not None:
+            prev = self._last_t.get(device_id)
+            steps = np.diff(t_ms, prepend=t_ms[:1] if prev is None else prev)
+            self.stats.gaps += int(np.count_nonzero(steps > cfg.gap_threshold_ms))
+            self._last_t[device_id] = int(t_ms[-1])
+        held = self._pending.pop(device_id, None)
+        if held is not None:
+            held_t, held_acc, held_labels = held
+            if held_labels is not None or labels is not None:
+                labels = ((held_labels or [None] * len(held_t))
+                          + (labels or [None] * len(t_ms)))
+            t_ms = np.concatenate((held_t, t_ms))
+            acc = np.concatenate((held_acc, acc))
+        out = []
+        start = 0
+        while start + cfg.size <= len(t_ms):
+            stop = start + cfg.size
             code = None
-            if any(s.label is not None for s in run):
-                code = majority_label(run, self.extra_activities)
-            out.append(Window(sample.device_id, run, code))
-            self.stats.windows += 1
-            del buf[: cfg.stride]
+            if labels is not None:
+                run = labels[start:stop]
+                if any(c is not None for c in run):
+                    code = majority_label(run, self.extra_activities)
+            out.append(Window(device_id, t_ms[start:stop], acc[start:stop],
+                              code))
+            start += cfg.stride
+        if start < len(t_ms):
+            # copies, so a few pending rows never pin a large batch
+            self._pending[device_id] = (
+                t_ms[start:].copy(), acc[start:].copy(),
+                None if labels is None else labels[start:],
+            )
+        self.stats.windows += len(out)
         return out
 
     def pending(self) -> int:
-        """Samples sitting in partial buffers right now."""
-        return sum(len(b) for b in self._buffers.values())
+        """Samples sitting in partial windows right now."""
+        return sum(len(held[0]) for held in self._pending.values())
+
+    def reset(self, devices: Iterable[str]) -> int:
+        """Drop and count the partial windows of these devices, so their
+        next window starts fresh; returns the drop count."""
+        dropped = 0
+        for device_id in devices:
+            held = self._pending.pop(device_id, None)
+            if held is not None:
+                dropped += len(held[0])
+        self.stats.partial_drops += dropped
+        return dropped
 
     def finish(self) -> int:
-        """Drop and count all partial buffers; returns the drop count."""
+        """Drop and count all partial windows; returns the drop count."""
         dropped = self.pending()
         self.stats.partial_drops += dropped
-        self._buffers.clear()
+        self._pending.clear()
         return dropped
 
 
-def assemble_windows(stream, config: WindowConfig | None = None,
+def assemble_windows(samples: SampleBatch | Iterable[Sample],
+                     config: WindowConfig | None = None,
                      stats: WindowStats | None = None):
     """Generator over complete windows of a sample stream.
 
@@ -140,8 +211,7 @@ def assemble_windows(stream, config: WindowConfig | None = None,
     to observe the drop count.
     """
     assembler = WindowAssembler(config or WindowConfig())
-    for sample in stream:
-        yield from assembler.push(sample)
+    yield from assembler.push(as_batch(samples))
     assembler.finish()
     if stats is not None:
         stats.windows += assembler.stats.windows

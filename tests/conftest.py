@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fallstream.cli import main
-from fallstream.ingest import Sample
 from fallstream.model import load_artifact
 from fallstream.synth import make_dataset
 from fallstream.windowing import Window
@@ -20,11 +19,8 @@ def make_window(rng, n=200, device="dev", label=None,
     xs = rng.normal(loc[0], scale[0], n)
     ys = rng.normal(loc[1], scale[1], n)
     zs = rng.normal(loc[2], scale[2], n)
-    samples = tuple(
-        Sample(device, i * 50, float(x), float(y), float(z), label)
-        for i, (x, y, z) in enumerate(zip(xs, ys, zs))
-    )
-    return Window(device, samples, label)
+    t_ms = np.arange(n, dtype=np.int64) * 50
+    return Window(device, t_ms, np.column_stack((xs, ys, zs)), label)
 
 
 @pytest.fixture(scope="session")

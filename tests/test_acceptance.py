@@ -87,17 +87,18 @@ def test_criterion_02_feature_oracle_equivalence():
     rng = np.random.default_rng(SEED)
     t0 = time.perf_counter()
     worst = 0.0
-    for i in range(200):
-        w = make_window(rng, n=200,
-                        loc=(rng.uniform(-3, 3), rng.uniform(5, 12),
-                             rng.uniform(-3, 3)),
-                        scale=(rng.uniform(0.2, 6), rng.uniform(0.2, 6),
-                               rng.uniform(0.2, 6)))
-        got = extract_features(w).values
-        ref = oracle_features([s.ax for s in w.samples],
-                              [s.ay for s in w.samples],
-                              [s.az for s in w.samples])
-        for name, value in zip(SCHEMA_V1.names, got):
+    windows = [
+        make_window(rng, n=200,
+                    loc=(rng.uniform(-3, 3), rng.uniform(5, 12),
+                         rng.uniform(-3, 3)),
+                    scale=(rng.uniform(0.2, 6), rng.uniform(0.2, 6),
+                           rng.uniform(0.2, 6)))
+        for _ in range(200)
+    ]
+    # one call over all windows: the stacked kernel is what is checked
+    for w, fv in zip(windows, extract_features(windows)):
+        ref = oracle_features(*w.acc.T.tolist())
+        for name, value in zip(SCHEMA_V1.names, fv.values):
             rel = abs(value - ref[name]) / max(abs(value), abs(ref[name]), 1.0)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -108,7 +109,7 @@ def test_criterion_02_feature_oracle_equivalence():
 
 def test_criterion_03_feature_count_audit(rng):
     group_sizes = [n for _, n in SCHEMA_V1.groups]
-    fv = extract_features(make_window(rng))
+    (fv,) = extract_features([make_window(rng)])
     ok = (group_sizes == [21, 21, 2, 4, 6, 3, 1]
           and sum(group_sizes) == 58
           and len(SCHEMA_V1.names) == 58

@@ -9,21 +9,17 @@ from conftest import make_window
 from fallstream.errors import InsufficientData, NotReady, SchemaMismatch
 from fallstream.features import (
     SCHEMA_V1,
+    STACK_BLOCK,
     SlidingBuffer,
     apply_scaler,
     average_absolute_difference,
-    average_resultant_acceleration,
-    axis_stats,
     extract_features,
+    feature_matrix,
     fit_scaler,
-    magnitude,
     scale_values,
     sisfall_characteristics,
-    slope,
-    tilt_angle,
     zero_crossing_rate,
 )
-from fallstream.ingest import Sample
 from fallstream.windowing import Window
 from oracle import (
     oracle_features,
@@ -33,87 +29,130 @@ from oracle import (
     oracle_sd,
     oracle_sisfall,
     oracle_skew,
+    oracle_tilt,
     oracle_zero_crossing_rate,
 )
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
+def _window(rows, label=None):
+    acc = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    return Window("d", np.arange(len(acc), dtype=np.int64) * 50, acc, label)
+
+
 def _const_window(x, y, z, n=200, label=None):
-    samples = tuple(Sample("d", i * 50, x, y, z, label) for i in range(n))
-    return Window("d", samples, label)
+    return _window([(x, y, z)] * n, label)
+
+
+def _features(window):
+    """name -> value of one window's schema v1 vector."""
+    (fv,) = extract_features([window])
+    return dict(zip(SCHEMA_V1.names, fv.values))
+
+
+def _x_column(values):
+    """A window whose x axis is ``values`` (y and z held at 1 and 2)."""
+    return _window([(v, 1.0, 2.0) for v in values])
+
+
+def _assert_matches_oracle(window, tol=1e-9):
+    got = _features(window)
+    ref = oracle_features(*window.acc.T.tolist())
+    for name in SCHEMA_V1.names:
+        assert abs(got[name] - ref[name]) <= tol * max(
+            abs(got[name]), abs(ref[name]), 1.0), name
 
 
 class TestAxisStats:
+    """The seven per-series statistics, read from the x_* columns."""
+
     def test_small_symmetric_series(self):
-        s = axis_stats([1.0, 2.0, 3.0])
-        assert s.mean == 2.0 and s.median == 2.0
-        assert s.min == 1.0 and s.max == 3.0
-        assert s.sd == 1.0  # sqrt((1+0+1)/2)
-        assert s.skew == 0.0
+        s = _features(_x_column([1.0, 2.0, 3.0]))
+        assert s["x_mean"] == 2.0 and s["x_median"] == 2.0
+        assert s["x_min"] == 1.0 and s["x_max"] == 3.0
+        assert s["x_sd"] == 1.0  # sqrt((1+0+1)/2)
+        assert s["x_skew"] == 0.0
 
     def test_constant_series_degenerates_to_zero(self):
-        s = axis_stats([5.0] * 4)
-        assert s.sd == 0.0 and s.skew == 0.0 and s.kurt == 0.0
+        s = _features(_x_column([5.0] * 4))
+        assert s["x_sd"] == 0.0 and s["x_skew"] == 0.0 and s["x_kurt"] == 0.0
 
     def test_matches_oracle_on_random_values(self, rng):
         vals = rng.normal(3.0, 2.0, 100)
-        s = axis_stats(vals)
+        s = _features(_x_column(vals))
         ref = (oracle_mean(list(vals)), oracle_median(list(vals)),
                oracle_sd(list(vals)), oracle_skew(list(vals)),
                oracle_kurtosis(list(vals)))
-        got = (s.mean, s.median, s.sd, s.skew, s.kurt)
+        got = (s["x_mean"], s["x_median"], s["x_sd"], s["x_skew"],
+               s["x_kurt"])
         for g, r in zip(got, ref):
             assert abs(g - r) <= 1e-9 * max(1.0, abs(r))
 
     def test_too_few_values(self):
         with pytest.raises(InsufficientData):
-            axis_stats([1.0])
+            _features(_x_column([1.0]))
 
 
 class TestSlope:
+    """slope_raw / slope_abs: Euclidean norm of the per-axis ranges."""
+
     def test_constant_window_is_zero(self):
-        assert slope(_const_window(1.0, 2.0, 3.0)) == 0.0
+        s = _features(_const_window(1.0, 2.0, 3.0))
+        assert s["slope_raw"] == 0.0 and s["slope_abs"] == 0.0
 
     def test_known_ranges(self):
         # per-axis ranges 1, 2, 2 -> sqrt(9) = 3
-        samples = (
-            Sample("d", 0, 0.0, 0.0, 0.0),
-            Sample("d", 1, 1.0, 2.0, 2.0),
-        )
-        assert slope(Window("d", samples)) == 3.0
+        w = _window([(0.0, 0.0, 0.0), (1.0, 2.0, 2.0)])
+        assert _features(w)["slope_raw"] == 3.0
+        _assert_matches_oracle(w)
 
     def test_abs_equals_raw_on_nonnegative_window(self, rng):
         w = make_window(rng, loc=(5.0, 9.8, 6.0), scale=(1.0, 1.0, 1.0))
-        assert all(s.ax >= 0 and s.ay >= 0 and s.az >= 0 for s in w.samples)
-        assert slope(w, use_abs=True) == slope(w, use_abs=False)
+        assert np.all(w.acc >= 0)
+        s = _features(w)
+        assert s["slope_abs"] == s["slope_raw"]
 
 
 class TestTiltAngle:
+    """Per-sample tilt asin(y/|a|), read from a constant window's
+    tilt_mean (a constant series' mean is its value)."""
+
     def test_gravity_aligned_with_y(self):
-        assert tilt_angle(0.0, 9.81, 0.0) == pytest.approx(math.pi / 2)
+        tilt = _features(_const_window(0.0, 9.81, 0.0))["tilt_mean"]
+        assert tilt == pytest.approx(math.pi / 2)
+        assert tilt == pytest.approx(oracle_tilt(0.0, 9.81, 0.0))
 
     def test_zero_y_component(self):
-        assert tilt_angle(9.81, 0.0, 0.0) == 0.0
+        assert _features(_const_window(9.81, 0.0, 0.0))["tilt_mean"] == 0.0
 
     def test_zero_magnitude_guard(self):
-        assert tilt_angle(0.0, 0.0, 0.0) == 0.0
+        assert _features(_const_window(0.0, 0.0, 0.0))["tilt_mean"] == 0.0
 
     @given(finite_floats, finite_floats, finite_floats)
     def test_range(self, x, y, z):
-        assert -math.pi / 2 <= tilt_angle(x, y, z) <= math.pi / 2
+        tilt = _features(_const_window(x, y, z, n=2))["tilt_mean"]
+        assert -math.pi / 2 <= tilt <= math.pi / 2
+        assert tilt == pytest.approx(oracle_tilt(x, y, z), rel=1e-12,
+                                     abs=1e-300)
 
 
 class TestMagnitude:
+    """|a| per sample, read from a constant window's mag_* columns."""
+
     def test_pythagorean(self):
-        assert magnitude(3.0, 4.0, 0.0) == 5.0
+        s = _features(_const_window(3.0, 4.0, 0.0))
+        assert s["mag_mean"] == s["mag_min"] == s["mag_max"] == 5.0
 
     def test_zero(self):
-        assert magnitude(0.0, 0.0, 0.0) == 0.0
+        assert _features(_const_window(0.0, 0.0, 0.0))["mag_mean"] == 0.0
 
     @given(finite_floats, finite_floats, finite_floats)
     def test_sign_flips_do_not_matter(self, x, y, z):
-        assert magnitude(x, y, z) == magnitude(-x, y, z) == magnitude(x, -y, -z)
+        def mag(a, b, c):
+            return _features(_const_window(a, b, c, n=2))["mag_mean"]
+        assert mag(x, y, z) == mag(-x, y, z) == mag(x, -y, -z)
+        assert mag(x, y, z) == math.sqrt(x * x + y * y + z * z)
 
 
 # integer-valued floats make the mean exact, so the discrete sign logic is
@@ -157,14 +196,16 @@ class TestAverageAbsoluteDifference:
 
 
 class TestAverageResultant:
+    """avg_resultant_acc, the mean of |a| over the window."""
+
     def test_known_value(self):
-        assert average_resultant_acceleration(_const_window(0.0, 3.0, 4.0)) == 5.0
+        assert _features(_const_window(0.0, 3.0, 4.0))["avg_resultant_acc"] == 5.0
 
     def test_all_zero(self):
-        assert average_resultant_acceleration(_const_window(0.0, 0.0, 0.0)) == 0.0
+        assert _features(_const_window(0.0, 0.0, 0.0))["avg_resultant_acc"] == 0.0
 
     def test_equals_magnitude_mean_feature(self, rng):
-        fv = extract_features(make_window(rng))
+        (fv,) = extract_features([make_window(rng)])
         names = SCHEMA_V1.names
         assert fv.values[names.index("mag_mean")] == \
             fv.values[names.index("avg_resultant_acc")]
@@ -172,27 +213,22 @@ class TestAverageResultant:
 
 class TestExtractFeatures:
     def test_vector_length_and_schema(self, rng):
-        fv = extract_features(make_window(rng))
+        (fv,) = extract_features([make_window(rng)])
         assert fv.values.shape == (58,)
         assert fv.schema_version == SCHEMA_V1.version
         assert np.all(np.isfinite(fv.values))
 
     def test_degenerate_gravity_window(self):
-        fv = extract_features(_const_window(0.0, 9.80665, 0.0))
-        vals = dict(zip(SCHEMA_V1.names, fv.values))
+        vals = _features(_const_window(0.0, 9.80665, 0.0))
         assert vals["tilt_mean"] == pytest.approx(math.pi / 2)
         for name in ("x_sd", "y_skew", "z_kurt", "slope_raw", "slope_abs",
                      "mag_zcr", "mag_sd", "tilt_sd"):
             assert vals[name] == 0.0
 
     def test_matches_oracle_on_random_windows(self, rng):
-        for _ in range(30):
-            w = make_window(rng)
-            fv = extract_features(w)
-            xs = [s.ax for s in w.samples]
-            ys = [s.ay for s in w.samples]
-            zs = [s.az for s in w.samples]
-            ref = oracle_features(xs, ys, zs)
+        windows = [make_window(rng) for _ in range(30)]
+        for w, fv in zip(windows, extract_features(windows)):
+            ref = oracle_features(*w.acc.T.tolist())
             for name, got in zip(SCHEMA_V1.names, fv.values):
                 want = ref[name]
                 assert abs(got - want) <= 1e-9 * max(abs(got), abs(want), 1.0), name
@@ -200,16 +236,15 @@ class TestExtractFeatures:
     def test_permutation_invariance_except_zcr(self, rng):
         w = make_window(rng)
         order = rng.permutation(w.n)
-        shuffled = Window(w.device_id, tuple(w.samples[i] for i in order))
-        a = extract_features(w).values
-        b = extract_features(shuffled).values
+        shuffled = Window(w.device_id, w.t_ms[order], w.acc[order])
+        a, b = (fv.values for fv in extract_features([w, shuffled]))
         zcr = SCHEMA_V1.names.index("mag_zcr")
         keep = [i for i in range(58) if i != zcr]
         np.testing.assert_allclose(a[keep], b[keep], rtol=1e-12, atol=1e-12)
 
     def test_interval_and_label_metadata(self, rng):
         w = make_window(rng, label="FOL")
-        fv = extract_features(w)
+        (fv,) = extract_features([w])
         assert fv.t_start_ms == w.t_start and fv.t_end_ms == w.t_end
         assert fv.label_code == "FOL"
         assert fv.label_class.value == "FALL"
@@ -218,7 +253,51 @@ class TestExtractFeatures:
         bad = SCHEMA_V1.__class__(version="999", names=SCHEMA_V1.names,
                                   groups=SCHEMA_V1.groups)
         with pytest.raises(SchemaMismatch):
-            extract_features(make_window(rng), schema=bad)
+            extract_features([make_window(rng)], schema=bad)
+
+    def test_no_windows_no_vectors(self):
+        assert extract_features([]) == []
+
+
+class TestStackedKernel:
+    def test_rows_do_not_depend_on_stack_size(self, rng):
+        for n in (200, 7, 2, 51):
+            for k in (1, 2, 3, 17, 64):
+                acc = rng.normal((0.0, 9.8, 0.0), (5.0, 3.0, 4.0), (k, n, 3))
+                acc[rng.random(k) < 0.2] = (0.0, 9.80665, 0.0)  # flat rows
+                stacked = feature_matrix(acc)
+                for i in range(k):
+                    alone = feature_matrix(acc[i:i + 1])[0]
+                    assert np.array_equal(stacked[i], alone), (n, k, i)
+
+    def test_one_call_equals_one_window_per_call(self, rng):
+        windows = [make_window(rng) for _ in range(STACK_BLOCK + 9)]
+        together = extract_features(windows)
+        for w, fv in zip(windows, together):
+            assert np.array_equal(fv.values, extract_features([w])[0].values)
+
+    def test_constant_axis_against_oracle(self, rng):
+        w = make_window(rng)
+        w.acc[:, 0] = -2.5
+        _assert_matches_oracle(w)
+        s = _features(w)
+        assert s["x_sd"] == s["x_skew"] == s["x_kurt"] == s["aad_x"] == 0.0
+        assert s["x_mean"] == s["x_median"] == -2.5
+
+    def test_zero_magnitude_against_oracle(self):
+        w = _const_window(0.0, 0.0, 0.0)
+        _assert_matches_oracle(w)
+        assert all(v == 0.0 for v in _features(w).values())
+
+    def test_constant_magnitude_against_oracle(self, rng):
+        # signed permutations of (3, 4, 0) all have magnitude exactly 5
+        base = [(3.0, 4.0, 0.0), (0.0, -4.0, 3.0), (-4.0, 0.0, 3.0),
+                (4.0, 3.0, 0.0), (0.0, 3.0, -4.0), (-3.0, -4.0, 0.0)]
+        w = _window([base[i] for i in rng.integers(0, len(base), 200)])
+        _assert_matches_oracle(w)
+        s = _features(w)
+        assert s["mag_mean"] == s["mag_min"] == s["mag_max"] == 5.0
+        assert s["mag_sd"] == s["mag_range"] == s["mag_zcr"] == 0.0
 
 
 class TestScaler:
@@ -266,7 +345,7 @@ class TestScaler:
         assert scale_values(np.array([-2.0]), scaler).tolist() == [-1.0]
 
     def test_schema_mismatch(self, rng):
-        fv = extract_features(make_window(rng))
+        (fv,) = extract_features([make_window(rng)])
         scaler = fit_scaler(fv.values[None, :], schema_version="other")
         with pytest.raises(SchemaMismatch):
             apply_scaler(fv, scaler)

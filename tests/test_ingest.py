@@ -2,8 +2,9 @@ import math
 import socket
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fallstream.errors import ConfigError, ParseError, UnknownActivity
@@ -14,6 +15,7 @@ from fallstream.ingest import (
     BinaryClass,
     ColumnMapping,
     Sample,
+    SampleBatch,
     SocketSource,
     convert_adc_to_g,
     map_activity_to_class,
@@ -26,25 +28,39 @@ from fallstream.stream import PipelineStats
 BASIC = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4)
 
 
+def _rows(batch: SampleBatch) -> list[Sample]:
+    """A batch as Sample rows, for comparing with expected rows."""
+    ids = batch.device_id
+    ids = [ids] * len(batch) if isinstance(ids, str) else ids
+    labels = batch.labels or [None] * len(batch)
+    return [Sample(d, int(t), float(x), float(y), float(z), c)
+            for d, t, (x, y, z), c in zip(ids, batch.t_ms, batch.acc, labels)]
+
+
+def _parse(data, mapping=BASIC):
+    batch, report = parse_trial_file(data, mapping)
+    return _rows(batch), report
+
+
 class TestParseTrialFile:
     def test_direct_field_mapping(self):
-        samples, report = parse_trial_file(b"1000,0.1,9.8,0.0,WAL\n", BASIC)
+        samples, report = _parse(b"1000,0.1,9.8,0.0,WAL\n", BASIC)
         assert samples == [Sample("trial", 1000, 0.1, 9.8, 0.0, "WAL")]
         assert report.rows == 1 and report.malformed == 0
 
     def test_non_finite_row_skipped(self):
         data = b"1000,0.1,NaN,0.0,WAL\n2000,0.1,9.8,0.0,WAL\n"
-        samples, report = parse_trial_file(data, BASIC)
+        samples, report = _parse(data, BASIC)
         assert len(samples) == 1
         assert report.malformed == 1
 
     def test_unparseable_row_skipped(self):
-        samples, report = parse_trial_file(
+        samples, report = _parse(
             b"1000,0.1,what,0.0,WAL\n2000,1,2,3,WAL\n", BASIC)
         assert len(samples) == 1 and report.malformed == 1
 
     def test_empty_file(self):
-        samples, report = parse_trial_file(b"", BASIC)
+        samples, report = _parse(b"", BASIC)
         assert samples == [] and report.rows == 0 and report.malformed == 0
 
     def test_mostly_malformed_is_fatal(self):
@@ -58,11 +74,11 @@ class TestParseTrialFile:
 
     def test_deterministic(self):
         data = b"1000,0.1,9.8,0.0,WAL\nbad row\n2000,0.2,9.7,0.1,JOG\n"
-        assert parse_trial_file(data, BASIC) == parse_trial_file(data, BASIC)
+        assert _parse(data, BASIC) == _parse(data, BASIC)
 
     def test_timestamp_regressions_counted_not_fatal(self):
         data = b"2000,1,2,3,WAL\n1000,1,2,3,WAL\n3000,1,2,3,WAL\n"
-        samples, report = parse_trial_file(data, BASIC)
+        samples, report = _parse(data, BASIC)
         assert len(samples) == 3
         assert report.timestamp_regressions == 1
 
@@ -70,12 +86,12 @@ class TestParseTrialFile:
         mapping = ColumnMapping(timestamp="ts", ax="acc_x", ay="acc_y",
                                 az="acc_z", label="label", header=True)
         data = b"ts,acc_x,acc_y,acc_z,label\n5,1.0,2.0,3.0,wal\n"
-        samples, _ = parse_trial_file(data, mapping)
+        samples, _ = _parse(data, mapping)
         assert samples == [Sample("trial", 5, 1.0, 2.0, 3.0, "WAL")]
 
     def test_g_unit_converts_to_ms2(self):
         mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4, unit="g")
-        samples, _ = parse_trial_file(b"0,1,0,-1,STD\n", mapping)
+        samples, _ = _parse(b"0,1,0,-1,STD\n", mapping)
         assert samples[0].ax == pytest.approx(STANDARD_GRAVITY_MS2)
         assert samples[0].az == pytest.approx(-STANDARD_GRAVITY_MS2)
 
@@ -83,26 +99,26 @@ class TestParseTrialFile:
         mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4,
                                 unit="adc_bits", adc_range_g=16.0,
                                 adc_resolution_bits=13)
-        samples, _ = parse_trial_file(b"0,4096,0,-4096,STD\n", mapping)
+        samples, _ = _parse(b"0,4096,0,-4096,STD\n", mapping)
         assert samples[0].ax == pytest.approx(16.0 * STANDARD_GRAVITY_MS2)
         assert samples[0].az == pytest.approx(-16.0 * STANDARD_GRAVITY_MS2)
 
     def test_seconds_time_unit(self):
         mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4,
                                 time_unit="s")
-        samples, _ = parse_trial_file(b"1.5,1,2,3,WAL\n", mapping)
+        samples, _ = _parse(b"1.5,1,2,3,WAL\n", mapping)
         assert samples[0].t_ms == 1500
 
     def test_synthetic_timestamps(self):
         mapping = ColumnMapping(ax=0, ay=1, az=2, label=3,
                                 synthetic_rate_hz=20.0)
         data = b"1,2,3,WAL\n1,2,3,WAL\n1,2,3,WAL\n"
-        samples, _ = parse_trial_file(data, mapping)
+        samples, _ = _parse(data, mapping)
         assert [s.t_ms for s in samples] == [0, 50, 100]
 
     def test_unlabeled_mapping(self):
         mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3)
-        samples, _ = parse_trial_file(b"0,1,2,3\n", mapping)
+        samples, _ = _parse(b"0,1,2,3\n", mapping)
         assert samples[0].label is None
 
     def test_duplicate_columns_rejected(self):
@@ -112,6 +128,177 @@ class TestParseTrialFile:
     def test_empty_label_is_malformed(self):
         _, report = parse_trial_file(b"0,1,2,3,\n10,1,2,3,WAL\n", BASIC)
         assert report.malformed == 1
+
+
+def _row_parse(data: bytes, mapping: ColumnMapping) -> tuple[list, tuple]:
+    """The row-at-a-time parser the columnar one replaced, as a reference:
+    (samples, (rows, malformed, regressions)); raises as it did."""
+    lines = data.decode("utf-8").splitlines()
+    cols = (mapping.timestamp, mapping.ax, mapping.ay, mapping.az,
+            mapping.label)
+    t_col, x_col, y_col, z_col, label_col = cols
+    time_factor = {"ms": 1.0, "s": 1000.0, "us": 1e-3, "ns": 1e-6}[
+        mapping.time_unit]
+    if mapping.unit == "m/s2":
+        factor = 1.0
+    elif mapping.unit == "g":
+        factor = STANDARD_GRAVITY_MS2
+    else:
+        factor = (convert_adc_to_g(1, mapping.adc_range_g,
+                                   mapping.adc_resolution_bits)
+                  * STANDARD_GRAVITY_MS2)
+    rows = malformed = regressions = 0
+    samples, prev_t = [], None
+    for line in lines:
+        if not line.strip():
+            continue
+        rows += 1
+        fields = [f.strip() for f in line.split(mapping.delimiter)]
+        try:
+            if mapping.unit == "adc_bits":
+                ax, ay, az = (float(int(fields[c])) * factor
+                              for c in (x_col, y_col, z_col))
+            else:
+                ax, ay, az = (float(fields[c]) * factor
+                              for c in (x_col, y_col, z_col))
+            if not (math.isfinite(ax) and math.isfinite(ay)
+                    and math.isfinite(az)):
+                raise ValueError("non-finite acceleration")
+            if t_col is None:
+                t_ms = round(len(samples) * 1000.0 / mapping.synthetic_rate_hz)
+            else:
+                t_ms = round(float(fields[t_col]) * time_factor)
+            label = None
+            if label_col is not None:
+                label = fields[label_col].upper()
+                if not label:
+                    raise ValueError("empty label field")
+        except (ValueError, IndexError, OverflowError):
+            malformed += 1
+            continue
+        if prev_t is not None and t_ms < prev_t:
+            regressions += 1
+        prev_t = t_ms
+        samples.append(Sample("trial", t_ms, ax, ay, az, label))
+    if rows and malformed * 2 > rows:
+        raise ParseError("mostly malformed")
+    return samples, (rows, malformed, regressions)
+
+
+_TIME_TOKENS = ["0", "50", " 100 ", "25.5", "-3", "1e3", "nan", "inf", "x", ""]
+_ACC_TOKENS = ["0.1", " 9.8", "-4.25 ", "1e-3", "0", "-0.0", "7", "nan",
+               "-inf", "1e400", "abc", "", " "]
+_LABEL_TOKENS = ["WAL", " wal ", "fol", "Std", "", "  "]
+_LINE_ENDS = ["\n", "\r\n"]
+
+
+@st.composite
+def _trial_text(draw, n_time, with_label):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "short"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        elif kind == "short":
+            line = draw(st.sampled_from(["1,2", "garbage"]))
+        else:
+            fields = [draw(st.sampled_from(_TIME_TOKENS))
+                      for _ in range(n_time)]
+            fields += [draw(st.sampled_from(_ACC_TOKENS)) for _ in range(3)]
+            if with_label:
+                fields.append(draw(st.sampled_from(_LABEL_TOKENS)))
+            line = ",".join(fields)
+        lines.append(line + draw(st.sampled_from(_LINE_ENDS)))
+    return "".join(lines).encode()
+
+
+def _both(data, mapping):
+    """Outcome of the reference and of the columnar parser on one input."""
+    outcomes = []
+    for parse in (_row_parse, lambda d, m: _parse(d, m)):
+        try:
+            samples, report = parse(data, mapping)
+        except ParseError:
+            outcomes.append("ParseError")
+            continue
+        if not isinstance(report, tuple):
+            report = (report.rows, report.malformed,
+                      report.timestamp_regressions)
+        outcomes.append((samples, report))
+    return outcomes
+
+
+class TestColumnarParse:
+    """The columnar parser keeps the row-at-a-time parser's semantics."""
+
+    @settings(max_examples=200)
+    @given(_trial_text(1, True),
+           st.sampled_from(["m/s2", "g"]), st.sampled_from(["ms", "s"]))
+    def test_timestamped_rows_match_reference(self, data, unit, time_unit):
+        mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4,
+                                unit=unit, time_unit=time_unit)
+        ref, got = _both(data, mapping)
+        assert got == ref
+
+    @settings(max_examples=100)
+    @given(_trial_text(0, True))
+    def test_synthetic_timestamps_match_reference(self, data):
+        mapping = ColumnMapping(ax=0, ay=1, az=2, label=3,
+                                synthetic_rate_hz=30.0)
+        ref, got = _both(data, mapping)
+        assert got == ref
+
+    @settings(max_examples=100)
+    @given(_trial_text(1, False))
+    def test_adc_unlabeled_rows_match_reference(self, data):
+        mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3,
+                                unit="adc_bits")
+        ref, got = _both(data, mapping)
+        assert got == ref
+
+    def test_columns_and_dtypes(self):
+        data = b"0,1,2,3,WAL\n50,4,5,6,wal\n"
+        batch, _ = parse_trial_file(data, BASIC, device_id="dev")
+        assert batch.device_id == "dev" and len(batch) == 2
+        assert batch.t_ms.dtype == np.int64 and batch.t_ms.tolist() == [0, 50]
+        assert batch.acc.dtype == np.float64 and batch.acc.shape == (2, 3)
+        assert batch.acc.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert batch.labels == ["WAL", "WAL"]
+
+    def test_timestamp_beyond_int64_is_malformed(self):
+        samples, report = _parse(b"1e19,1,2,3,WAL\n5,1,2,3,WAL\n")
+        assert [s.t_ms for s in samples] == [5]
+        assert report.malformed == 1
+
+    def test_empty_unlabeled_batch_has_empty_columns(self):
+        batch, report = parse_trial_file(b"", ColumnMapping(ax=0, ay=1, az=2,
+                                                            timestamp=3))
+        assert len(batch) == 0 and batch.acc.shape == (0, 3)
+        assert batch.labels is None and report.rows == 0
+
+
+class TestSampleBatch:
+    def test_from_samples_round_trips(self):
+        rows = [Sample("a", 0, 1.0, 2.0, 3.0, "WAL"),
+                Sample("b", 5, 4.0, 5.0, 6.0, None)]
+        batch = SampleBatch.from_samples(rows)
+        assert batch.device_id == ["a", "b"]
+        assert _rows(batch) == rows
+        assert batch.devices() == {"a", "b"}
+
+    def test_one_device_collapses_to_one_id(self):
+        batch = SampleBatch.from_samples(_mk_samples(3))
+        assert batch.device_id == "d" and batch.labels is None
+        assert _rows(batch) == _mk_samples(3)
+
+    def test_rows_slice_every_column(self):
+        rows = [Sample(f"d{i % 2}", i, float(i), 0.0, 0.0, "WAL")
+                for i in range(6)]
+        assert _rows(SampleBatch.from_samples(rows).rows(2, 5)) == rows[2:5]
+
+    def test_empty(self):
+        batch = SampleBatch.from_samples([])
+        assert len(batch) == 0 and batch.acc.shape == (0, 3)
 
 
 class TestActivityMapping:
@@ -203,11 +390,14 @@ class TestReplaySource:
 class TestWireProtocol:
     def test_valid_line(self):
         s = parse_wire_line("dev1,1000,0.10,9.80,0.00")
-        assert s == Sample("dev1", 1000, 0.1, 9.8, 0.0)
-        assert s.label is None
+        # (device_id, t_ms, ax, ay, az): the wire carries no label
+        assert s == ("dev1", 1000, 0.1, 9.8, 0.0)
 
     def test_bad_timestamp(self):
         assert parse_wire_line("dev1,abc,0.1,9.8,0.0") is None
+        # timestamps are int64 columns downstream
+        assert parse_wire_line(f"dev1,{2**63},0.1,9.8,0.0") is None
+        assert parse_wire_line(f"dev1,{2**63 - 1},0.1,9.8,0.0") is not None
 
     def test_bad_device_id(self):
         assert parse_wire_line("bad dev,1000,0.1,9.8,0.0") is None
@@ -232,7 +422,8 @@ def _connect_and_send(port, payload: bytes):
 def _collecting_source():
     """A started SocketSource whose batches land in the returned list."""
     got = []
-    source = SocketSource("127.0.0.1", 0, emit=got.extend,
+    source = SocketSource("127.0.0.1", 0,
+                          emit=lambda batch: got.extend(_rows(batch)),
                           stats=PipelineStats())
     source.start()
     return source, got

@@ -8,10 +8,11 @@ import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 
 from fallstream.errors import ArtifactError, ConfigError
-from fallstream.ingest import BinaryClass
+from fallstream.ingest import BinaryClass, SampleBatch
 from fallstream.stream import (
     BoundedQueue,
     Detection,
@@ -53,15 +54,24 @@ class TestDetectionLine:
             assert json.loads(detection_line(det))["p_fall"] == p
 
 
+def _batch(device, n, t0=0):
+    """n samples of one device, 50 ms apart."""
+    return SampleBatch(device, t0 + 50 * np.arange(n, dtype=np.int64),
+                       np.zeros((n, 3)))
+
+
 class TestBoundedQueue:
     def test_drop_oldest_sheds_and_counts(self):
         stats = PipelineStats()
         q = BoundedQueue(2, "drop_oldest", stats)
-        q.put([1, 2, 3])
-        q.put([4])
-        q.put([5])  # shoves out the first batch
+        first, second, third = _batch("a", 3), _batch("b", 1), _batch("c", 1)
+        q.put(first)
+        q.put(second)
+        q.put(third)  # shoves out the first batch
         assert stats.overflow_drops == 3
-        assert q.get(0.1) == [4]
+        # the shed batch's device comes with the next batch handed out
+        assert q.get(0.1) == (second, {"a"})
+        assert q.get(0.1) == (third, set())
 
     def test_put_after_close_counts_drops(self):
         stats = PipelineStats()
@@ -83,7 +93,7 @@ class TestBoundedQueue:
         threading.Thread(target=producer, daemon=True).start()
         time.sleep(0.15)
         assert not done.is_set()  # blocked: queue is full
-        assert q.get(0.5) == [1]
+        assert q.get(0.5) == ([1], set())
         assert done.wait(1.0)
         assert stats.overflow_drops == 0
 
@@ -98,9 +108,9 @@ class TestBoundedQueue:
 
         threading.Thread(target=producer, daemon=True).start()
         assert not done.wait(0.15)
-        assert q.get(0.5) == [1, 2, 3]
+        assert q.get(0.5) == ([1, 2, 3], set())
         assert done.wait(1.0)
-        assert q.get(0.5) == [4, 5]
+        assert q.get(0.5) == ([4, 5], set())
 
     def test_oversized_batch_enters_empty_block_queue(self):
         stats = PipelineStats()
@@ -113,21 +123,24 @@ class TestBoundedQueue:
 
         threading.Thread(target=producer, daemon=True).start()
         assert done.wait(1.0)
-        assert q.get(0.1) == list(range(5))
+        assert q.get(0.1) == (list(range(5)), set())
         assert stats.overflow_drops == 0
 
     def test_drop_oldest_sheds_whole_batches_until_the_new_one_fits(self):
         stats = PipelineStats()
         q = BoundedQueue(5, "drop_oldest", stats)
-        q.put([1, 2])
-        q.put([3, 4])
-        q.put([5])
-        q.put([6, 7, 8])  # needs 3 of 5 slots: sheds [1, 2] and [3, 4]
+        q.put(_batch("a", 2))
+        q.put(_batch("b", 2))
+        kept = _batch("c", 1)
+        q.put(kept)
+        new = _batch("d", 3)
+        q.put(new)  # needs 3 of 5 slots: sheds a's and b's batches
         assert stats.overflow_drops == 4
-        assert q.get(0.1) == [5]
-        assert q.get(0.1) == [6, 7, 8]
-        q.put(list(range(9)))  # larger than the capacity: enters empty queue
-        assert q.get(0.1) == list(range(9))
+        assert q.get(0.1) == (kept, {"a", "b"})
+        assert q.get(0.1) == (new, set())
+        big = _batch("e", 9)
+        q.put(big)  # larger than the capacity: enters empty queue
+        assert q.get(0.1) == (big, set())
         assert stats.overflow_drops == 4
 
     def test_get_drains_then_reports_closed(self):
@@ -135,8 +148,8 @@ class TestBoundedQueue:
         q = BoundedQueue(4, "block", PipelineStats())
         q.put([1])
         q.close()
-        assert q.get(0.1) == [1]
-        assert q.get(0.1) is QUEUE_CLOSED
+        assert q.get(0.1) == ([1], set())
+        assert q.get(0.1) == (QUEUE_CLOSED, set())
 
 
 class FlakySink:
@@ -285,6 +298,27 @@ class TestReplayPipeline:
             assert (det.predicted is BinaryClass.FALL) == (det.p_fall >= 0.5)
             assert det.model_digest == artifact.digest
 
+    def test_columnar_source_equals_sample_list(self, artifact,
+                                                artifact_path, tmp_path):
+        a = make_trial("adl", 650, seed=19, device_id="dev_a")
+        b = make_trial("fall", 650, seed=20, device_id="dev_b")
+        samples = [s for pair in zip(a, b) for s in pair]
+        batch = SampleBatch.from_samples(samples)
+        from_list = classify_samples(artifact, samples)
+        from_batch = classify_samples(artifact, batch)
+        assert [(d.device_id, d.seq, d.p_fall) for d in from_list] == \
+            [(d.device_id, d.seq, d.p_fall) for d in from_batch]
+        outputs = []
+        for source, speed in ((samples, math.inf), (batch, math.inf),
+                              (batch, 400.0)):
+            out = tmp_path / f"out{len(outputs)}.jsonl"
+            run_pipeline(PipelineConfig(
+                source=ReplaySpec(samples=source, rate_hz=20.0, speed=speed),
+                artifact_path=artifact_path, sinks=(f"file:{out}",)))
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == len(from_list) == 6
+
     def test_missing_artifact_is_fatal(self, tmp_path):
         config = PipelineConfig(
             source=ReplaySpec(samples=[]),
@@ -322,13 +356,14 @@ def _free_port():
 
 
 def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0,
-                         overflow="drop_oldest"):
+                         overflow="drop_oldest", queue_capacity=1024):
     shutdown = threading.Event()
     config = PipelineConfig(
         source=SocketSpec("127.0.0.1", port),
         artifact_path=artifact_path,
         sinks=(f"file:{out}",),
         overflow=overflow,
+        queue_capacity=queue_capacity,
     )
     result = {}
 
@@ -413,6 +448,38 @@ class TestSocketPipeline:
         stats = _run_socket_pipeline(artifact_path, out, port, send)
         assert stats.malformed == 2
         assert stats.detections == 1
+
+
+class TestOverflowShedding:
+    def test_shed_resets_partial_windows_so_windows_stay_contiguous(
+            self, artifact_path, tmp_path):
+        out = tmp_path / "live.jsonl"
+
+        def flood(dev):
+            return "".join(f"{dev},{i * 50},0.1,9.8,0.05\n"
+                           for i in range(20_000)).encode()
+
+        def send(port):
+            senders = [
+                threading.Thread(target=_send_in_pieces,
+                                 args=(port, flood(dev), 8192))
+                for dev in ("f0", "f1")
+            ]
+            for t in senders:
+                t.start()
+            for t in senders:
+                t.join(timeout=60)
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.5, overflow="drop_oldest",
+                                     queue_capacity=64)
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert stats.overflow_drops > 0  # the floods did overflow
+        assert len(docs) == stats.detections == stats.windows > 0
+        spans = {d["t_end_ms"] - d["t_start_ms"] for d in docs}
+        assert spans == {199 * 50}
+        assert stats.samples_in == 40_000 and stats.malformed == 0
+        assert _conserved(stats)
 
 
 class _Responder(BaseHTTPRequestHandler):

@@ -1,9 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fallstream.errors import ConfigError, MissingLabel
-from fallstream.ingest import Sample
+from fallstream.ingest import Sample, SampleBatch
 from fallstream.windowing import (
     WindowAssembler,
     WindowConfig,
@@ -19,7 +22,8 @@ def _samples(n, device="d", label="WAL", t0=0):
 
 
 def _labeled(codes):
-    return [Sample("d", i * 50, 0.0, 9.8, 0.0, c) for i, c in enumerate(codes)]
+    """The label column of a run of samples."""
+    return list(codes)
 
 
 class TestAssembly:
@@ -32,7 +36,7 @@ class TestAssembly:
     def test_exactly_one_full_window(self):
         windows = list(assemble_windows(_samples(200), WindowConfig()))
         assert len(windows) == 1
-        assert [s.t_ms for s in windows[0].samples] == [i * 50 for i in range(200)]
+        assert windows[0].t_ms.tolist() == [i * 50 for i in range(200)]
 
     def test_below_size_drops_everything(self):
         stats = WindowStats()
@@ -78,8 +82,12 @@ class TestAssembly:
                   for t in (0, 50, 500, 550)]
         assembler = WindowAssembler(cfg)
         for s in stream:
-            assembler.push(s)
+            assembler.push(SampleBatch.from_samples([s]))
         assert assembler.stats.gaps == 1
+        # one batch counts the same gaps as one push per sample
+        whole = WindowAssembler(cfg)
+        whole.push(SampleBatch.from_samples(stream))
+        assert whole.stats.gaps == 1
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):
@@ -102,9 +110,75 @@ class TestAssembly:
     def test_tumbling_windows_are_disjoint_and_ordered(self, n, size):
         cfg = WindowConfig(size=size, stride=size)
         windows = list(assemble_windows(_samples(n), cfg))
-        seen = [s.t_ms for w in windows for s in w.samples]
+        seen = [t for w in windows for t in w.t_ms.tolist()]
         assert len(seen) == len(set(seen))
         assert seen == sorted(seen)
+
+
+def _window_key(w):
+    return (w.device_id, w.t_ms.tolist(), w.acc.tolist(), w.majority_code)
+
+
+def _one_at_a_time(samples, cfg):
+    assembler = WindowAssembler(cfg)
+    out = []
+    for s in samples:
+        out += assembler.push(SampleBatch.from_samples([s]))
+    return out, assembler
+
+
+class TestBatchedAssembly:
+    @given(n=st.integers(0, 120), devices=st.integers(1, 4),
+           size=st.integers(1, 12), stride_frac=st.integers(1, 12),
+           cut=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_batches_equal_one_sample_at_a_time(self, n, devices, size,
+                                                stride_frac, cut, seed):
+        rng = np.random.default_rng(seed)
+        cfg = WindowConfig(size=size, stride=min(stride_frac, size))
+        owner = rng.integers(0, devices, n)
+        samples = [Sample(f"d{owner[i]}", i, float(rng.normal()), 0.0, 1.0,
+                          "WAL") for i in range(n)]
+        expected, single = _one_at_a_time(samples, cfg)
+        batched = WindowAssembler(cfg)
+        got = []
+        for i in range(0, n, cut):
+            got += batched.push(SampleBatch.from_samples(samples[i:i + cut]))
+        # same windows, in the order their last samples arrived
+        assert [_window_key(w) for w in got] == \
+            [_window_key(w) for w in expected]
+        assert batched.pending() == single.pending()
+        assert batched.stats.windows == single.stats.windows
+
+    def test_reset_drops_only_the_named_devices(self):
+        assembler = WindowAssembler(WindowConfig(size=4, stride=4))
+        stream = [Sample(d, i, 0.0, 0.0, 0.0) for i in range(3)
+                  for d in ("a", "b")]
+        assembler.push(SampleBatch.from_samples(stream))
+        assert assembler.reset({"a", "nobody"}) == 3
+        assert assembler.pending() == 3
+        assert assembler.stats.partial_drops == 3
+        # a's next window starts fresh; b completes from its pending three
+        out = assembler.push(SampleBatch.from_samples(
+            [Sample("a", 10 + i, 1.0, 0.0, 0.0) for i in range(4)]
+            + [Sample("b", 3, 0.0, 0.0, 0.0)]))
+        assert [(w.device_id, w.t_start) for w in out] == [("a", 10), ("b", 0)]
+
+    def test_idle_partial_devices_cost_memory_per_pending_sample(self):
+        n = 50_000
+        batch = SampleBatch(
+            [f"dev{i:05d}" for i in range(n)],
+            np.arange(n, dtype=np.int64),
+            np.ones((n, 3)),
+        )
+        assembler = WindowAssembler(WindowConfig())
+        tracemalloc.start()
+        try:
+            assembler.push(batch)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert assembler.pending() == n
+        assert held / n <= 1024, f"{held / n:.0f} bytes per idle device"
 
 
 class TestMajorityLabel:
@@ -124,10 +198,10 @@ class TestMajorityLabel:
         assert majority_label(_labeled(["WAL", "JOG"])) == "JOG"
 
     def test_unlabeled_sample_is_an_error(self):
-        samples = _labeled(["WAL", "WAL"])
-        samples.append(Sample("d", 99, 0.0, 0.0, 0.0, None))
+        codes = _labeled(["WAL", "WAL"])
+        codes.append(None)
         with pytest.raises(MissingLabel):
-            majority_label(samples)
+            majority_label(codes)
 
     def test_empty_run_is_an_error(self):
         with pytest.raises(MissingLabel):
