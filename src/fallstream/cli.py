@@ -34,7 +34,13 @@ from .errors import (
     SchemaMismatch,
     UnknownActivity,
 )
-from .features import SCHEMA_V1, extract_features, fit_scaler, scale_values
+from .features import (
+    SCHEMA_V1,
+    STACK_BLOCK,
+    extract_features,
+    fit_scaler,
+    scale_values,
+)
 from .ingest import BinaryClass, load_mapping, parse_trial_path
 from .model import (
     ModelArtifact,
@@ -118,7 +124,7 @@ def cmd_prepare(args) -> int:
         raise ParseError(f"no trial files matching {args.pattern!r} in {dataset}")
 
     window = WindowConfig(size=args.window_size, stride=args.stride)
-    windows = []
+    windows, vectors = [], []
     samples_total = malformed = regressions = partial = 0
     for path in files:
         batch, report = parse_trial_path(path, mapping)
@@ -134,8 +140,14 @@ def cmd_prepare(args) -> int:
             )
         windows.extend(trial_windows)
         partial += assembler.finish()
-
-    vectors = extract_features(windows, extra_activities=mapping.extra_activities)
+        if len(windows) >= STACK_BLOCK:
+            # a window is a view of its trial's columns: extract as the
+            # windows come, so memory holds one trial and one block
+            vectors += extract_features(
+                windows, extra_activities=mapping.extra_activities)
+            windows = []
+    vectors += extract_features(windows,
+                                extra_activities=mapping.extra_activities)
     label_codes = Counter(fv.label_code for fv in vectors)
     label_classes = Counter(fv.label_class.value for fv in vectors)
     write_feature_csv(args.out, vectors)

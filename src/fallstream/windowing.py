@@ -13,6 +13,7 @@ Sample objects.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -96,13 +97,33 @@ class WindowStats:
     gaps: int = 0
 
 
+class _Pending:
+    """A device's samples not yet in a window: raw int64 timestamps, raw
+    doubles for the axes (ax, ay, az of each sample in turn), a label
+    list."""
+
+    __slots__ = ("t_ms", "acc", "labels")
+
+    def __init__(self):
+        self.t_ms = array("q")
+        self.acc = array("d")
+        self.labels: list[str | None] = []
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+
 class WindowAssembler:
     """Per-device pending samples; emits a Window every time one fills.
 
     Windows get a majority label when their samples are labeled; fully
     unlabeled windows (live mode) get None; a mix raises MissingLabel.
-    A device's pending samples are kept as arrays of exactly that many
-    rows, so an idle partial device costs memory in proportion to them.
+
+    A one-device batch (a trial) is cut into windows by array slices. A
+    mixed batch (a live chunk, often one row per device) is walked row by
+    row into each device's pending columns, with no per-device numpy
+    call; a window's arrays are built when it fills. An idle partial
+    device costs memory in proportion to its pending samples.
     """
 
     def __init__(self, config: WindowConfig,
@@ -110,41 +131,71 @@ class WindowAssembler:
         self.config = config
         self.extra_activities = extra_activities
         self.stats = WindowStats()
-        # device -> (t_ms, acc, labels) of its pending samples
-        self._pending: dict[str, tuple] = {}
+        self._pending: dict[str, _Pending] = {}
         self._last_t: dict[str, int] = {}
 
     def push(self, batch: SampleBatch) -> list[Window]:
         """Windows completed by this batch, in the order their last
         samples arrived."""
-        ids = batch.device_id
         if not len(batch):
             return []
-        if isinstance(ids, str):
-            return self._extend(ids, batch.t_ms, batch.acc, batch.labels)
-        rows_of: dict[str, list[int]] = {}
-        for i, device_id in enumerate(ids):
-            rows_of.setdefault(device_id, []).append(i)
-        out = []
-        for device_id, rows in rows_of.items():
-            idx = np.array(rows)
-            labels = batch.labels
-            if labels is not None:
-                labels = [labels[i] for i in rows]
-            held = self._pending.get(device_id)
-            pending = 0 if held is None else len(held[0])
-            for win in self._extend(device_id, batch.t_ms[idx],
-                                    batch.acc[idx], labels):
-                # the row of the batch that completed this window
-                out.append((rows[win.n - pending - 1], win))
-                pending -= self.config.stride
-        if len(rows_of) > 1:
-            out.sort(key=lambda item: item[0])
-        return [win for _, win in out]
+        if isinstance(batch.device_id, str):
+            return self._push_run(batch)
+        return self._push_rows(batch)
 
-    def _extend(self, device_id: str, t_ms: np.ndarray, acc: np.ndarray,
-                labels: list | None) -> list[Window]:
+    def _push_rows(self, batch: SampleBatch) -> list[Window]:
+        size = self.config.size
+        gap = self.config.gap_threshold_ms
+        pending = self._pending
+        last_t = self._last_t
+        labels = batch.labels or [None] * len(batch)
+        out = []
+        for device_id, t, acc, code in zip(batch.device_id,
+                                           batch.t_ms.tolist(),
+                                           batch.acc.tolist(), labels):
+            held = pending.get(device_id)
+            if held is None:
+                held = pending[device_id] = _Pending()
+            if gap is not None:
+                prev = last_t.get(device_id)
+                if prev is not None and t - prev > gap:
+                    self.stats.gaps += 1
+                last_t[device_id] = t
+            held.t_ms.append(t)
+            held.acc.fromlist(acc)
+            held.labels.append(code)
+            if len(held.t_ms) == size:
+                out.append(self._take(device_id, held))
+        return out
+
+    def _take(self, device_id: str, held: _Pending) -> Window:
+        """The window of a device whose pending samples just filled one;
+        keeps its last size - stride samples pending."""
+        stride = self.config.stride
+        window = Window(
+            device_id,
+            np.frombuffer(held.t_ms, dtype=np.int64).copy(),
+            np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3).copy(),
+            self._code(held.labels),
+        )
+        if stride == self.config.size:
+            del self._pending[device_id]
+        else:
+            del held.t_ms[:stride]
+            del held.acc[:3 * stride]
+            del held.labels[:stride]
+        self.stats.windows += 1
+        return window
+
+    def _code(self, run: list[str | None]) -> str | None:
+        if run.count(None) == len(run):
+            return None
+        return majority_label(run, self.extra_activities)
+
+    def _push_run(self, batch: SampleBatch) -> list[Window]:
         cfg = self.config
+        device_id, t_ms, acc = batch.device_id, batch.t_ms, batch.acc
+        labels = batch.labels
         if cfg.gap_threshold_ms is not None:
             prev = self._last_t.get(device_id)
             steps = np.diff(t_ms, prepend=t_ms[:1] if prev is None else prev)
@@ -152,36 +203,33 @@ class WindowAssembler:
             self._last_t[device_id] = int(t_ms[-1])
         held = self._pending.pop(device_id, None)
         if held is not None:
-            held_t, held_acc, held_labels = held
-            if held_labels is not None or labels is not None:
-                labels = ((held_labels or [None] * len(held_t))
-                          + (labels or [None] * len(t_ms)))
-            t_ms = np.concatenate((held_t, t_ms))
-            acc = np.concatenate((held_acc, acc))
+            if labels is not None or held.labels.count(None) != len(held):
+                labels = held.labels + (labels or [None] * len(t_ms))
+            t_ms = np.concatenate((np.frombuffer(held.t_ms, dtype=np.int64),
+                                   t_ms))
+            acc = np.concatenate(
+                (np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3), acc))
         out = []
         start = 0
         while start + cfg.size <= len(t_ms):
             stop = start + cfg.size
-            code = None
-            if labels is not None:
-                run = labels[start:stop]
-                if any(c is not None for c in run):
-                    code = majority_label(run, self.extra_activities)
+            code = None if labels is None else self._code(labels[start:stop])
             out.append(Window(device_id, t_ms[start:stop], acc[start:stop],
                               code))
             start += cfg.stride
         if start < len(t_ms):
-            # copies, so a few pending rows never pin a large batch
-            self._pending[device_id] = (
-                t_ms[start:].copy(), acc[start:].copy(),
-                None if labels is None else labels[start:],
-            )
+            # copied out, so a few pending rows never pin a large batch
+            tail = self._pending[device_id] = _Pending()
+            tail.t_ms.frombytes(t_ms[start:].tobytes())
+            tail.acc.frombytes(acc[start:].tobytes())
+            tail.labels = ([None] * (len(t_ms) - start) if labels is None
+                           else labels[start:])
         self.stats.windows += len(out)
         return out
 
     def pending(self) -> int:
         """Samples sitting in partial windows right now."""
-        return sum(len(held[0]) for held in self._pending.values())
+        return sum(len(held) for held in self._pending.values())
 
     def reset(self, devices: Iterable[str]) -> int:
         """Drop and count the partial windows of these devices, so their
@@ -190,7 +238,7 @@ class WindowAssembler:
         for device_id in devices:
             held = self._pending.pop(device_id, None)
             if held is not None:
-                dropped += len(held[0])
+                dropped += len(held)
         self.stats.partial_drops += dropped
         return dropped
 

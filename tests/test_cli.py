@@ -10,8 +10,14 @@ import time
 import numpy as np
 
 from conftest import MAPPING
+from fallstream import cli
 from fallstream.cli import FEATURE_HEADER, main, read_feature_csv, write_feature_csv
-from fallstream.features import SCHEMA_V1, FeatureVector
+from fallstream.features import (
+    SCHEMA_V1,
+    STACK_BLOCK,
+    FeatureVector,
+    extract_features,
+)
 from fallstream.ingest import BinaryClass
 from fallstream.model import load_artifact
 from fallstream.synth import make_trial, separable_clusters, write_trial_csv
@@ -54,6 +60,40 @@ class TestPrepare:
         rc = main(["prepare", str(tmp_path / "nope"), "--mapping",
                    str(mapping_path), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    def test_features_extracted_a_block_at_a_time(self, tmp_path,
+                                                  mapping_path, monkeypatch):
+        # windows are views of their trial's columns, so prepare extracts
+        # as they come rather than holding every trial to the end
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(40):
+            write_trial_csv(make_trial("adl", 450, seed=i),
+                            data / f"t{i:02d}.csv")
+        calls = []
+
+        def recording(windows, **kwargs):
+            vectors = extract_features(windows, **kwargs)
+            calls.append((list(windows), vectors))
+            return vectors
+
+        monkeypatch.setattr(cli, "extract_features", recording)
+        out = tmp_path / "features.csv"
+        rc = main(["prepare", str(data), "--mapping", str(mapping_path),
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(calls) > 1
+        # at most one block plus the two windows of one trial per call
+        assert all(len(windows) < STACK_BLOCK + 2 for windows, _ in calls)
+        windows = [w for ws, _ in calls for w in ws]
+        assert len(windows) == 80
+        assert len({id(w) for w in windows}) == 80
+        at_once = extract_features(windows)
+        blocked = [fv for _, vectors in calls for fv in vectors]
+        assert [fv.values.tobytes() for fv in blocked] == [
+            fv.values.tobytes() for fv in at_once]
+        X, _, _ = read_feature_csv(out)
+        assert X.shape == (80, 58)
 
     def test_custom_window_size(self, tmp_path, mapping_path):
         data = tmp_path / "data"

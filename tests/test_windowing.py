@@ -130,14 +130,16 @@ def _one_at_a_time(samples, cfg):
 class TestBatchedAssembly:
     @given(n=st.integers(0, 120), devices=st.integers(1, 4),
            size=st.integers(1, 12), stride_frac=st.integers(1, 12),
-           cut=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+           cut=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           labeled=st.booleans())
     def test_batches_equal_one_sample_at_a_time(self, n, devices, size,
-                                                stride_frac, cut, seed):
+                                                stride_frac, cut, seed,
+                                                labeled):
         rng = np.random.default_rng(seed)
         cfg = WindowConfig(size=size, stride=min(stride_frac, size))
         owner = rng.integers(0, devices, n)
         samples = [Sample(f"d{owner[i]}", i, float(rng.normal()), 0.0, 1.0,
-                          "WAL") for i in range(n)]
+                          "WAL" if labeled else None) for i in range(n)]
         expected, single = _one_at_a_time(samples, cfg)
         batched = WindowAssembler(cfg)
         got = []
@@ -148,6 +150,31 @@ class TestBatchedAssembly:
             [_window_key(w) for w in expected]
         assert batched.pending() == single.pending()
         assert batched.stats.windows == single.stats.windows
+
+    def test_one_row_per_device_per_batch(self):
+        # a live chunk from many wearables: each batch carries about one
+        # row of every device
+        cfg = WindowConfig(size=8, stride=4)
+        devices = [f"w{d:03d}" for d in range(300)]
+        assembler = WindowAssembler(cfg)
+        got = []
+        for i in range(20):
+            got += assembler.push(SampleBatch(
+                devices, np.full(len(devices), i * 50, dtype=np.int64),
+                np.column_stack((np.arange(len(devices), dtype=float),
+                                 np.full(len(devices), float(i)),
+                                 np.zeros(len(devices))))))
+        # windows end at rows 8, 12, 16 and 20 of every device, in order
+        assert len(got) == 4 * len(devices)
+        for k, w in enumerate(got):
+            first = 4 * (k // len(devices))
+            assert w.device_id == devices[k % len(devices)]
+            assert w.t_ms.tolist() == [50 * j for j in range(first, first + 8)]
+            assert w.acc[:, 1].tolist() == [float(j)
+                                            for j in range(first, first + 8)]
+            assert w.acc[:, 0].tolist() == [float(k % len(devices))] * 8
+            assert w.majority_code is None
+        assert assembler.pending() == 4 * len(devices)
 
     def test_reset_drops_only_the_named_devices(self):
         assembler = WindowAssembler(WindowConfig(size=4, stride=4))
