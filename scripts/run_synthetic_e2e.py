@@ -5,10 +5,15 @@ Usage:
     python scripts/run_synthetic_e2e.py [workdir] [--epochs 150] [--seed 1234]
 
 Everything lands under the workdir (default ./e2e_run); the final replay
-prints detection lines to stdout.
+prints detection lines to stdout and also writes them to
+detections.jsonl. Last, stderr gets the sha256 of features.csv,
+model.json and detections.jsonl: two runs with the same seed (say, of two
+versions of the code) produced byte-identical outputs when the three
+digests match.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -46,6 +51,7 @@ def main():
     features = work / "features.csv"
     artifact = work / "model.json"
     metrics = work / "metrics.json"
+    detections = work / "detections.jsonl"
     run(["prepare", str(trials), "--mapping", str(mapping),
          "--out", str(features)])
     run(["train", str(features), "--artifact", str(artifact),
@@ -53,8 +59,13 @@ def main():
     run(["evaluate", str(features), "--artifact", str(artifact),
          "--split", "test", "--out", str(metrics)])
     fall_trial = sorted(trials.glob("fall_*.csv"))[0]
+    detections.unlink(missing_ok=True)  # a file sink appends
     run(["replay", str(fall_trial), "--mapping", str(mapping),
-         "--artifact", str(artifact), "--speed", "max"])
+         "--artifact", str(artifact), "--speed", "max",
+         "--sink", "stdout", "--sink", f"file:{detections}"])
+    for path in (features, artifact, detections):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"sha256 {digest}  {path.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":

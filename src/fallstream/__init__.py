@@ -13,14 +13,12 @@ from .errors import (
 from .features import (
     SCHEMA_V1,
     FeatureSchema,
-    FeatureVector,
     Scaler,
     SisFallFeatures,
     SlidingBuffer,
     apply_scaler,
     extract_features,
     fit_scaler,
-    scale_values,
     sisfall_characteristics,
 )
 from .ingest import (
@@ -46,7 +44,6 @@ from .model import (
     backward,
     evaluate,
     forward,
-    forward_batch,
     init_model,
     load_artifact,
     loss_bce,
@@ -65,6 +62,6 @@ from .stream import (
     detection_line,
     run_pipeline,
 )
-from .windowing import Window, WindowAssembler, WindowConfig, assemble_windows, majority_label
+from .windowing import Window, WindowAssembler, WindowConfig, majority_label
 
 __version__ = "0.1.0"

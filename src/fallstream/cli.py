@@ -37,11 +37,16 @@ from .errors import (
 from .features import (
     SCHEMA_V1,
     STACK_BLOCK,
+    apply_scaler,
     extract_features,
     fit_scaler,
-    scale_values,
 )
-from .ingest import BinaryClass, load_mapping, parse_trial_path
+from .ingest import (
+    BinaryClass,
+    load_mapping,
+    map_activity_to_class,
+    parse_trial_path,
+)
 from .model import (
     ModelArtifact,
     TrainConfig,
@@ -72,15 +77,16 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def write_feature_csv(path: str | Path, vectors) -> None:
+def write_feature_csv(path: str | Path, X, codes, classes) -> None:
+    """Write what read_feature_csv returns: a (n, 58) feature matrix plus
+    its label code and class columns, each value as repr(float)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_HEADER)
-        for fv in vectors:
-            row = [repr(float(v)) for v in fv.values]
-            row.append(fv.label_code or "")
-            row.append(fv.label_class.value if fv.label_class else "")
-            writer.writerow(row)
+        for row, code, cls in zip(np.asarray(X).tolist(), codes, classes,
+                                  strict=True):
+            writer.writerow([repr(v) for v in row]
+                            + [code or "", cls.value if cls else ""])
 
 
 def read_feature_csv(path: str | Path):
@@ -124,7 +130,7 @@ def cmd_prepare(args) -> int:
         raise ParseError(f"no trial files matching {args.pattern!r} in {dataset}")
 
     window = WindowConfig(size=args.window_size, stride=args.stride)
-    windows, vectors = [], []
+    windows, blocks, codes = [], [], []
     samples_total = malformed = regressions = partial = 0
     for path in files:
         batch, report = parse_trial_path(path, mapping)
@@ -139,22 +145,24 @@ def cmd_prepare(args) -> int:
                 "with a label column"
             )
         windows.extend(trial_windows)
+        codes += [w.majority_code for w in trial_windows]
         partial += assembler.finish()
         if len(windows) >= STACK_BLOCK:
             # a window is a view of its trial's columns: extract as the
             # windows come, so memory holds one trial and one block
-            vectors += extract_features(
-                windows, extra_activities=mapping.extra_activities)
+            blocks.append(extract_features(windows))
             windows = []
-    vectors += extract_features(windows,
-                                extra_activities=mapping.extra_activities)
-    label_codes = Counter(fv.label_code for fv in vectors)
-    label_classes = Counter(fv.label_class.value for fv in vectors)
-    write_feature_csv(args.out, vectors)
+    blocks.append(extract_features(windows))
+    X = np.concatenate(blocks)
+    classes = [map_activity_to_class(code, mapping.extra_activities)
+               for code in codes]
+    label_codes = Counter(codes)
+    label_classes = Counter(cls.value for cls in classes)
+    write_feature_csv(args.out, X, codes, classes)
     _info(f"trials        : {len(files)}")
     _info(f"rows          : {samples_total} ({malformed} malformed, "
           f"{regressions} timestamp regressions)")
-    _info(f"windows       : {len(vectors)} ({partial} samples in dropped "
+    _info(f"windows       : {len(X)} ({partial} samples in dropped "
           f"partial windows)")
     _info(f"class counts  : {dict(sorted(label_classes.items()))}")
     _info(f"code counts   : {dict(sorted(label_codes.items()))}")
@@ -181,7 +189,7 @@ def cmd_train(args) -> int:
     train_idx, test_idx = stratified_split(y, config.test_fraction,
                                            config.split_seed)
     scaler = fit_scaler(X[train_idx])
-    Xn = scale_values(X, scaler)
+    Xn = apply_scaler(X, scaler)
 
     model = init_model(dims=(58, args.hidden[0], args.hidden[1], 1), seed=seed)
     history = train(model, Xn[train_idx], y[train_idx], config)
@@ -233,7 +241,7 @@ def cmd_evaluate(args) -> int:
         idx = train_idx if args.split == "train" else test_idx
         X, y = X[idx], y[idx]
 
-    Xn = scale_values(X, artifact.scaler)
+    Xn = apply_scaler(X, artifact.scaler)
     metrics = evaluate(artifact.model, Xn, y)
     print(metrics.format_table())
     if args.out:

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientData, NotReady, SchemaMismatch
-from .ingest import BinaryClass, map_activity_to_class
 from .windowing import Window
 
 _SEVEN = ("mean", "median", "sd", "skew", "kurt", "min", "max")
@@ -70,17 +69,6 @@ def _build_schema_v1() -> FeatureSchema:
 
 SCHEMA_V1 = _build_schema_v1()
 assert len(SCHEMA_V1.names) == 58
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    schema_version: str
-    values: np.ndarray  # shape (58,), float64, all finite
-    device_id: str = ""
-    t_start_ms: int = 0
-    t_end_ms: int = 0
-    label_code: str | None = None
-    label_class: BinaryClass | None = None
 
 
 # windows per stacked kernel call: bounds the temporaries, each about
@@ -198,34 +186,18 @@ def feature_matrix(acc: np.ndarray) -> np.ndarray:
     return out
 
 
-def extract_features(
-    windows: Sequence[Window],
-    schema: FeatureSchema = SCHEMA_V1,
-    extra_activities: dict[str, BinaryClass] | None = None,
-) -> list[FeatureVector]:
-    """The 58-value vectors of equal-length windows, in schema order.
+def extract_features(windows: Sequence[Window]) -> np.ndarray:
+    """The (k, 58) schema v1 matrix of k equal-length windows, in window
+    order.
 
     One call computes every window given, STACK_BLOCK at a time; a
     window's values are the same whichever call or block it is in.
     """
-    if schema.version != SCHEMA_V1.version:
-        raise SchemaMismatch(f"unsupported schema version {schema.version!r}")
-    out = []
+    out = np.empty((len(windows), len(SCHEMA_V1.names)))
     for first in range(0, len(windows), STACK_BLOCK):
         block = windows[first:first + STACK_BLOCK]
-        values = feature_matrix(np.stack([w.acc for w in block]))
-        for window, row in zip(block, values):
-            code = window.majority_code
-            out.append(FeatureVector(
-                schema_version=schema.version,
-                values=row,
-                device_id=window.device_id,
-                t_start_ms=window.t_start,
-                t_end_ms=window.t_end,
-                label_code=code,
-                label_class=(None if code is None
-                             else map_activity_to_class(code, extra_activities)),
-            ))
+        out[first:first + len(block)] = feature_matrix(
+            np.stack([w.acc for w in block]))
     return out
 
 
@@ -249,8 +221,9 @@ def fit_scaler(matrix: np.ndarray, schema_version: str = SCHEMA_V1.version) -> S
     )
 
 
-def scale_values(values: np.ndarray, scaler: Scaler) -> np.ndarray:
-    """(v - min) / (max - min) per feature; constant features map to 0.
+def apply_scaler(values: np.ndarray, scaler: Scaler) -> np.ndarray:
+    """(v - min) / (max - min) per feature of (..., 58) values; constant
+    features map to 0.
 
     Values outside the fit range are not clamped.
     """
@@ -264,15 +237,6 @@ def scale_values(values: np.ndarray, scaler: Scaler) -> np.ndarray:
     safe = np.where(span == 0.0, 1.0, span)
     scaled = (values - scaler.minimum) / safe
     return np.where(span == 0.0, 0.0, scaled)
-
-
-def apply_scaler(fv: FeatureVector, scaler: Scaler) -> FeatureVector:
-    if fv.schema_version != scaler.schema_version:
-        raise SchemaMismatch(
-            f"vector schema {fv.schema_version!r} != scaler schema "
-            f"{scaler.schema_version!r}"
-        )
-    return replace(fv, values=scale_values(fv.values, scaler))
 
 
 @dataclass(frozen=True)

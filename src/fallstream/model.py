@@ -6,6 +6,11 @@ threshold. Training is mini-batch gradient descent with Adam-style
 adaptive steps, fully deterministic given the seeds. Everything runs in
 float64 so gradient checks and artifact round-trips are exact.
 
+``forward`` is the one inference kernel: ``train``'s history, ``evaluate``
+and the streaming pipeline all call it. It multiplies each sample's row
+by the weights on its own, so a row's probability has the same bits
+whether it is classified alone or among a thousand others.
+
 The artifact file is a single JSON document with a fixed field order (see
 docs/artifact_format.md); identical artifacts serialize to identical
 bytes, and the sha256 of those bytes is the model digest that detections
@@ -25,7 +30,8 @@ from .errors import ArtifactError, ConfigError, InsufficientData, SchemaMismatch
 from .features import SCHEMA_V1, Scaler
 
 ARTIFACT_FORMAT = "fallstream-artifact/1"
-HIDDEN_ACTIVATIONS = ("relu", "tanh")
+HIDDEN_ACTIVATION = "relu"
+OUTPUT_ACTIVATION = "sigmoid"
 BCE_EPS = 1e-12
 
 
@@ -34,8 +40,6 @@ class MlpModel:
     layer_dims: tuple[int, int, int, int]
     weights: list[np.ndarray]  # [dims0 x dims1, dims1 x dims2, dims2 x dims3]
     biases: list[np.ndarray]
-    hidden_activation: str = "relu"
-    output_activation: str = "sigmoid"
     schema_version: str = SCHEMA_V1.version
 
 
@@ -53,22 +57,17 @@ def _validate_dims(dims) -> tuple[int, int, int, int]:
 def init_model(
     dims=(58, 64, 32, 1),
     seed: int = 0,
-    hidden_activation: str = "relu",
     schema_version: str = SCHEMA_V1.version,
 ) -> MlpModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, seeded."""
     dims = _validate_dims(dims)
-    if hidden_activation not in HIDDEN_ACTIVATIONS:
-        raise ConfigError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for d_in, d_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-limit, limit, size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
-    return MlpModel(dims, weights, biases,
-                    hidden_activation=hidden_activation,
-                    schema_version=schema_version)
+    return MlpModel(dims, weights, biases, schema_version=schema_version)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -80,16 +79,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hidden(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+def _hidden(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0)
 
 
-def _hidden_grad(z: np.ndarray, a: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a * a
+def _hidden_grad(z: np.ndarray) -> np.ndarray:
+    return (z > 0.0).astype(np.float64)
 
 
 def _forward_cached(model: MlpModel, X: np.ndarray):
@@ -99,31 +94,30 @@ def _forward_cached(model: MlpModel, X: np.ndarray):
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ W + b
         zs.append(z)
-        a = _sigmoid(z) if i == len(model.weights) - 1 else _hidden(
-            z, model.hidden_activation)
+        a = _sigmoid(z) if i == len(model.weights) - 1 else _hidden(z)
         acts.append(a)
     return zs, acts
 
 
-def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Fall probabilities for a (n, dims[0]) matrix of normalized vectors."""
+def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Fall probabilities (n,) of a (n, dims[0]) matrix of normalized
+    vectors.
+
+    Each layer is one (1, d_in) @ (d_in, d_out) product per row, never a
+    BLAS product over all rows, whose per-row rounding depends on how many
+    rows share the call; so a row's probability does not depend on n.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.layer_dims[0]:
         raise SchemaMismatch(
             f"expected (n, {model.layer_dims[0]}) inputs, got {X.shape}"
         )
-    _, acts = _forward_cached(model, X)
-    return acts[-1][:, 0]
-
-
-def forward(model: MlpModel, values: np.ndarray) -> float:
-    """Fall probability of one normalized feature vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape != (model.layer_dims[0],):
-        raise SchemaMismatch(
-            f"expected {model.layer_dims[0]} values, got shape {v.shape}"
-        )
-    return float(forward_batch(model, v[None, :])[0])
+    a = X[:, None, :]
+    last = len(model.weights) - 1
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ W + b
+        a = _sigmoid(z) if i == last else _hidden(z)
+    return a[:, 0, 0]
 
 
 def loss_bce(p, target) -> float:
@@ -152,8 +146,7 @@ def backward(model: MlpModel, X: np.ndarray, y: np.ndarray):
         w_grads[i] = acts[i].T @ delta
         b_grads[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * _hidden_grad(
-                zs[i - 1], acts[i], model.hidden_activation)
+            delta = (delta @ model.weights[i].T) * _hidden_grad(zs[i - 1])
     return w_grads, b_grads
 
 
@@ -227,7 +220,7 @@ def train(
                 v_b[i] = beta2 * v_b[i] + (1 - beta2) * b_grads[i] ** 2
                 model.biases[i] -= config.learning_rate * (
                     m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
-        probs = forward_batch(model, X)
+        probs = forward(model, X)
         history.append(EpochStats(
             epoch=epoch,
             loss=loss_bce(probs, y),
@@ -296,7 +289,7 @@ def evaluate(model: MlpModel, X: np.ndarray, y: np.ndarray) -> Metrics:
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise InsufficientData("evaluation data is empty")
-    probs = forward_batch(model, X)
+    probs = forward(model, X)
     pred_fall = probs >= 0.5
     true_fall = y >= 0.5
     tp = int(np.sum(pred_fall & true_fall))
@@ -329,6 +322,11 @@ class ModelArtifact:
 
 
 def _check_artifact(artifact: ModelArtifact) -> None:
+    if artifact.schema_version != SCHEMA_V1.version:
+        raise ArtifactError(
+            f"feature schema {artifact.schema_version!r} is not supported "
+            f"(this build computes schema {SCHEMA_V1.version!r})"
+        )
     if artifact.model.schema_version != artifact.scaler.schema_version:
         raise ArtifactError(
             f"model schema {artifact.model.schema_version!r} != scaler schema "
@@ -349,8 +347,8 @@ def artifact_to_bytes(artifact: ModelArtifact) -> bytes:
     doc = {
         "format": ARTIFACT_FORMAT,
         "layer_dims": list(m.layer_dims),
-        "hidden_activation": m.hidden_activation,
-        "output_activation": m.output_activation,
+        "hidden_activation": HIDDEN_ACTIVATION,
+        "output_activation": OUTPUT_ACTIVATION,
         "feature_schema_version": artifact.schema_version,
         "weights": [w.tolist() for w in m.weights],
         "biases": [b.tolist() for b in m.biases],
@@ -397,11 +395,11 @@ def load_artifact(source: str | Path) -> ModelArtifact:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ArtifactError("non-finite parameters")
-        if doc["hidden_activation"] not in HIDDEN_ACTIVATIONS:
+        if doc["hidden_activation"] != HIDDEN_ACTIVATION:
             raise ArtifactError(
                 f"unknown hidden activation {doc['hidden_activation']!r}"
             )
-        if doc["output_activation"] != "sigmoid":
+        if doc["output_activation"] != OUTPUT_ACTIVATION:
             raise ArtifactError(
                 f"unknown output activation {doc['output_activation']!r}"
             )
@@ -418,8 +416,6 @@ def load_artifact(source: str | Path) -> ModelArtifact:
             layer_dims=dims,
             weights=weights,
             biases=biases,
-            hidden_activation=doc["hidden_activation"],
-            output_activation=doc["output_activation"],
             schema_version=doc["feature_schema_version"],
         )
         artifact = ModelArtifact(

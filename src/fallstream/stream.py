@@ -3,8 +3,8 @@
 Two execution contexts: the source (paced replay thread or socket reader
 threads) feeds one queue of sample batches, bounded in samples; the
 consumer loop assembles windows, classifies the windows each batch
-completes with one feature call, and delivers detections to every sink in
-per-device order. A max-speed replay runs "as fast as the consumer
+completes with one feature, one scaling and one forward call, and delivers
+detections to every sink in per-device order. A max-speed replay runs "as fast as the consumer
 accepts" literally: the consumer queues the next chunk itself before each
 get, so no thread handoff paces it. Overflow policy ``block``
 gives lossless backpressure (replay default); ``drop_oldest`` sheds the
@@ -262,15 +262,13 @@ def classify_windows(
     artifact: ModelArtifact,
     windows: Sequence[Window],
     seqs: dict[str, int],
-    extra_activities: dict | None = None,
 ) -> list[Detection]:
-    """Detections of windows completed together: one feature call for all
-    of them, then scaling and the forward pass per window. ``seqs`` holds
-    each device's next sequence number and is advanced."""
+    """Detections of windows completed together: one feature, one scaling
+    and one forward call for all of them. ``seqs`` holds each device's
+    next sequence number and is advanced."""
+    X = apply_scaler(extract_features(windows), artifact.scaler)
     detections = []
-    fvs = extract_features(windows, extra_activities=extra_activities)
-    for window, fv in zip(windows, fvs):
-        p = forward(artifact.model, apply_scaler(fv, artifact.scaler).values)
+    for window, p in zip(windows, forward(artifact.model, X).tolist()):
         seq = seqs.get(window.device_id, 0)
         seqs[window.device_id] = seq + 1
         detections.append(Detection(
@@ -294,7 +292,7 @@ def classify_samples(
     """Batch-mode classification; the same code path the pipeline runs."""
     assembler = WindowAssembler(window or WindowConfig(), extra_activities)
     windows = assembler.push(as_batch(samples))
-    return classify_windows(artifact, windows, {}, extra_activities)
+    return classify_windows(artifact, windows, {})
 
 
 def _replay_chunks(batch: SampleBatch, stats: PipelineStats):
@@ -401,8 +399,7 @@ def run_pipeline(
             if not windows:
                 continue
             stats.windows += len(windows)
-            for detection in classify_windows(artifact, windows, seqs,
-                                              config.extra_activities):
+            for detection in classify_windows(artifact, windows, seqs):
                 stats.detections += 1
                 _deliver(detection_line(detection), sinks, stats)
     finally:

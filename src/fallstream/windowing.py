@@ -2,9 +2,8 @@
 
 Windows hold exactly ``size`` consecutive samples of one device; the
 default is tumbling 200-sample blocks. Grouping is by count, never by
-wall clock, so timestamp gaps do not split windows (they are only counted
-when a gap threshold is configured). Trailing partial groups are dropped
-and counted.
+wall clock, so timestamp gaps do not split windows. Trailing partial
+groups are dropped and counted.
 
 Samples arrive as SampleBatch columns and windows are array slices: a
 window's ``t_ms`` and ``acc`` are (n,) and (n, 3) arrays, never rows of
@@ -21,20 +20,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, MissingLabel
-from .ingest import (
-    BinaryClass,
-    Sample,
-    SampleBatch,
-    as_batch,
-    map_activity_to_class,
-)
+from .ingest import BinaryClass, SampleBatch, map_activity_to_class
 
 
 @dataclass(frozen=True)
 class WindowConfig:
     size: int = 200
     stride: int = 200
-    gap_threshold_ms: int | None = None  # diagnostics only
 
     def __post_init__(self):
         if self.size < 1:
@@ -90,13 +82,6 @@ def majority_label(
     return min(fall_tied) if fall_tied else min(tied)
 
 
-@dataclass
-class WindowStats:
-    windows: int = 0
-    partial_drops: int = 0
-    gaps: int = 0
-
-
 class _Pending:
     """A device's samples not yet in a window: raw int64 timestamps, raw
     doubles for the axes (ax, ay, az of each sample in turn), a label
@@ -130,9 +115,7 @@ class WindowAssembler:
                  extra_activities: dict[str, BinaryClass] | None = None):
         self.config = config
         self.extra_activities = extra_activities
-        self.stats = WindowStats()
         self._pending: dict[str, _Pending] = {}
-        self._last_t: dict[str, int] = {}
 
     def push(self, batch: SampleBatch) -> list[Window]:
         """Windows completed by this batch, in the order their last
@@ -145,9 +128,7 @@ class WindowAssembler:
 
     def _push_rows(self, batch: SampleBatch) -> list[Window]:
         size = self.config.size
-        gap = self.config.gap_threshold_ms
         pending = self._pending
-        last_t = self._last_t
         labels = batch.labels or [None] * len(batch)
         out = []
         for device_id, t, acc, code in zip(batch.device_id,
@@ -156,11 +137,6 @@ class WindowAssembler:
             held = pending.get(device_id)
             if held is None:
                 held = pending[device_id] = _Pending()
-            if gap is not None:
-                prev = last_t.get(device_id)
-                if prev is not None and t - prev > gap:
-                    self.stats.gaps += 1
-                last_t[device_id] = t
             held.t_ms.append(t)
             held.acc.fromlist(acc)
             held.labels.append(code)
@@ -184,7 +160,6 @@ class WindowAssembler:
             del held.t_ms[:stride]
             del held.acc[:3 * stride]
             del held.labels[:stride]
-        self.stats.windows += 1
         return window
 
     def _code(self, run: list[str | None]) -> str | None:
@@ -196,11 +171,6 @@ class WindowAssembler:
         cfg = self.config
         device_id, t_ms, acc = batch.device_id, batch.t_ms, batch.acc
         labels = batch.labels
-        if cfg.gap_threshold_ms is not None:
-            prev = self._last_t.get(device_id)
-            steps = np.diff(t_ms, prepend=t_ms[:1] if prev is None else prev)
-            self.stats.gaps += int(np.count_nonzero(steps > cfg.gap_threshold_ms))
-            self._last_t[device_id] = int(t_ms[-1])
         held = self._pending.pop(device_id, None)
         if held is not None:
             if labels is not None or held.labels.count(None) != len(held):
@@ -224,7 +194,6 @@ class WindowAssembler:
             tail.acc.frombytes(acc[start:].tobytes())
             tail.labels = ([None] * (len(t_ms) - start) if labels is None
                            else labels[start:])
-        self.stats.windows += len(out)
         return out
 
     def pending(self) -> int:
@@ -239,29 +208,11 @@ class WindowAssembler:
             held = self._pending.pop(device_id, None)
             if held is not None:
                 dropped += len(held)
-        self.stats.partial_drops += dropped
         return dropped
 
     def finish(self) -> int:
         """Drop and count all partial windows; returns the drop count."""
         dropped = self.pending()
-        self.stats.partial_drops += dropped
         self._pending.clear()
         return dropped
 
-
-def assemble_windows(samples: SampleBatch | Iterable[Sample],
-                     config: WindowConfig | None = None,
-                     stats: WindowStats | None = None):
-    """Generator over complete windows of a sample stream.
-
-    The trailing partial group per device is dropped; pass a WindowStats
-    to observe the drop count.
-    """
-    assembler = WindowAssembler(config or WindowConfig())
-    yield from assembler.push(as_batch(samples))
-    assembler.finish()
-    if stats is not None:
-        stats.windows += assembler.stats.windows
-        stats.partial_drops += assembler.stats.partial_drops
-        stats.gaps += assembler.stats.gaps

@@ -20,8 +20,8 @@ from fallstream.features import (
     SCHEMA_V1,
     SlidingBuffer,
     extract_features,
+    apply_scaler,
     fit_scaler,
-    scale_values,
     sisfall_characteristics,
 )
 from fallstream.model import (
@@ -30,7 +30,6 @@ from fallstream.model import (
     backward,
     evaluate,
     forward,
-    forward_batch,
     init_model,
     load_artifact,
     loss_bce,
@@ -96,9 +95,9 @@ def test_criterion_02_feature_oracle_equivalence():
         for _ in range(200)
     ]
     # one call over all windows: the stacked kernel is what is checked
-    for w, fv in zip(windows, extract_features(windows)):
+    for w, row in zip(windows, extract_features(windows)):
         ref = oracle_features(*w.acc.T.tolist())
-        for name, value in zip(SCHEMA_V1.names, fv.values):
+        for name, value in zip(SCHEMA_V1.names, row):
             rel = abs(value - ref[name]) / max(abs(value), abs(ref[name]), 1.0)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -109,11 +108,11 @@ def test_criterion_02_feature_oracle_equivalence():
 
 def test_criterion_03_feature_count_audit(rng):
     group_sizes = [n for _, n in SCHEMA_V1.groups]
-    (fv,) = extract_features([make_window(rng)])
+    X = extract_features([make_window(rng)])
     ok = (group_sizes == [21, 21, 2, 4, 6, 3, 1]
           and sum(group_sizes) == 58
           and len(SCHEMA_V1.names) == 58
-          and fv.values.shape == (58,))
+          and X.shape == (1, 58))
     _report(3, "feature_count_audit", ok,
             f"group sizes {'+'.join(map(str, group_sizes))} = {sum(group_sizes)}")
 
@@ -139,9 +138,9 @@ def test_criterion_04_gradient_check():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_bce(forward_batch(model, X), y)
+                up = loss_bce(forward(model, X), y)
                 flat[i] = orig - h
-                down = loss_bce(forward_batch(model, X), y)
+                down = loss_bce(forward(model, X), y)
                 flat[i] = orig
                 fd.append((up - down) / (2 * h))
         fd = np.asarray(fd)
@@ -159,7 +158,7 @@ def test_criterion_05_synthetic_separability():
     X, y = separable_clusters(1000, seed=SEED)
     train_idx, test_idx = stratified_split(y, 0.2, seed=SEED + 1)
     scaler = fit_scaler(X[train_idx], "1")
-    Xn = scale_values(X, scaler)
+    Xn = apply_scaler(X, scaler)
     model = init_model(seed=SEED + 2)
     train(model, Xn[train_idx], y[train_idx],
           TrainConfig(epochs=150, shuffle_seed=SEED + 3))
@@ -231,7 +230,7 @@ def test_criterion_08_scaler_properties():
     m = rng.normal(0, 10, (40, 58))
     m[:, 7] = 3.25  # one constant feature
     scaler = fit_scaler(m, "1")
-    scaled = scale_values(m, scaler)
+    scaled = apply_scaler(m, scaler)
     in_unit = bool(np.all(scaled >= 0.0) and np.all(scaled <= 1.0))
     constant_zero = bool(np.all(scaled[:, 7] == 0.0))
     endpoints = True
@@ -280,7 +279,7 @@ def test_criterion_10_persistence_round_trip(tmp_path):
 
     rng = np.random.default_rng(SEED)
     identical = all(
-        forward(artifact.model, v) == forward(loaded.model, v)
+        forward(artifact.model, v[None])[0] == forward(loaded.model, v[None])[0]
         for v in rng.normal(0, 1, (100, 58))
     )
     _report(10, "persistence_round_trip", byte_stable and identical,

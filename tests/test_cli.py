@@ -12,12 +12,7 @@ import numpy as np
 from conftest import MAPPING
 from fallstream import cli
 from fallstream.cli import FEATURE_HEADER, main, read_feature_csv, write_feature_csv
-from fallstream.features import (
-    SCHEMA_V1,
-    STACK_BLOCK,
-    FeatureVector,
-    extract_features,
-)
+from fallstream.features import SCHEMA_V1, STACK_BLOCK, extract_features
 from fallstream.ingest import BinaryClass
 from fallstream.model import load_artifact
 from fallstream.synth import make_trial, separable_clusters, write_trial_csv
@@ -72,10 +67,10 @@ class TestPrepare:
                             data / f"t{i:02d}.csv")
         calls = []
 
-        def recording(windows, **kwargs):
-            vectors = extract_features(windows, **kwargs)
-            calls.append((list(windows), vectors))
-            return vectors
+        def recording(windows):
+            X = extract_features(windows)
+            calls.append((list(windows), X))
+            return X
 
         monkeypatch.setattr(cli, "extract_features", recording)
         out = tmp_path / "features.csv"
@@ -89,9 +84,9 @@ class TestPrepare:
         assert len(windows) == 80
         assert len({id(w) for w in windows}) == 80
         at_once = extract_features(windows)
-        blocked = [fv for _, vectors in calls for fv in vectors]
-        assert [fv.values.tobytes() for fv in blocked] == [
-            fv.values.tobytes() for fv in at_once]
+        blocked = [row for _, X in calls for row in X]
+        assert [row.tobytes() for row in blocked] == [
+            row.tobytes() for row in at_once]
         X, _, _ = read_feature_csv(out)
         assert X.shape == (80, 58)
 
@@ -109,13 +104,8 @@ class TestPrepare:
 
 def _separable_csv(path, n=300, seed=0):
     X, y = separable_clusters(n, seed=seed)
-    vectors = [
-        FeatureVector(schema_version="1", values=row,
-                      label_code="FOL" if t else "WAL",
-                      label_class=BinaryClass.FALL if t else BinaryClass.ADL)
-        for row, t in zip(X, y)
-    ]
-    write_feature_csv(path, vectors)
+    write_feature_csv(path, X, ["FOL" if t else "WAL" for t in y],
+                      [BinaryClass.FALL if t else BinaryClass.ADL for t in y])
     return path
 
 
@@ -199,13 +189,10 @@ class TestEvaluate:
         main(["train", str(csv_path), "--artifact", str(artifact_path),
               "--epochs", "40", "--seed", "12"])
         X, y = separable_clusters(40, seed=4)
-        fall_only = [
-            FeatureVector(schema_version="1", values=row, label_code="FOL",
-                          label_class=BinaryClass.FALL)
-            for row, t in zip(X, y) if t == 1.0
-        ]
+        falls = X[y == 1.0]
         fall_csv = tmp_path / "falls.csv"
-        write_feature_csv(fall_csv, fall_only)
+        write_feature_csv(fall_csv, falls, ["FOL"] * len(falls),
+                          [BinaryClass.FALL] * len(falls))
         out_json = tmp_path / "metrics.json"
         rc = main(["evaluate", str(fall_csv), "--artifact", str(artifact_path),
                    "--out", str(out_json)])
@@ -294,6 +281,49 @@ class TestReplay:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["device_id"] == "trial"
+
+
+def _foreign_schema_artifact(artifact_path, tmp_path):
+    """The suite's artifact relabeled as feature schema "2"."""
+    doc = json.loads(artifact_path.read_text())
+    doc["feature_schema_version"] = "2"
+    doc["scaler"]["schema_version"] = "2"
+    path = tmp_path / "schema2.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestForeignFeatureSchema:
+    """An artifact of another feature schema is refused at startup, before
+    any row is scored or any window is classified."""
+
+    def test_evaluate_and_replay_exit_2(self, tmp_path, feature_csv,
+                                        mapping_path, artifact_path, capsys):
+        foreign = _foreign_schema_artifact(artifact_path, tmp_path)
+        rc = main(["evaluate", str(feature_csv), "--artifact", str(foreign)])
+        assert rc == 2
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("fall", 600, seed=22), trial)
+        out = tmp_path / "out.jsonl"
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(foreign), "--speed", "max",
+                   "--sink", f"file:{out}"])
+        assert rc == 2
+        assert not out.exists()  # no detection, not even an empty sink
+        captured = capsys.readouterr()
+        assert "accuracy" not in captured.out
+        assert captured.err.count("feature schema '2'") == 2
+
+    def test_serve_exits_2_before_binding(self, tmp_path, artifact_path):
+        foreign = _foreign_schema_artifact(artifact_path, tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fallstream", "serve",
+             "--listen", "127.0.0.1:0", "--artifact", str(foreign),
+             "--sink", f"file:{tmp_path / 'live.jsonl'}"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "feature schema '2'" in proc.stderr
+        assert "listening" not in proc.stderr
 
 
 def _wait_for_port(port, timeout=10.0):

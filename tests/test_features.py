@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_window
-from fallstream.errors import InsufficientData, NotReady, SchemaMismatch
+from fallstream.cli import main, read_feature_csv
+from fallstream.errors import (
+    ArtifactError,
+    InsufficientData,
+    NotReady,
+    SchemaMismatch,
+)
 from fallstream.features import (
     SCHEMA_V1,
     STACK_BLOCK,
@@ -16,10 +23,13 @@ from fallstream.features import (
     extract_features,
     feature_matrix,
     fit_scaler,
-    scale_values,
     sisfall_characteristics,
     zero_crossing_rate,
 )
+from fallstream.ingest import Sample
+from fallstream.model import ModelArtifact, init_model, load_artifact, save_artifact
+from fallstream.stream import classify_windows
+from fallstream.synth import write_trial_csv
 from fallstream.windowing import Window
 from oracle import (
     oracle_features,
@@ -47,8 +57,14 @@ def _const_window(x, y, z, n=200, label=None):
 
 def _features(window):
     """name -> value of one window's schema v1 vector."""
-    (fv,) = extract_features([window])
-    return dict(zip(SCHEMA_V1.names, fv.values))
+    (row,) = extract_features([window])
+    return dict(zip(SCHEMA_V1.names, row))
+
+
+def _artifact(X):
+    """A schema v1 artifact whose scaler is fit on X."""
+    return ModelArtifact(model=init_model((58, 4, 3, 1), seed=0),
+                         scaler=fit_scaler(X))
 
 
 def _x_column(values):
@@ -205,18 +221,19 @@ class TestAverageResultant:
         assert _features(_const_window(0.0, 0.0, 0.0))["avg_resultant_acc"] == 0.0
 
     def test_equals_magnitude_mean_feature(self, rng):
-        (fv,) = extract_features([make_window(rng)])
+        (row,) = extract_features([make_window(rng)])
         names = SCHEMA_V1.names
-        assert fv.values[names.index("mag_mean")] == \
-            fv.values[names.index("avg_resultant_acc")]
+        assert row[names.index("mag_mean")] == \
+            row[names.index("avg_resultant_acc")]
 
 
 class TestExtractFeatures:
     def test_vector_length_and_schema(self, rng):
-        (fv,) = extract_features([make_window(rng)])
-        assert fv.values.shape == (58,)
-        assert fv.schema_version == SCHEMA_V1.version
-        assert np.all(np.isfinite(fv.values))
+        X = extract_features([make_window(rng)])
+        assert X[0].shape == (58,)
+        assert X.shape[1] == len(SCHEMA_V1.names)
+        assert X.dtype == np.float64
+        assert np.all(np.isfinite(X))
 
     def test_degenerate_gravity_window(self):
         vals = _features(_const_window(0.0, 9.80665, 0.0))
@@ -227,9 +244,9 @@ class TestExtractFeatures:
 
     def test_matches_oracle_on_random_windows(self, rng):
         windows = [make_window(rng) for _ in range(30)]
-        for w, fv in zip(windows, extract_features(windows)):
+        for w, row in zip(windows, extract_features(windows)):
             ref = oracle_features(*w.acc.T.tolist())
-            for name, got in zip(SCHEMA_V1.names, fv.values):
+            for name, got in zip(SCHEMA_V1.names, row):
                 want = ref[name]
                 assert abs(got - want) <= 1e-9 * max(abs(got), abs(want), 1.0), name
 
@@ -237,26 +254,41 @@ class TestExtractFeatures:
         w = make_window(rng)
         order = rng.permutation(w.n)
         shuffled = Window(w.device_id, w.t_ms[order], w.acc[order])
-        a, b = (fv.values for fv in extract_features([w, shuffled]))
+        a, b = extract_features([w, shuffled])
         zcr = SCHEMA_V1.names.index("mag_zcr")
         keep = [i for i in range(58) if i != zcr]
         np.testing.assert_allclose(a[keep], b[keep], rtol=1e-12, atol=1e-12)
 
-    def test_interval_and_label_metadata(self, rng):
+    def test_interval_and_label_metadata(self, rng, tmp_path, mapping_path):
+        # the interval travels on the window's detection, the label on the
+        # label columns prepare writes next to the window's features
         w = make_window(rng, label="FOL")
-        (fv,) = extract_features([w])
-        assert fv.t_start_ms == w.t_start and fv.t_end_ms == w.t_end
-        assert fv.label_code == "FOL"
-        assert fv.label_class.value == "FALL"
+        X = extract_features([w])
+        (det,) = classify_windows(_artifact(X), [w], {})
+        assert det.t_start_ms == w.t_start and det.t_end_ms == w.t_end
+        data = tmp_path / "data"
+        data.mkdir()
+        write_trial_csv([Sample(w.device_id, t, ax, ay, az, "FOL")
+                         for t, (ax, ay, az) in zip(w.t_ms.tolist(),
+                                                    w.acc.tolist())],
+                        data / "t.csv")
+        out = tmp_path / "features.csv"
+        assert main(["prepare", str(data), "--mapping", str(mapping_path),
+                     "--out", str(out)]) == 0
+        got, codes, classes = read_feature_csv(out)
+        assert np.array_equal(got, X)
+        assert codes == ["FOL"]
+        assert classes[0].value == "FALL"
 
     def test_unsupported_schema(self, rng):
-        bad = SCHEMA_V1.__class__(version="999", names=SCHEMA_V1.names,
-                                  groups=SCHEMA_V1.groups)
+        # only schema v1 is computed; a scaler of another layout is refused
+        X = extract_features([make_window(rng)])
+        other = fit_scaler(X[:, :-1])
         with pytest.raises(SchemaMismatch):
-            extract_features([make_window(rng)], schema=bad)
+            apply_scaler(X, other)
 
     def test_no_windows_no_vectors(self):
-        assert extract_features([]) == []
+        assert extract_features([]).shape == (0, 58)
 
 
 class TestStackedKernel:
@@ -273,8 +305,8 @@ class TestStackedKernel:
     def test_one_call_equals_one_window_per_call(self, rng):
         windows = [make_window(rng) for _ in range(STACK_BLOCK + 9)]
         together = extract_features(windows)
-        for w, fv in zip(windows, together):
-            assert np.array_equal(fv.values, extract_features([w])[0].values)
+        for w, row in zip(windows, together):
+            assert np.array_equal(row, extract_features([w])[0])
 
     def test_constant_axis_against_oracle(self, rng):
         w = make_window(rng)
@@ -328,34 +360,40 @@ class TestScaler:
     def test_endpoints_map_to_zero_and_one(self):
         m = np.array([[1.0, 10.0], [3.0, 20.0]])
         scaler = fit_scaler(m, "1")
-        assert scale_values(np.array([1.0, 10.0]), scaler).tolist() == [0.0, 0.0]
-        assert scale_values(np.array([3.0, 20.0]), scaler).tolist() == [1.0, 1.0]
+        assert apply_scaler(np.array([1.0, 10.0]), scaler).tolist() == [0.0, 0.0]
+        assert apply_scaler(np.array([3.0, 20.0]), scaler).tolist() == [1.0, 1.0]
 
     def test_midpoint(self):
         scaler = fit_scaler(np.array([[0.0], [4.0]]), "1")
-        assert scale_values(np.array([2.0]), scaler).tolist() == [0.5]
+        assert apply_scaler(np.array([2.0]), scaler).tolist() == [0.5]
 
     def test_constant_feature_maps_to_zero(self):
         scaler = fit_scaler(np.array([[7.0], [7.0]]), "1")
-        assert scale_values(np.array([7.0]), scaler).tolist() == [0.0]
+        assert apply_scaler(np.array([7.0]), scaler).tolist() == [0.0]
 
     def test_out_of_range_not_clamped(self):
         scaler = fit_scaler(np.array([[0.0], [2.0]]), "1")
-        assert scale_values(np.array([4.0]), scaler).tolist() == [2.0]
-        assert scale_values(np.array([-2.0]), scaler).tolist() == [-1.0]
+        assert apply_scaler(np.array([4.0]), scaler).tolist() == [2.0]
+        assert apply_scaler(np.array([-2.0]), scaler).tolist() == [-1.0]
 
-    def test_schema_mismatch(self, rng):
-        (fv,) = extract_features([make_window(rng)])
-        scaler = fit_scaler(fv.values[None, :], schema_version="other")
-        with pytest.raises(SchemaMismatch):
-            apply_scaler(fv, scaler)
+    def test_schema_mismatch(self, rng, tmp_path):
+        # a foreign feature schema is refused when the artifact is loaded,
+        # before any window is scaled
+        path = tmp_path / "m.json"
+        save_artifact(_artifact(extract_features([make_window(rng)])), path)
+        doc = json.loads(path.read_text())
+        doc["feature_schema_version"] = "2"
+        doc["scaler"]["schema_version"] = "2"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="schema '2'"):
+            load_artifact(path)
 
     @settings(max_examples=30)
     @given(st.integers(1, 20), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_fit_set_lands_in_unit_interval(self, rows, cols, seed):
         m = np.random.default_rng(seed).normal(0, 10, (rows, cols))
         scaler = fit_scaler(m, "1")
-        scaled = scale_values(m, scaler)
+        scaled = apply_scaler(m, scaler)
         assert np.all(scaled >= 0.0) and np.all(scaled <= 1.0)
 
 

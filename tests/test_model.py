@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fallstream.errors import (
     ArtifactError,
@@ -9,7 +11,7 @@ from fallstream.errors import (
     InsufficientData,
     SchemaMismatch,
 )
-from fallstream.features import Scaler, fit_scaler, scale_values
+from fallstream.features import Scaler, apply_scaler, fit_scaler
 from fallstream.model import (
     Metrics,
     ModelArtifact,
@@ -18,7 +20,6 @@ from fallstream.model import (
     backward,
     evaluate,
     forward,
-    forward_batch,
     init_model,
     load_artifact,
     loss_bce,
@@ -30,7 +31,7 @@ from fallstream.synth import separable_clusters
 
 
 def _loss_of(model, X, y):
-    return loss_bce(forward_batch(model, X), y)
+    return loss_bce(forward(model, X), y)
 
 
 def _finite_difference(model, X, y, h=1e-4):
@@ -93,26 +94,40 @@ class TestForward:
         model = init_model((4, 3, 2, 1), seed=0)
         for w in model.weights:
             w[:] = 0.0
-        assert forward(model, np.zeros(4)) == 0.5
+        assert forward(model, np.zeros((1, 4))).tolist() == [0.5]
 
     def test_minimal_relu_chain(self):
         # 1-1-1-1 net, weights 1, biases 0, input 0: relu(0) chains to sigmoid(0)
         model = init_model((1, 1, 1, 1), seed=0)
         for w in model.weights:
             w[:] = 1.0
-        assert forward(model, np.zeros(1)) == 0.5
+        assert forward(model, np.zeros((1, 1))).tolist() == [0.5]
 
     def test_output_strictly_inside_unit_interval(self):
         # precondition: inputs are scaler-normalized, i.e. unit-interval scale
         model = init_model((6, 5, 4, 1), seed=1)
         rng = np.random.default_rng(0)
-        probs = forward_batch(model, rng.uniform(0, 1, (200, 6)))
+        probs = forward(model, rng.uniform(0, 1, (200, 6)))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_length_mismatch(self):
         model = init_model((6, 5, 4, 1), seed=1)
         with pytest.raises(SchemaMismatch):
-            forward(model, np.zeros(5))
+            forward(model, np.zeros((1, 5)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_rows_do_not_depend_on_batch_size(self, n, seed):
+        # a BLAS X @ W over all rows rounds a row differently as n changes
+        rng = np.random.default_rng(seed)
+        model = init_model((58, 64, 32, 1), seed=seed % 1000)
+        for b in model.biases:
+            b += rng.normal(0, 0.1, b.shape)
+        X = rng.uniform(-0.5, 1.5, (n, 58))
+        probs = forward(model, X)
+        alone = np.concatenate([forward(model, X[i:i + 1]) for i in range(n)])
+        assert probs.shape == (n,)
+        assert probs.tobytes() == alone.tobytes()
 
 
 class TestLoss:
@@ -172,7 +187,7 @@ class TestTrain:
     def test_separable_set_reaches_perfect_training_accuracy(self):
         X, y = separable_clusters(300, seed=1)
         scaler = fit_scaler(X, "1")
-        Xn = scale_values(X, scaler)
+        Xn = apply_scaler(X, scaler)
         model = init_model(seed=2)
         history = train(model, Xn, y, TrainConfig(epochs=150, shuffle_seed=3))
         assert history[-1].accuracy == 1.0
@@ -181,7 +196,7 @@ class TestTrain:
     def test_loss_decreases(self):
         X, y = separable_clusters(300, seed=4)
         model = init_model(seed=5)
-        history = train(model, scale_values(X, fit_scaler(X, "1")), y,
+        history = train(model, apply_scaler(X, fit_scaler(X, "1")), y,
                         TrainConfig(epochs=30, shuffle_seed=6))
         assert history[-1].loss < history[0].loss
 
@@ -224,9 +239,9 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         X, y = separable_clusters(200, seed=10)
         model = init_model(seed=11)
-        train(model, scale_values(X, fit_scaler(X, "1")), y,
+        train(model, apply_scaler(X, fit_scaler(X, "1")), y,
               TrainConfig(epochs=60, shuffle_seed=12))
-        m = evaluate(model, scale_values(X, fit_scaler(X, "1")), y)
+        m = evaluate(model, apply_scaler(X, fit_scaler(X, "1")), y)
         assert m.accuracy == 1.0
         assert m.counts[0, 1] == 0 and m.counts[1, 0] == 0
 
@@ -249,7 +264,7 @@ class TestEvaluate:
         X = rng.normal(0, 2, (100, 6))
         y = rng.integers(0, 2, 100).astype(float)
         m = evaluate(model, X, y)
-        probs = forward_batch(model, X)
+        probs = forward(model, X)
         tp = sum(1 for p, t in zip(probs, y) if p >= 0.5 and t == 1.0)
         fn = sum(1 for p, t in zip(probs, y) if p < 0.5 and t == 1.0)
         fp = sum(1 for p, t in zip(probs, y) if p >= 0.5 and t == 0.0)
@@ -332,8 +347,8 @@ class TestPersistence:
         loaded = load_artifact(path)
         rng = np.random.default_rng(23)
         for _ in range(100):
-            v = rng.normal(0, 1, 6)
-            assert forward(artifact.model, v) == forward(loaded.model, v)
+            v = rng.normal(0, 1, (1, 6))
+            assert forward(artifact.model, v)[0] == forward(loaded.model, v)[0]
 
     def test_serialization_is_byte_stable(self, tmp_path):
         artifact = _make_artifact(seed=24)
@@ -368,6 +383,22 @@ class TestPersistence:
                                  artifact.scaler.maximum)
         with pytest.raises(ArtifactError):
             save_artifact(artifact, tmp_path / "m.json")
+
+    @pytest.mark.parametrize("key,value", [
+        ("hidden_activation", "tanh"),
+        ("hidden_activation", "sigmoid"),
+        ("output_activation", "relu"),
+    ])
+    def test_unknown_activation_rejected(self, tmp_path, key, value):
+        import json as json_mod
+        path = tmp_path / "m.json"
+        save_artifact(_make_artifact(seed=28), path)
+        doc = json_mod.loads(path.read_text())
+        assert doc["hidden_activation"] == "relu"
+        doc[key] = value
+        path.write_text(json_mod.dumps(doc))
+        with pytest.raises(ArtifactError, match="activation"):
+            load_artifact(path)
 
     def test_bad_shapes_rejected(self, tmp_path):
         import json as json_mod

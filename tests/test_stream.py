@@ -7,12 +7,21 @@ import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fallstream.cli import read_feature_csv
 from fallstream.errors import ArtifactError, ConfigError
-from fallstream.ingest import BinaryClass, SampleBatch
+from fallstream.features import apply_scaler
+from fallstream.ingest import (
+    BinaryClass,
+    SampleBatch,
+    load_mapping,
+    parse_trial_path,
+)
+from fallstream.model import evaluate, forward
 from fallstream.stream import (
     BoundedQueue,
     Detection,
@@ -52,6 +61,36 @@ class TestDetectionLine:
         for p in (0.5, 1 / 3, 0.9999999999999999, 1e-9, math.pi / 4):
             det = Detection("d", 0, 1, p, BinaryClass.ADL, "x", 0)
             assert json.loads(detection_line(det))["p_fall"] == p
+
+
+class TestEvaluateEqualsPipeline:
+    def test_evaluate_scores_what_the_pipeline_emits(
+            self, artifact, feature_csv, dataset_dir, mapping_path):
+        # prepare's rows, scaled and scored as evaluate does, against the
+        # detections classify_samples emits for each trial in prepare's order
+        X, _, classes = read_feature_csv(feature_csv)
+        Xn = apply_scaler(X, artifact.scaler)
+        probs = forward(artifact.model, Xn)
+        mapping = load_mapping(mapping_path)
+        emitted = []
+        for path in sorted(p for p in Path(dataset_dir).rglob("*.csv")
+                           if p.is_file()):
+            batch, _ = parse_trial_path(path, mapping)
+            emitted += classify_samples(artifact, batch,
+                                        extra_activities=mapping.extra_activities)
+        assert len(emitted) == len(probs) > 0
+        assert np.array([d.p_fall for d in emitted]).tobytes() == \
+            probs.tobytes()
+        assert [d.predicted for d in emitted] == [
+            BinaryClass.FALL if p >= 0.5 else BinaryClass.ADL for p in probs]
+        # so evaluate's confusion cells count the classes the stream emits
+        y = np.array([c is BinaryClass.FALL for c in classes], dtype=float)
+        pred = np.array([d.predicted is BinaryClass.FALL for d in emitted])
+        true = y == 1.0
+        metrics = evaluate(artifact.model, Xn, y)
+        assert metrics.counts.tolist() == [
+            [int(np.sum(pred & true)), int(np.sum(~pred & true))],
+            [int(np.sum(pred & ~true)), int(np.sum(~pred & ~true))]]
 
 
 def _batch(device, n, t0=0):

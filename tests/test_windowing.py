@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from fallstream.errors import ConfigError, MissingLabel
 from fallstream.ingest import Sample, SampleBatch
-from fallstream.windowing import (
-    WindowAssembler,
-    WindowConfig,
-    WindowStats,
-    assemble_windows,
-    majority_label,
-)
+from fallstream.windowing import WindowAssembler, WindowConfig, majority_label
 
 
 def _samples(n, device="d", label="WAL", t0=0):
     return [Sample(device, t0 + i * 50, float(i), 9.8, 0.0, label)
             for i in range(n)]
+
+
+def _assemble(samples, cfg=None):
+    """Every window of a sample run and the partial-window drop count."""
+    assembler = WindowAssembler(cfg or WindowConfig())
+    windows = assembler.push(SampleBatch.from_samples(samples))
+    return windows, assembler.finish()
 
 
 def _labeled(codes):
@@ -28,31 +29,29 @@ def _labeled(codes):
 
 class TestAssembly:
     def test_450_samples_two_windows_50_dropped(self):
-        stats = WindowStats()
-        windows = list(assemble_windows(_samples(450), WindowConfig(), stats))
+        windows, dropped = _assemble(_samples(450))
         assert len(windows) == 2
-        assert stats.partial_drops == 50
+        assert dropped == 50
 
     def test_exactly_one_full_window(self):
-        windows = list(assemble_windows(_samples(200), WindowConfig()))
+        windows, _ = _assemble(_samples(200))
         assert len(windows) == 1
         assert windows[0].t_ms.tolist() == [i * 50 for i in range(200)]
 
     def test_below_size_drops_everything(self):
-        stats = WindowStats()
-        windows = list(assemble_windows(_samples(199), WindowConfig(), stats))
+        windows, dropped = _assemble(_samples(199))
         assert windows == []
-        assert stats.partial_drops == 199
+        assert dropped == 199
 
     def test_window_interval_comes_from_samples(self):
-        (win,) = assemble_windows(_samples(200, t0=1000), WindowConfig())
+        (win,), _ = _assemble(_samples(200, t0=1000))
         assert win.t_start == 1000
         assert win.t_end == 1000 + 199 * 50
         assert win.n == 200
 
     def test_sliding_windows_overlap(self):
         cfg = WindowConfig(size=4, stride=2)
-        windows = list(assemble_windows(_samples(10), cfg))
+        windows, _ = _assemble(_samples(10), cfg)
         assert len(windows) == 4  # floor((10-4)/2)+1
         assert [w.t_start for w in windows] == [0, 100, 200, 300]
 
@@ -62,32 +61,19 @@ class TestAssembly:
             stream.append(Sample("a", i, 1.0, 2.0, 3.0, "WAL"))
             stream.append(Sample("b", i, 1.0, 2.0, 3.0, "JOG"))
         cfg = WindowConfig(size=200, stride=200)
-        windows = list(assemble_windows(stream, cfg))
+        windows, _ = _assemble(stream, cfg)
         assert [w.device_id for w in windows] == ["a", "b"]
 
     def test_unlabeled_stream_gives_unlabeled_windows(self):
         stream = [Sample("d", i, 1.0, 2.0, 3.0) for i in range(200)]
-        (win,) = assemble_windows(stream, WindowConfig())
+        (win,), _ = _assemble(stream)
         assert win.majority_code is None
 
     def test_mixed_labeling_is_an_error(self):
         stream = [Sample("d", i, 1.0, 2.0, 3.0, "WAL" if i else None)
                   for i in range(200)]
         with pytest.raises(MissingLabel):
-            list(assemble_windows(stream, WindowConfig()))
-
-    def test_gap_counting(self):
-        cfg = WindowConfig(size=4, stride=4, gap_threshold_ms=100)
-        stream = [Sample("d", t, 0.0, 0.0, 0.0, "STD")
-                  for t in (0, 50, 500, 550)]
-        assembler = WindowAssembler(cfg)
-        for s in stream:
-            assembler.push(SampleBatch.from_samples([s]))
-        assert assembler.stats.gaps == 1
-        # one batch counts the same gaps as one push per sample
-        whole = WindowAssembler(cfg)
-        whole.push(SampleBatch.from_samples(stream))
-        assert whole.stats.gaps == 1
+            _assemble(stream)
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):
@@ -102,14 +88,14 @@ class TestAssembly:
     def test_window_count_formula(self, n, size, stride_frac):
         stride = min(stride_frac, size)
         cfg = WindowConfig(size=size, stride=stride)
-        windows = list(assemble_windows(_samples(n), cfg))
+        windows, _ = _assemble(_samples(n), cfg)
         expected = (n - size) // stride + 1 if n >= size else 0
         assert len(windows) == expected
 
     @given(n=st.integers(0, 600), size=st.integers(1, 50))
     def test_tumbling_windows_are_disjoint_and_ordered(self, n, size):
         cfg = WindowConfig(size=size, stride=size)
-        windows = list(assemble_windows(_samples(n), cfg))
+        windows, _ = _assemble(_samples(n), cfg)
         seen = [t for w in windows for t in w.t_ms.tolist()]
         assert len(seen) == len(set(seen))
         assert seen == sorted(seen)
@@ -149,7 +135,7 @@ class TestBatchedAssembly:
         assert [_window_key(w) for w in got] == \
             [_window_key(w) for w in expected]
         assert batched.pending() == single.pending()
-        assert batched.stats.windows == single.stats.windows
+        assert len(got) == len(expected)
 
     def test_one_row_per_device_per_batch(self):
         # a live chunk from many wearables: each batch carries about one
@@ -181,14 +167,16 @@ class TestBatchedAssembly:
         stream = [Sample(d, i, 0.0, 0.0, 0.0) for i in range(3)
                   for d in ("a", "b")]
         assembler.push(SampleBatch.from_samples(stream))
-        assert assembler.reset({"a", "nobody"}) == 3
+        dropped = assembler.reset({"a", "nobody"})
+        assert dropped == 3
         assert assembler.pending() == 3
-        assert assembler.stats.partial_drops == 3
         # a's next window starts fresh; b completes from its pending three
         out = assembler.push(SampleBatch.from_samples(
             [Sample("a", 10 + i, 1.0, 0.0, 0.0) for i in range(4)]
             + [Sample("b", 3, 0.0, 0.0, 0.0)]))
         assert [(w.device_id, w.t_start) for w in out] == [("a", 10), ("b", 0)]
+        # only a's three were ever dropped
+        assert dropped + assembler.finish() == 3
 
     def test_idle_partial_devices_cost_memory_per_pending_sample(self):
         n = 50_000
