@@ -34,7 +34,6 @@ from .ingest import (
     parse_trial_file,
     parse_trial_path,
     parse_wire_line,
-    replay_source,
 )
 from .model import (
     Metrics,

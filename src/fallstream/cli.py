@@ -3,7 +3,7 @@
 prepare   dataset dir -> feature CSV (58 columns + label_code,label_class)
 train     feature CSV -> model artifact (scaler fit on the train split only)
 evaluate  feature CSV + artifact -> accuracy and confusion matrices
-replay    trial file through the pipeline, paced or at max speed
+replay    trial file through the pipeline, paced or at max speed, lossless
 serve     live TCP listener feeding the pipeline until SIGINT/SIGTERM
 
 Diagnostics go to stderr; data goes to files, stdout sinks, or --out
@@ -321,8 +321,6 @@ def cmd_replay(args) -> int:
         artifact_path=_pick(args.artifact, cfg, "artifact", None),
         window=_build_window(args, cfg),
         sinks=tuple(_pick(args.sink or None, cfg, "sinks", ["stdout"])),
-        queue_capacity=int(_pick(args.queue_capacity, cfg, "queue_capacity", 1024)),
-        overflow=_pick(args.overflow, cfg, "overflow", "block"),
         extra_activities=mapping.extra_activities,
     )
     if config.artifact_path is None:
@@ -411,9 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-hz", type=float)
     p.add_argument("--window-size", type=int)
     p.add_argument("--stride", type=int)
-    p.add_argument("--queue-capacity", type=int,
-                   help="queue bound in samples (default 1024)")
-    p.add_argument("--overflow", choices=("block", "drop_oldest"))
     p.add_argument("--sink", action="append",
                    help="stdout | file:<path> | webhook:<url> (repeatable)")
     p.set_defaults(func=cmd_replay)

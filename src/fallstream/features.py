@@ -205,20 +205,15 @@ def extract_features(windows: Sequence[Window]) -> np.ndarray:
 class Scaler:
     """Per-feature min and max learned from a fit set."""
 
-    schema_version: str
     minimum: np.ndarray
     maximum: np.ndarray
 
 
-def fit_scaler(matrix: np.ndarray, schema_version: str = SCHEMA_V1.version) -> Scaler:
+def fit_scaler(matrix: np.ndarray) -> Scaler:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 1:
         raise InsufficientData("scaler fit needs a non-empty 2-D feature matrix")
-    return Scaler(
-        schema_version=schema_version,
-        minimum=np.min(m, axis=0),
-        maximum=np.max(m, axis=0),
-    )
+    return Scaler(minimum=np.min(m, axis=0), maximum=np.max(m, axis=0))
 
 
 def apply_scaler(values: np.ndarray, scaler: Scaler) -> np.ndarray:

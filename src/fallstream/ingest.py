@@ -21,11 +21,10 @@ import math
 import re
 import socket
 import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -373,33 +372,6 @@ def parse_trial_path(
     return parse_trial_file(data, mapping, device_id or path.stem)
 
 
-def replay_source(
-    samples: Iterable[Sample],
-    rate_hz: float = 20.0,
-    speed_factor: float = 1.0,
-) -> Iterator[Sample]:
-    """Yield samples in order, paced at rate_hz * speed_factor.
-
-    speed_factor=math.inf disables pacing entirely. Pacing never changes
-    which samples come out, only when.
-    """
-    if rate_hz <= 0:
-        raise ConfigError(f"rate_hz must be positive, got {rate_hz}")
-    if not (speed_factor > 0):
-        raise ConfigError(f"speed_factor must be positive or inf, got {speed_factor}")
-    if math.isinf(speed_factor):
-        yield from samples
-        return
-    interval = 1.0 / (rate_hz * speed_factor)
-    start = time.monotonic()
-    for i, sample in enumerate(samples):
-        deadline = start + i * interval
-        delay = deadline - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        yield sample
-
-
 def parse_wire_line(line: str) -> tuple[str, int, float, float, float] | None:
     """One protocol line to (device_id, t_ms, ax, ay, az), or None when
     malformed."""
@@ -429,7 +401,8 @@ class SocketSource:
     one pass and handed on as one ``emit(SampleBatch)`` call (the
     pipeline's queue). ``stats`` is any object with integer samples_in /
     malformed / timestamp_regressions attributes; readers update them under
-    one lock.
+    one lock. A connection's socket and reader thread are forgotten when
+    the reader ends.
     """
 
     def __init__(self, host: str, port: int, emit: Callable, stats):
@@ -438,8 +411,9 @@ class SocketSource:
         self._emit = emit
         self.stats = stats
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: list[socket.socket] = []
+        # live readers (and the accept thread); all guarded by _lock
+        self._threads: set[threading.Thread] = set()
+        self._conns: set[socket.socket] = set()
         self._lock = threading.Lock()
         # counter and last-timestamp updates come from one thread per
         # connection; serialize them so no increment is lost
@@ -461,7 +435,7 @@ class SocketSource:
         self._listener = listener
         t = threading.Thread(target=self._accept_loop, daemon=True)
         t.start()
-        self._threads.append(t)
+        self._threads.add(t)
 
     def _accept_loop(self) -> None:
         while not self._stopping.is_set():
@@ -473,12 +447,12 @@ class SocketSource:
                 if self._stopping.is_set():
                     conn.close()
                     break
-                self._conns.append(conn)
+                self._conns.add(conn)
                 t = threading.Thread(
                     target=self._read_conn, args=(conn,), daemon=True
                 )
                 t.start()
-                self._threads.append(t)
+                self._threads.add(t)
 
     def _read_conn(self, conn: socket.socket) -> None:
         tail = b""  # the unterminated start of the next line
@@ -511,6 +485,9 @@ class SocketSource:
             if tail.strip():
                 self._count_dropped_line()
             conn.close()
+            with self._lock:
+                self._conns.discard(conn)
+                self._threads.discard(threading.current_thread())
 
     def _handle_lines(self, lines: list[bytes]) -> None:
         parse = parse_wire_line  # the module global, so wrappers see calls
@@ -557,11 +534,12 @@ class SocketSource:
                 pass
             self._listener.close()
         with self._lock:
-            for conn in self._conns:
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                conn.close()
-        for t in self._threads:
+            conns, threads = list(self._conns), list(self._threads)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            conn.close()
+        for t in threads:
             t.join(timeout=5.0)

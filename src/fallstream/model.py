@@ -40,7 +40,6 @@ class MlpModel:
     layer_dims: tuple[int, int, int, int]
     weights: list[np.ndarray]  # [dims0 x dims1, dims1 x dims2, dims2 x dims3]
     biases: list[np.ndarray]
-    schema_version: str = SCHEMA_V1.version
 
 
 def _validate_dims(dims) -> tuple[int, int, int, int]:
@@ -57,7 +56,6 @@ def _validate_dims(dims) -> tuple[int, int, int, int]:
 def init_model(
     dims=(58, 64, 32, 1),
     seed: int = 0,
-    schema_version: str = SCHEMA_V1.version,
 ) -> MlpModel:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, seeded."""
     dims = _validate_dims(dims)
@@ -67,7 +65,7 @@ def init_model(
         limit = np.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-limit, limit, size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
-    return MlpModel(dims, weights, biases, schema_version=schema_version)
+    return MlpModel(dims, weights, biases)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -316,44 +314,29 @@ class ModelArtifact:
 
     model: MlpModel
     scaler: Scaler
-    schema_version: str = SCHEMA_V1.version
     metadata: dict = field(default_factory=dict)
     digest: str | None = None  # sha256 of the serialized bytes, set on save/load
-
-
-def _check_artifact(artifact: ModelArtifact) -> None:
-    if artifact.schema_version != SCHEMA_V1.version:
-        raise ArtifactError(
-            f"feature schema {artifact.schema_version!r} is not supported "
-            f"(this build computes schema {SCHEMA_V1.version!r})"
-        )
-    if artifact.model.schema_version != artifact.scaler.schema_version:
-        raise ArtifactError(
-            f"model schema {artifact.model.schema_version!r} != scaler schema "
-            f"{artifact.scaler.schema_version!r}"
-        )
-    if artifact.schema_version != artifact.model.schema_version:
-        raise ArtifactError("artifact schema version disagrees with the model")
 
 
 def artifact_to_bytes(artifact: ModelArtifact) -> bytes:
     """Canonical byte serialization; identical artifacts -> identical bytes.
 
     Floats are written with their shortest round-trip representation, so a
-    load reproduces every parameter bit-exactly.
+    load reproduces every parameter bit-exactly. The feature schema version
+    is written twice, at the top and in the scaler, both always this
+    build's.
     """
-    _check_artifact(artifact)
     m = artifact.model
     doc = {
         "format": ARTIFACT_FORMAT,
         "layer_dims": list(m.layer_dims),
         "hidden_activation": HIDDEN_ACTIVATION,
         "output_activation": OUTPUT_ACTIVATION,
-        "feature_schema_version": artifact.schema_version,
+        "feature_schema_version": SCHEMA_V1.version,
         "weights": [w.tolist() for w in m.weights],
         "biases": [b.tolist() for b in m.biases],
         "scaler": {
-            "schema_version": artifact.scaler.schema_version,
+            "schema_version": SCHEMA_V1.version,
             "minimum": artifact.scaler.minimum.tolist(),
             "maximum": artifact.scaler.maximum.tolist(),
         },
@@ -403,8 +386,14 @@ def load_artifact(source: str | Path) -> ModelArtifact:
             raise ArtifactError(
                 f"unknown output activation {doc['output_activation']!r}"
             )
+        for version in (doc["feature_schema_version"],
+                        doc["scaler"]["schema_version"]):
+            if version != SCHEMA_V1.version:
+                raise ArtifactError(
+                    f"feature schema {version!r} is not supported "
+                    f"(this build computes schema {SCHEMA_V1.version!r})"
+                )
         scaler = Scaler(
-            schema_version=doc["scaler"]["schema_version"],
             minimum=np.asarray(doc["scaler"]["minimum"], dtype=np.float64),
             maximum=np.asarray(doc["scaler"]["maximum"], dtype=np.float64),
         )
@@ -412,20 +401,11 @@ def load_artifact(source: str | Path) -> ModelArtifact:
             raise ArtifactError("scaler min/max lengths differ")
         if np.any(scaler.minimum > scaler.maximum):
             raise ArtifactError("scaler has min > max")
-        model = MlpModel(
-            layer_dims=dims,
-            weights=weights,
-            biases=biases,
-            schema_version=doc["feature_schema_version"],
-        )
-        artifact = ModelArtifact(
-            model=model,
+        return ModelArtifact(
+            model=MlpModel(layer_dims=dims, weights=weights, biases=biases),
             scaler=scaler,
-            schema_version=doc["feature_schema_version"],
             metadata=doc["metadata"],
             digest=hashlib.sha256(payload).hexdigest(),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact {source} is malformed: {exc}") from exc
-    _check_artifact(artifact)
-    return artifact

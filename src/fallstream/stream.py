@@ -1,16 +1,18 @@
 """The running pipeline: source -> windower -> features -> model -> sinks.
 
-Two execution contexts: the source (paced replay thread or socket reader
-threads) feeds one queue of sample batches, bounded in samples; the
-consumer loop assembles windows, classifies the windows each batch
+One consumer loop assembles windows, classifies the windows each batch
 completes with one feature, one scaling and one forward call, and delivers
-detections to every sink in per-device order. A max-speed replay runs "as fast as the consumer
-accepts" literally: the consumer queues the next chunk itself before each
-get, so no thread handoff paces it. Overflow policy ``block``
-gives lossless backpressure (replay default); ``drop_oldest`` sheds the
-oldest queued batches and counts the shed samples (live default). A shed
-also resets the partial windows of the devices in the shed batch, so no
-window ever joins samples that were not adjacent.
+detections to every sink in per-device order. It takes sample batches from
+one queue, bounded in samples. A replay runs in the consumer itself: before
+each get it queues the rows that are due, at most REPLAY_CHUNK at a time
+(every row at once at max speed), and when none is due it sleeps until the
+next one is. So replay starts no thread and never overflows. Only socket
+serving feeds the queue from other threads: one reader per connection puts
+each received chunk of lines (the optional stats reporter only prints).
+Overflow policy ``block`` gives lossless backpressure; ``drop_oldest`` sheds
+the oldest queued batches and counts the shed samples (live default). A
+shed also resets the partial windows of the devices in the shed batch, so
+no window ever joins samples that were not adjacent.
 
 Detections serialize to one JSON line with a fixed key order:
 ``device_id, t_start_ms, t_end_ms, p_fall, class, seq, model_digest``.
@@ -24,8 +26,7 @@ import json
 import math
 import sys
 import threading
-import urllib.error
-import urllib.request
+import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -39,7 +40,6 @@ from .ingest import (
     SampleBatch,
     SocketSource,
     as_batch,
-    replay_source,
 )
 from .model import ModelArtifact, forward, load_artifact
 from .windowing import Window, WindowAssembler, WindowConfig
@@ -48,6 +48,8 @@ QUEUE_CLOSED = object()
 _TIMEOUT = object()
 
 REPLAY_CHUNK = 512
+# longest replay sleep, so a shutdown event is seen within it
+REPLAY_SLEEP_S = 0.2
 WEBHOOK_TIMEOUT_S = 2.0
 
 
@@ -103,11 +105,21 @@ class PipelineStats:
 
 @dataclass
 class ReplaySpec:
-    """Replay an in-memory sample sequence, optionally paced."""
+    """Replay an in-memory sample sequence, optionally paced: row i is due
+    ``i / (rate_hz * speed)`` seconds after the start. Pacing never changes
+    which samples come out, only when."""
 
     samples: SampleBatch | list[Sample]
     rate_hz: float = 20.0
     speed: float = math.inf  # math.inf = as fast as the consumer accepts
+
+    def __post_init__(self):
+        if not (0 < self.rate_hz < math.inf):
+            raise ConfigError(
+                f"rate_hz must be positive and finite, got {self.rate_hz}")
+        if not self.speed > 0:
+            raise ConfigError(
+                f"speed must be positive or 'max' (inf), got {self.speed}")
 
 
 @dataclass
@@ -230,17 +242,20 @@ class WebhookSink:
     raises so the pipeline's single retry applies."""
 
     def __init__(self, url: str, timeout_s: float = WEBHOOK_TIMEOUT_S):
+        import urllib.request  # only a webhook sink pays for this import
+
+        self._urllib = urllib.request
         self.url = url
         self.timeout_s = timeout_s
 
     def emit(self, line: str) -> None:
-        req = urllib.request.Request(
+        req = self._urllib.Request(
             self.url,
             data=line.encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
+        with self._urllib.urlopen(req, timeout=self.timeout_s) as resp:
             if not 200 <= resp.status < 300:
                 raise OSError(f"webhook answered {resp.status}")
 
@@ -295,23 +310,34 @@ def classify_samples(
     return classify_windows(artifact, windows, {})
 
 
-def _replay_chunks(batch: SampleBatch, stats: PipelineStats):
-    for i in range(0, len(batch), REPLAY_CHUNK):
-        chunk = batch.rows(i, i + REPLAY_CHUNK)
+def _replay_chunks(batch: SampleBatch, spec: ReplaySpec,
+                   stats: PipelineStats):
+    """The rows of ``batch`` as they fall due, at most REPLAY_CHUNK at a
+    time; at max speed every row is due at once and no clock is read.
+
+    When no row is due it sleeps until the next one is, at most
+    REPLAY_SLEEP_S, and yields None, so the caller can look for a shutdown
+    between sleeps."""
+    n = len(batch)
+    paced = not math.isinf(spec.speed)
+    if paced:
+        interval = 1.0 / (spec.rate_hz * spec.speed)
+        start = time.monotonic()
+    i = 0
+    while i < n:
+        due = n
+        if paced:
+            elapsed = time.monotonic() - start
+            due = min(n, math.floor(elapsed / interval) + 1)
+            if due <= i:
+                time.sleep(min(max(i * interval - elapsed, 0.0),
+                               REPLAY_SLEEP_S))
+                yield None
+                continue
+        chunk = batch.rows(i, min(due, i + REPLAY_CHUNK))
+        i += len(chunk)
         stats.samples_in += len(chunk)
         yield chunk
-
-
-def _paced_producer(batch: SampleBatch, spec: ReplaySpec, queue: BoundedQueue,
-                    stats: PipelineStats, stop: threading.Event) -> None:
-    try:
-        for i in replay_source(range(len(batch)), spec.rate_hz, spec.speed):
-            if stop.is_set():
-                break
-            stats.samples_in += 1
-            queue.put(batch.rows(i, i + 1))
-    finally:
-        queue.close()
 
 
 def _deliver(line: str, sinks: list, stats: PipelineStats) -> None:
@@ -335,23 +361,14 @@ def run_pipeline(
     stats = PipelineStats()
     sinks = [build_sink(s) for s in config.sinks]
     queue = BoundedQueue(config.queue_capacity, config.overflow, stats)
-    stop_source = threading.Event()
 
     socket_source = None
     chunks = None
     if isinstance(config.source, ReplaySpec):
-        replayed = as_batch(config.source.samples)
-        if math.isinf(config.source.speed):
-            # a producer thread that may run only one queue capacity ahead
-            # waits for the interpreter lock once per chunk and starves the
-            # consumer; pulling the next chunk in the consumer avoids both
-            chunks = _replay_chunks(replayed, stats)
-        else:
-            threading.Thread(
-                target=_paced_producer,
-                args=(replayed, config.source, queue, stats, stop_source),
-                daemon=True,
-            ).start()
+        # the consumer queues each due chunk itself, right before its get:
+        # the queue never holds more than one batch, so it cannot overflow
+        chunks = _replay_chunks(as_batch(config.source.samples),
+                                config.source, stats)
     else:
         socket_source = SocketSource(
             config.source.host, config.source.port, emit=queue.put, stats=stats
@@ -374,14 +391,15 @@ def run_pipeline(
         while True:
             if shutdown is not None and shutdown.is_set() and not stopping:
                 stopping = True
-                stop_source.set()
                 if socket_source is not None:
                     # close the queue first so blocked reader threads can exit
                     queue.close()
                     socket_source.stop()
             if chunks is not None:
-                chunk = next(chunks, None) if not stopping else None
+                chunk = QUEUE_CLOSED if stopping else next(chunks, QUEUE_CLOSED)
                 if chunk is None:
+                    continue  # nothing due yet
+                if chunk is QUEUE_CLOSED:
                     queue.close()
                     chunks = None
                 else:
@@ -403,7 +421,6 @@ def run_pipeline(
                 stats.detections += 1
                 _deliver(detection_line(detection), sinks, stats)
     finally:
-        stop_source.set()
         if socket_source is not None and not stopping:
             socket_source.stop()
         reporter_stop.set()

@@ -157,7 +157,7 @@ def test_criterion_05_synthetic_separability():
     t0 = time.perf_counter()
     X, y = separable_clusters(1000, seed=SEED)
     train_idx, test_idx = stratified_split(y, 0.2, seed=SEED + 1)
-    scaler = fit_scaler(X[train_idx], "1")
+    scaler = fit_scaler(X[train_idx])
     Xn = apply_scaler(X, scaler)
     model = init_model(seed=SEED + 2)
     train(model, Xn[train_idx], y[train_idx],
@@ -229,7 +229,7 @@ def test_criterion_08_scaler_properties():
     rng = np.random.default_rng(SEED)
     m = rng.normal(0, 10, (40, 58))
     m[:, 7] = 3.25  # one constant feature
-    scaler = fit_scaler(m, "1")
+    scaler = fit_scaler(m)
     scaled = apply_scaler(m, scaler)
     in_unit = bool(np.all(scaled >= 0.0) and np.all(scaled <= 1.0))
     constant_zero = bool(np.all(scaled[:, 7] == 0.0))

@@ -8,6 +8,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from conftest import MAPPING
 from fallstream import cli
@@ -235,6 +236,23 @@ class TestReplay:
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 2
 
+    @pytest.mark.parametrize("pacing", [
+        ["--rate-hz", "0", "--speed", "1"],
+        ["--speed", "-1"],
+        ["--speed", "nan"],
+    ])
+    def test_invalid_pacing_exits_2_before_any_output(
+            self, tmp_path, mapping_path, artifact_path, capsys, pacing):
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("fall", 931, seed=23), trial)
+        out = tmp_path / "out.jsonl"
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(artifact_path), *pacing,
+                   "--sink", f"file:{out}"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fall_trial_raises_fall_detection(self, tmp_path, mapping_path,
                                               artifact_path):
         trial = tmp_path / "trial.csv"
@@ -281,6 +299,16 @@ class TestReplay:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["device_id"] == "trial"
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    # only a webhook sink needs it; it is ~10% of the CLI's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fallstream.cli; "
+         "sys.exit('urllib.request' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _foreign_schema_artifact(artifact_path, tmp_path):

@@ -341,15 +341,15 @@ class TestScaler:
 
     def test_two_vector_fit(self):
         m = np.array([[1.0, 5.0], [3.0, 2.0]])
-        scaler = fit_scaler(m, schema_version="1")
+        scaler = fit_scaler(m)
         assert scaler.minimum.tolist() == [1.0, 2.0]
         assert scaler.maximum.tolist() == [3.0, 5.0]
 
     def test_refit_on_union_equals_concatenated_fit(self, rng):
         a = rng.normal(0, 3, (10, 6))
         b = rng.normal(1, 2, (7, 6))
-        both = fit_scaler(np.vstack([a, b]), "1")
-        fa, fb = fit_scaler(a, "1"), fit_scaler(b, "1")
+        both = fit_scaler(np.vstack([a, b]))
+        fa, fb = fit_scaler(a), fit_scaler(b)
         assert np.array_equal(both.minimum, np.minimum(fa.minimum, fb.minimum))
         assert np.array_equal(both.maximum, np.maximum(fa.maximum, fb.maximum))
 
@@ -359,40 +359,44 @@ class TestScaler:
 
     def test_endpoints_map_to_zero_and_one(self):
         m = np.array([[1.0, 10.0], [3.0, 20.0]])
-        scaler = fit_scaler(m, "1")
+        scaler = fit_scaler(m)
         assert apply_scaler(np.array([1.0, 10.0]), scaler).tolist() == [0.0, 0.0]
         assert apply_scaler(np.array([3.0, 20.0]), scaler).tolist() == [1.0, 1.0]
 
     def test_midpoint(self):
-        scaler = fit_scaler(np.array([[0.0], [4.0]]), "1")
+        scaler = fit_scaler(np.array([[0.0], [4.0]]))
         assert apply_scaler(np.array([2.0]), scaler).tolist() == [0.5]
 
     def test_constant_feature_maps_to_zero(self):
-        scaler = fit_scaler(np.array([[7.0], [7.0]]), "1")
+        scaler = fit_scaler(np.array([[7.0], [7.0]]))
         assert apply_scaler(np.array([7.0]), scaler).tolist() == [0.0]
 
     def test_out_of_range_not_clamped(self):
-        scaler = fit_scaler(np.array([[0.0], [2.0]]), "1")
+        scaler = fit_scaler(np.array([[0.0], [2.0]]))
         assert apply_scaler(np.array([4.0]), scaler).tolist() == [2.0]
         assert apply_scaler(np.array([-2.0]), scaler).tolist() == [-1.0]
 
     def test_schema_mismatch(self, rng, tmp_path):
         # a foreign feature schema is refused when the artifact is loaded,
-        # before any window is scaled
+        # before any window is scaled, whichever of its two places says so
         path = tmp_path / "m.json"
         save_artifact(_artifact(extract_features([make_window(rng)])), path)
-        doc = json.loads(path.read_text())
-        doc["feature_schema_version"] = "2"
-        doc["scaler"]["schema_version"] = "2"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ArtifactError, match="schema '2'"):
-            load_artifact(path)
+        saved = path.read_text()
+        for artifact_says, scaler_says in (("2", "2"), ("1", "2")):
+            doc = json.loads(saved)
+            assert doc["feature_schema_version"] == "1"
+            assert doc["scaler"]["schema_version"] == "1"
+            doc["feature_schema_version"] = artifact_says
+            doc["scaler"]["schema_version"] = scaler_says
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ArtifactError, match="schema '2'"):
+                load_artifact(path)
 
     @settings(max_examples=30)
     @given(st.integers(1, 20), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_fit_set_lands_in_unit_interval(self, rows, cols, seed):
         m = np.random.default_rng(seed).normal(0, 10, (rows, cols))
-        scaler = fit_scaler(m, "1")
+        scaler = fit_scaler(m)
         scaled = apply_scaler(m, scaler)
         assert np.all(scaled >= 0.0) and np.all(scaled <= 1.0)
 

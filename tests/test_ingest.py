@@ -21,9 +21,14 @@ from fallstream.ingest import (
     map_activity_to_class,
     parse_trial_file,
     parse_wire_line,
-    replay_source,
 )
-from fallstream.stream import PipelineStats
+from fallstream.stream import (
+    PipelineConfig,
+    PipelineStats,
+    ReplaySpec,
+    run_pipeline,
+)
+from fallstream.synth import make_trial
 
 BASIC = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4)
 
@@ -354,37 +359,55 @@ def _mk_samples(n):
     return [Sample("d", i * 50, float(i), 0.0, 0.0) for i in range(n)]
 
 
-class TestReplaySource:
-    def test_content_independent_of_pacing(self):
-        samples = _mk_samples(50)
-        fast = list(replay_source(samples, rate_hz=20, speed_factor=math.inf))
-        paced = list(replay_source(samples, rate_hz=5000, speed_factor=10))
-        assert fast == samples
-        assert paced == samples
+def _replay(artifact_path, out, samples, rate_hz, speed):
+    """Replay samples through the pipeline into a file sink."""
+    return run_pipeline(PipelineConfig(
+        source=ReplaySpec(samples=samples, rate_hz=rate_hz, speed=speed),
+        artifact_path=artifact_path, sinks=(f"file:{out}",)))
 
-    def test_pacing_duration(self):
-        samples = _mk_samples(100)
+
+class TestReplaySource:
+    """A replay as the pipeline's source: pacing changes when rows are
+    queued, never which rows or what is detected."""
+
+    def test_content_independent_of_pacing(self, artifact_path, tmp_path):
+        samples = make_trial("fall", 450, seed=31, device_id="d")
+        fast = _replay(artifact_path, tmp_path / "fast.jsonl", samples,
+                       rate_hz=20, speed=math.inf)
+        paced = _replay(artifact_path, tmp_path / "paced.jsonl", samples,
+                        rate_hz=5000, speed=10)
+        assert fast == paced
+        assert (fast.samples_in, fast.windows, fast.partial_window_drops) \
+            == (450, 2, 50)
+        assert (tmp_path / "fast.jsonl").read_bytes() == \
+            (tmp_path / "paced.jsonl").read_bytes()
+
+    def test_pacing_duration(self, artifact_path, tmp_path):
         t0 = time.monotonic()
-        out = list(replay_source(samples, rate_hz=1000, speed_factor=1.0))
+        stats = _replay(artifact_path, tmp_path / "out.jsonl",
+                        _mk_samples(100), rate_hz=1000, speed=1.0)
         elapsed = time.monotonic() - t0
-        assert out == samples
+        assert stats.samples_in == stats.partial_window_drops == 100
         assert elapsed >= 0.09  # 100 samples at 1 kHz span about 0.1 s
 
-    def test_max_speed_is_immediate(self):
-        samples = _mk_samples(2000)
+    def test_max_speed_is_immediate(self, artifact_path, tmp_path):
         t0 = time.monotonic()
-        out = list(replay_source(samples, rate_hz=1.0, speed_factor=math.inf))
+        stats = _replay(artifact_path, tmp_path / "out.jsonl",
+                        _mk_samples(2000), rate_hz=1.0, speed=math.inf)
         assert time.monotonic() - t0 < 0.5
-        assert out == samples
+        assert stats.samples_in == 2000 and stats.windows == 10
 
-    def test_empty_sequence(self):
-        assert list(replay_source([], 20.0, 1.0)) == []
+    def test_empty_sequence(self, artifact_path, tmp_path):
+        stats = _replay(artifact_path, tmp_path / "out.jsonl", [],
+                        rate_hz=20.0, speed=1.0)
+        assert stats.samples_in == stats.detections == 0
 
     def test_bad_rate_and_speed(self):
-        with pytest.raises(ConfigError):
-            list(replay_source([], 0.0, 1.0))
-        with pytest.raises(ConfigError):
-            list(replay_source([], 20.0, 0.0))
+        for rate_hz, speed in ((0.0, 1.0), (-20.0, 1.0), (math.inf, 1.0),
+                               (math.nan, 1.0), (20.0, 0.0), (20.0, -1.0),
+                               (20.0, math.nan), (20.0, -math.inf)):
+            with pytest.raises(ConfigError):
+                ReplaySpec(samples=[], rate_hz=rate_hz, speed=speed)
 
 
 class TestWireProtocol:
@@ -505,6 +528,23 @@ class TestSocketSource:
         assert sorted(s.t_ms for s in got) == [2, 3]
         assert source.stats.malformed == 2
         assert source.stats.samples_in == 4
+
+    def test_closed_connections_are_forgotten(self):
+        source, got = _collecting_source()
+        for i in range(200):
+            _connect_and_send(source.port, f"d,{i},1,2,3\n".encode())
+        # a connection may still wait in the listen backlog: wait for its line
+        deadline = time.monotonic() + 10
+        while ((source._conns or source.stats.samples_in < 200)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        try:
+            assert len(source._conns) == 0
+            # only the accept thread is left
+            assert len(source._threads) == 1
+            assert source.stats.samples_in == len(got) == 200
+        finally:
+            source.stop()
 
     def test_bind_failure_is_fatal(self):
         holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

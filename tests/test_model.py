@@ -186,7 +186,7 @@ class TestBackward:
 class TestTrain:
     def test_separable_set_reaches_perfect_training_accuracy(self):
         X, y = separable_clusters(300, seed=1)
-        scaler = fit_scaler(X, "1")
+        scaler = fit_scaler(X)
         Xn = apply_scaler(X, scaler)
         model = init_model(seed=2)
         history = train(model, Xn, y, TrainConfig(epochs=150, shuffle_seed=3))
@@ -196,7 +196,7 @@ class TestTrain:
     def test_loss_decreases(self):
         X, y = separable_clusters(300, seed=4)
         model = init_model(seed=5)
-        history = train(model, apply_scaler(X, fit_scaler(X, "1")), y,
+        history = train(model, apply_scaler(X, fit_scaler(X)), y,
                         TrainConfig(epochs=30, shuffle_seed=6))
         assert history[-1].loss < history[0].loss
 
@@ -239,9 +239,9 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         X, y = separable_clusters(200, seed=10)
         model = init_model(seed=11)
-        train(model, apply_scaler(X, fit_scaler(X, "1")), y,
+        train(model, apply_scaler(X, fit_scaler(X)), y,
               TrainConfig(epochs=60, shuffle_seed=12))
-        m = evaluate(model, apply_scaler(X, fit_scaler(X, "1")), y)
+        m = evaluate(model, apply_scaler(X, fit_scaler(X)), y)
         assert m.accuracy == 1.0
         assert m.counts[0, 1] == 0 and m.counts[1, 0] == 0
 
@@ -317,12 +317,12 @@ class TestEvaluate:
 
 def _make_artifact(seed=0, dim=6):
     rng = np.random.default_rng(seed)
-    model = init_model((dim, 4, 3, 1), seed=seed, schema_version="1")
+    model = init_model((dim, 4, 3, 1), seed=seed)
     for w in model.weights:
         w += rng.normal(0, 0.01, w.shape)
-    scaler = Scaler("1", minimum=rng.normal(-1, 0.1, dim),
+    scaler = Scaler(minimum=rng.normal(-1, 0.1, dim),
                     maximum=rng.normal(2, 0.1, dim))
-    return ModelArtifact(model=model, scaler=scaler, schema_version="1",
+    return ModelArtifact(model=model, scaler=scaler,
                          metadata={"epochs": 150, "seed": seed})
 
 
@@ -376,13 +376,6 @@ class TestPersistence:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ArtifactError):
             load_artifact(tmp_path / "absent.json")
-
-    def test_schema_version_mismatch_rejected_at_save(self, tmp_path):
-        artifact = _make_artifact(seed=26)
-        artifact.scaler = Scaler("other", artifact.scaler.minimum,
-                                 artifact.scaler.maximum)
-        with pytest.raises(ArtifactError):
-            save_artifact(artifact, tmp_path / "m.json")
 
     @pytest.mark.parametrize("key,value", [
         ("hidden_activation", "tanh"),

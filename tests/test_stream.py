@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fallstream import stream
 from fallstream.cli import read_feature_csv
 from fallstream.errors import ArtifactError, ConfigError
 from fallstream.features import apply_scaler
@@ -23,6 +24,7 @@ from fallstream.ingest import (
 )
 from fallstream.model import evaluate, forward
 from fallstream.stream import (
+    REPLAY_CHUNK,
     BoundedQueue,
     Detection,
     PipelineConfig,
@@ -312,6 +314,79 @@ class TestReplayPipeline:
         stats = run_pipeline(config)
         assert stats.overflow_drops == 0
         assert stats.windows == 6 and stats.partial_window_drops == 34
+
+    def test_fast_paced_replay_sheds_nothing(self, artifact_path, tmp_path):
+        # 20,000 rows due within 0.1 s, more than a 1,024-sample queue
+        # holds: the consumer queues only what it is about to take
+        rng = np.random.default_rng(18)
+        batch = SampleBatch("dev", 50 * np.arange(20_000, dtype=np.int64),
+                            rng.normal((0.0, 9.8, 0.0), 2.0, (20_000, 3)))
+        stats = run_pipeline(PipelineConfig(
+            source=ReplaySpec(samples=batch, rate_hz=20.0, speed=1e4),
+            artifact_path=artifact_path,
+            sinks=(f"file:{tmp_path / 'out.jsonl'}",),
+            overflow="drop_oldest",
+            queue_capacity=1024,
+        ))
+        assert stats.overflow_drops == 0
+        assert stats.samples_in == 20_000
+        assert stats.windows == stats.detections == 100
+
+    def test_paced_replay_starts_no_thread(self, artifact_path, monkeypatch):
+        seen = []
+
+        class ThreadCountingSink:
+            def emit(self, line):
+                seen.append(threading.active_count())
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(stream, "build_sink",
+                            lambda spec: ThreadCountingSink())
+        before = threading.active_count()
+        stats = run_pipeline(PipelineConfig(
+            source=ReplaySpec(samples=_fall_trial(seed=17, n=600),
+                              rate_hz=20.0, speed=400.0),
+            artifact_path=artifact_path,
+        ))
+        assert stats.detections == 3
+        assert seen == [before] * 3
+
+    def test_shutdown_stops_a_paced_replay_promptly(self, artifact_path,
+                                                    tmp_path):
+        shutdown = threading.Event()
+        timer = threading.Timer(0.3, shutdown.set)
+        timer.start()
+        t0 = time.monotonic()
+        stats = run_pipeline(PipelineConfig(
+            source=ReplaySpec(samples=_fall_trial(seed=17, n=600),
+                              rate_hz=1.0, speed=1.0),
+            artifact_path=artifact_path,
+            sinks=(f"file:{tmp_path / 'out.jsonl'}",),
+        ), shutdown=shutdown)
+        timer.join()
+        assert time.monotonic() - t0 < 1.0
+        # row 0 is due at once, row 1 only after a second
+        assert stats.samples_in == stats.partial_window_drops <= 1
+
+    def test_due_chunk_schedule(self, monkeypatch):
+        batch = SampleBatch.from_samples(_fall_trial(seed=17, n=20_000))
+        paced = PipelineStats()
+        chunks = [c for c in stream._replay_chunks(
+            batch, ReplaySpec(samples=batch, rate_hz=20.0, speed=1e4), paced)
+            if c is not None]
+        assert max(len(c) for c in chunks) <= REPLAY_CHUNK
+        assert np.concatenate([c.t_ms for c in chunks]).tobytes() == \
+            batch.t_ms.tobytes()
+        assert paced.samples_in == 20_000
+        # at max speed every row is due at once: no clock is read
+        monkeypatch.setattr(stream, "time", None)
+        fast = PipelineStats()
+        chunks = list(stream._replay_chunks(
+            batch.rows(0, 1234), ReplaySpec(samples=batch), fast))
+        assert [len(c) for c in chunks] == [512, 512, 210]
+        assert fast.samples_in == 1234
 
     def test_per_device_order_and_sequences(self, artifact_path, tmp_path):
         a = make_trial("adl", 650, seed=14, device_id="dev_a")
