@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -63,7 +64,12 @@ from .stream import (
     SocketSpec,
     run_pipeline,
 )
-from .windowing import WindowAssembler, WindowConfig
+from .windowing import (
+    WindowAssembler,
+    WindowConfig,
+    majority_label,
+    window_starts,
+)
 
 DEFAULT_SEED = 1234
 FEATURE_HEADER = list(SCHEMA_V1.names) + ["label_code", "label_class"]
@@ -122,6 +128,8 @@ def _labels_to_targets(classes) -> np.ndarray:
 
 def cmd_prepare(args) -> int:
     mapping = load_mapping(args.mapping)
+    if mapping.label is None:
+        raise MissingLabel("prepare needs a mapping with a label column")
     dataset = Path(args.dataset_dir)
     if not dataset.is_dir():
         raise ParseError(f"dataset directory {dataset} does not exist")
@@ -137,15 +145,11 @@ def cmd_prepare(args) -> int:
         samples_total += report.rows
         malformed += report.malformed
         regressions += report.timestamp_regressions
-        assembler = WindowAssembler(window, mapping.extra_activities)
-        trial_windows = assembler.push(batch)
-        if any(w.majority_code is None for w in trial_windows):
-            raise MissingLabel(
-                f"{path}: unlabeled windows; prepare needs a mapping "
-                "with a label column"
-            )
-        windows.extend(trial_windows)
-        codes += [w.majority_code for w in trial_windows]
+        assembler = WindowAssembler(window)
+        windows += assembler.push(batch)
+        codes += [majority_label(batch.labels[s:s + window.size],
+                                 mapping.extra_activities)
+                  for s in window_starts(len(batch), window)]
         partial += assembler.finish()
         if len(windows) >= STACK_BLOCK:
             # a window is a view of its trial's columns: extract as the
@@ -306,7 +310,9 @@ def cmd_replay(args) -> int:
     mapping_path = _pick(args.mapping, src_cfg, "mapping", None)
     if mapping_path is None:
         raise ConfigError("replay needs --mapping (or source.mapping in --config)")
-    mapping = load_mapping(mapping_path)
+    # detections need no labels: the label column is not parsed, so an
+    # empty or unknown label field neither drops a row nor stops a replay
+    mapping = dataclasses.replace(load_mapping(mapping_path), label=None)
     batch, report = parse_trial_path(args.trial_file, mapping)
     if report.malformed:
         _info(f"note: {report.malformed} malformed rows skipped while parsing")
@@ -321,7 +327,6 @@ def cmd_replay(args) -> int:
         artifact_path=_pick(args.artifact, cfg, "artifact", None),
         window=_build_window(args, cfg),
         sinks=tuple(_pick(args.sink or None, cfg, "sinks", ["stdout"])),
-        extra_activities=mapping.extra_activities,
     )
     if config.artifact_path is None:
         raise ConfigError("replay needs --artifact (or artifact in --config)")

@@ -199,20 +199,12 @@ class ColumnMapping:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ColumnMapping":
+        """A mapping from its JSON form; an unknown key raises TypeError."""
         extra = {
             code.upper(): BinaryClass(value)
             for code, value in d.get("extra_activities", {}).items()
         }
-        known = {
-            k: d[k]
-            for k in (
-                "ax", "ay", "az", "timestamp", "label", "delimiter", "header",
-                "unit", "time_unit", "synthetic_rate_hz", "adc_range_g",
-                "adc_resolution_bits",
-            )
-            if k in d
-        }
-        return cls(extra_activities=extra, **known)
+        return cls(**{**d, "extra_activities": extra})
 
 
 def load_mapping(path: str | Path) -> ColumnMapping:
@@ -225,7 +217,7 @@ def load_mapping(path: str | Path) -> ColumnMapping:
         raise ParseError(f"mapping file {path} must hold a JSON object")
     try:
         return ColumnMapping.from_dict(d)
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad mapping file {path}: {exc}") from exc
 
 

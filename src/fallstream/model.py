@@ -399,6 +399,11 @@ def load_artifact(source: str | Path) -> ModelArtifact:
         )
         if scaler.minimum.shape != scaler.maximum.shape:
             raise ArtifactError("scaler min/max lengths differ")
+        if not len(scaler.minimum) == dims[0] == len(SCHEMA_V1.names):
+            raise ArtifactError(
+                f"scaler of {len(scaler.minimum)} and input layer of "
+                f"{dims[0]} features do not fit feature schema "
+                f"{SCHEMA_V1.version!r} ({len(SCHEMA_V1.names)} features)")
         if np.any(scaler.minimum > scaler.maximum):
             raise ArtifactError("scaler has min > max")
         return ModelArtifact(

@@ -137,9 +137,12 @@ class PipelineConfig:
     queue_capacity: int = 1024
     overflow: str = "block"
     stats_interval_s: float | None = None
-    extra_activities: dict | None = None
 
     def __post_init__(self):
+        if self.window.size < 2:
+            raise ConfigError(
+                "window size must be >= 2: the features need at least 2 "
+                f"samples per window, got {self.window.size}")
         if not self.sinks:
             raise ConfigError("pipeline needs at least one sink")
         if self.queue_capacity < 1:
@@ -302,10 +305,9 @@ def classify_samples(
     artifact: ModelArtifact,
     samples: SampleBatch | Iterable[Sample],
     window: WindowConfig | None = None,
-    extra_activities: dict | None = None,
 ) -> list[Detection]:
     """Batch-mode classification; the same code path the pipeline runs."""
-    assembler = WindowAssembler(window or WindowConfig(), extra_activities)
+    assembler = WindowAssembler(window or WindowConfig())
     windows = assembler.push(as_batch(samples))
     return classify_windows(artifact, windows, {})
 
@@ -384,7 +386,7 @@ def run_pipeline(
                 print(stats.format_line(), file=sys.stderr, flush=True)
         threading.Thread(target=_report, daemon=True).start()
 
-    assembler = WindowAssembler(config.window, config.extra_activities)
+    assembler = WindowAssembler(config.window)
     seqs: dict[str, int] = {}
     stopping = False
     try:

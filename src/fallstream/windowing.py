@@ -1,4 +1,4 @@
-"""Count-based windowing with majority-vote labels.
+"""Count-based windowing.
 
 Windows hold exactly ``size`` consecutive samples of one device; the
 default is tumbling 200-sample blocks. Grouping is by count, never by
@@ -7,7 +7,9 @@ groups are dropped and counted.
 
 Samples arrive as SampleBatch columns and windows are array slices: a
 window's ``t_ms`` and ``acc`` are (n,) and (n, 3) arrays, never rows of
-Sample objects.
+Sample objects. A window carries no label: ``window_starts`` is the one
+rule for where windows begin in a run, and ``prepare`` applies it to a
+trial's label column with ``majority_label`` to get each window's code.
 """
 
 from __future__ import annotations
@@ -37,18 +39,18 @@ class WindowConfig:
             )
 
 
+def window_starts(n: int, config: WindowConfig) -> range:
+    """Offsets of the windows in a run of n consecutive samples."""
+    return range(0, n - config.size + 1, config.stride)
+
+
 @dataclass(frozen=True, eq=False)
 class Window:
-    """A full run of samples from one device plus its majority label."""
+    """A full run of samples from one device."""
 
     device_id: str
     t_ms: np.ndarray  # (n,) int64
     acc: np.ndarray  # (n, 3) float64
-    majority_code: str | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.t_ms)
 
     @property
     def t_start(self) -> int:
@@ -65,8 +67,8 @@ def majority_label(
     """Most frequent activity code of a labeled sample run.
 
     Ties break safety-first: a tied fall code wins over a tied ADL code;
-    within one class the lexicographically smallest code wins. Determinism
-    here is what keeps stream and batch runs identical.
+    within one class the lexicographically smallest code wins, so the
+    same trial always gets the same label codes.
     """
     counts = Counter(codes)
     if None in counts:
@@ -83,16 +85,14 @@ def majority_label(
 
 
 class _Pending:
-    """A device's samples not yet in a window: raw int64 timestamps, raw
-    doubles for the axes (ax, ay, az of each sample in turn), a label
-    list."""
+    """A device's samples not yet in a window: raw int64 timestamps and raw
+    doubles for the axes (ax, ay, az of each sample in turn)."""
 
-    __slots__ = ("t_ms", "acc", "labels")
+    __slots__ = ("t_ms", "acc")
 
     def __init__(self):
         self.t_ms = array("q")
         self.acc = array("d")
-        self.labels: list[str | None] = []
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -101,9 +101,6 @@ class _Pending:
 class WindowAssembler:
     """Per-device pending samples; emits a Window every time one fills.
 
-    Windows get a majority label when their samples are labeled; fully
-    unlabeled windows (live mode) get None; a mix raises MissingLabel.
-
     A one-device batch (a trial) is cut into windows by array slices. A
     mixed batch (a live chunk, often one row per device) is walked row by
     row into each device's pending columns, with no per-device numpy
@@ -111,10 +108,8 @@ class WindowAssembler:
     device costs memory in proportion to its pending samples.
     """
 
-    def __init__(self, config: WindowConfig,
-                 extra_activities: dict[str, BinaryClass] | None = None):
+    def __init__(self, config: WindowConfig):
         self.config = config
-        self.extra_activities = extra_activities
         self._pending: dict[str, _Pending] = {}
 
     def push(self, batch: SampleBatch) -> list[Window]:
@@ -129,17 +124,14 @@ class WindowAssembler:
     def _push_rows(self, batch: SampleBatch) -> list[Window]:
         size = self.config.size
         pending = self._pending
-        labels = batch.labels or [None] * len(batch)
         out = []
-        for device_id, t, acc, code in zip(batch.device_id,
-                                           batch.t_ms.tolist(),
-                                           batch.acc.tolist(), labels):
+        for device_id, t, acc in zip(batch.device_id, batch.t_ms.tolist(),
+                                     batch.acc.tolist()):
             held = pending.get(device_id)
             if held is None:
                 held = pending[device_id] = _Pending()
             held.t_ms.append(t)
             held.acc.fromlist(acc)
-            held.labels.append(code)
             if len(held.t_ms) == size:
                 out.append(self._take(device_id, held))
         return out
@@ -152,48 +144,32 @@ class WindowAssembler:
             device_id,
             np.frombuffer(held.t_ms, dtype=np.int64).copy(),
             np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3).copy(),
-            self._code(held.labels),
         )
         if stride == self.config.size:
             del self._pending[device_id]
         else:
             del held.t_ms[:stride]
             del held.acc[:3 * stride]
-            del held.labels[:stride]
         return window
 
-    def _code(self, run: list[str | None]) -> str | None:
-        if run.count(None) == len(run):
-            return None
-        return majority_label(run, self.extra_activities)
-
     def _push_run(self, batch: SampleBatch) -> list[Window]:
-        cfg = self.config
+        size, stride = self.config.size, self.config.stride
         device_id, t_ms, acc = batch.device_id, batch.t_ms, batch.acc
-        labels = batch.labels
         held = self._pending.pop(device_id, None)
         if held is not None:
-            if labels is not None or held.labels.count(None) != len(held):
-                labels = held.labels + (labels or [None] * len(t_ms))
             t_ms = np.concatenate((np.frombuffer(held.t_ms, dtype=np.int64),
                                    t_ms))
             acc = np.concatenate(
                 (np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3), acc))
-        out = []
-        start = 0
-        while start + cfg.size <= len(t_ms):
-            stop = start + cfg.size
-            code = None if labels is None else self._code(labels[start:stop])
-            out.append(Window(device_id, t_ms[start:stop], acc[start:stop],
-                              code))
-            start += cfg.stride
-        if start < len(t_ms):
+        starts = window_starts(len(t_ms), self.config)
+        out = [Window(device_id, t_ms[s:s + size], acc[s:s + size])
+               for s in starts]
+        rest = len(starts) * stride
+        if rest < len(t_ms):
             # copied out, so a few pending rows never pin a large batch
             tail = self._pending[device_id] = _Pending()
-            tail.t_ms.frombytes(t_ms[start:].tobytes())
-            tail.acc.frombytes(acc[start:].tobytes())
-            tail.labels = ([None] * (len(t_ms) - start) if labels is None
-                           else labels[start:])
+            tail.t_ms.frombytes(t_ms[rest:].tobytes())
+            tail.acc.frombytes(acc[rest:].tobytes())
         return out
 
     def pending(self) -> int:

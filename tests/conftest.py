@@ -14,13 +14,13 @@ MAPPING = {
 }
 
 
-def make_window(rng, n=200, device="dev", label=None,
+def make_window(rng, n=200, device="dev",
                 loc=(0.0, 9.8, 0.0), scale=(5.0, 3.0, 4.0)):
     xs = rng.normal(loc[0], scale[0], n)
     ys = rng.normal(loc[1], scale[1], n)
     zs = rng.normal(loc[2], scale[2], n)
     t_ms = np.arange(n, dtype=np.int64) * 50
-    return Window(device, t_ms, np.column_stack((xs, ys, zs)), label)
+    return Window(device, t_ms, np.column_stack((xs, ys, zs)))
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import signal
@@ -14,9 +15,11 @@ from conftest import MAPPING
 from fallstream import cli
 from fallstream.cli import FEATURE_HEADER, main, read_feature_csv, write_feature_csv
 from fallstream.features import SCHEMA_V1, STACK_BLOCK, extract_features
-from fallstream.ingest import BinaryClass
+from fallstream.ingest import BinaryClass, map_activity_to_class
 from fallstream.model import load_artifact
+from fallstream.stream import classify_samples, detection_line
 from fallstream.synth import make_trial, separable_clusters, write_trial_csv
+from fallstream.windowing import majority_label
 
 
 def _write_mapping(path):
@@ -101,6 +104,39 @@ class TestPrepare:
         assert rc == 0
         X, _, _ = read_feature_csv(out)
         assert X.shape[0] == (450 - 100) // 50 + 1
+
+    @pytest.mark.parametrize("stride", [None, "100"])
+    def test_label_codes_are_majorities_of_window_rows(
+            self, tmp_path, dataset_dir, mapping_path, stride):
+        # prepare alone derives codes: the majority label over the 200
+        # trial rows of each window, in the windows' order
+        out = tmp_path / "features.csv"
+        rc = main(["prepare", str(dataset_dir), "--mapping", str(mapping_path),
+                   "--out", str(out)] + (["--stride", stride] if stride else []))
+        assert rc == 0
+        step = int(stride or 200)
+        expected = []
+        for path in sorted(dataset_dir.rglob("*.csv")):
+            labels = [line.rsplit(",", 1)[1]
+                      for line in path.read_text().splitlines()]
+            expected += [majority_label(labels[s:s + 200])
+                         for s in range(0, len(labels) - 199, step)]
+        _, codes, classes = read_feature_csv(out)
+        assert codes == expected
+        assert classes == [map_activity_to_class(c) for c in expected]
+
+    def test_unlabeled_mapping_fails_before_writing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_trial_csv(make_trial("adl", 450, seed=1), data / "t.csv")
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({**MAPPING, "label": None}))
+        out = tmp_path / "features.csv"
+        rc = main(["prepare", str(data), "--mapping", str(mapping),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "label column" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _separable_csv(path, n=300, seed=0):
@@ -299,6 +335,79 @@ class TestReplay:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["device_id"] == "trial"
+
+    def test_label_column_is_not_read(self, tmp_path, mapping_path,
+                                      artifact, artifact_path, capsys):
+        # detections need no labels: a code outside the vocabulary and an
+        # empty label field neither stop the replay nor drop a row
+        samples = [dataclasses.replace(
+            s, device_id="trial",
+            label="XYZ" if i >= 600 else "" if i == 300 else s.label)
+            for i, s in enumerate(make_trial("fall", 1000, seed=26))]
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(samples, trial)
+        assert trial.read_text().splitlines()[300].endswith(",")
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(artifact_path), "--speed", "max"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        expected = [detection_line(d)
+                    for d in classify_samples(artifact, samples)]
+        assert captured.out.splitlines() == expected
+        assert len(expected) == 5
+        assert "stats samples_in=1000 malformed=0 " in captured.err
+
+
+class TestWindowSizeOne:
+    """The features need 2 samples per window: a 1-sample window is refused
+    before any source starts."""
+
+    def test_replay_exits_2_without_sink_output(
+            self, tmp_path, mapping_path, artifact_path, capsys):
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("adl", 300, seed=23), trial)
+        out = tmp_path / "out.jsonl"
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(artifact_path), "--window-size", "1",
+                   "--stride", "1", "--sink", f"file:{out}"])
+        assert rc == 2
+        assert "error: window size must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_serve_exits_2_before_listening(self, tmp_path, artifact_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fallstream", "serve",
+             "--listen", "127.0.0.1:0", "--artifact", str(artifact_path),
+             "--window-size", "1", "--stride", "1",
+             "--sink", f"file:{tmp_path / 'live.jsonl'}"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "error: window size must be >= 2" in proc.stderr
+        assert "listening" not in proc.stderr
+
+
+class TestBadMappingFile:
+    @pytest.mark.parametrize("fault", [
+        {"delimeter": ";"},  # misspelt keys are not ignored
+        {"lable": 9},
+        {"extra_activities": ["XYZ"]},  # not a code -> class object
+    ])
+    def test_prepare_and_replay_exit_2(self, tmp_path, dataset_dir,
+                                       artifact_path, capsys, fault):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({**MAPPING, **fault}))
+        out = tmp_path / "features.csv"
+        rc = main(["prepare", str(dataset_dir), "--mapping", str(mapping),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        trial = sorted(dataset_dir.rglob("*.csv"))[0]
+        rc = main(["replay", str(trial), "--mapping", str(mapping),
+                   "--artifact", str(artifact_path), "--speed", "max"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: bad mapping file") == 2
 
 
 def test_cli_import_leaves_urllib_request_unloaded():

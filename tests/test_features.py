@@ -46,13 +46,13 @@ from oracle import (
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
-def _window(rows, label=None):
+def _window(rows):
     acc = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-    return Window("d", np.arange(len(acc), dtype=np.int64) * 50, acc, label)
+    return Window("d", np.arange(len(acc), dtype=np.int64) * 50, acc)
 
 
-def _const_window(x, y, z, n=200, label=None):
-    return _window([(x, y, z)] * n, label)
+def _const_window(x, y, z, n=200):
+    return _window([(x, y, z)] * n)
 
 
 def _features(window):
@@ -252,7 +252,7 @@ class TestExtractFeatures:
 
     def test_permutation_invariance_except_zcr(self, rng):
         w = make_window(rng)
-        order = rng.permutation(w.n)
+        order = rng.permutation(len(w.t_ms))
         shuffled = Window(w.device_id, w.t_ms[order], w.acc[order])
         a, b = extract_features([w, shuffled])
         zcr = SCHEMA_V1.names.index("mag_zcr")
@@ -262,7 +262,7 @@ class TestExtractFeatures:
     def test_interval_and_label_metadata(self, rng, tmp_path, mapping_path):
         # the interval travels on the window's detection, the label on the
         # label columns prepare writes next to the window's features
-        w = make_window(rng, label="FOL")
+        w = make_window(rng)
         X = extract_features([w])
         (det,) = classify_windows(_artifact(X), [w], {})
         assert det.t_start_ms == w.t_start and det.t_end_ms == w.t_end

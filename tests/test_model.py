@@ -315,7 +315,7 @@ class TestEvaluate:
         assert d["accuracy"] == 0.75
 
 
-def _make_artifact(seed=0, dim=6):
+def _make_artifact(seed=0, dim=58):
     rng = np.random.default_rng(seed)
     model = init_model((dim, 4, 3, 1), seed=seed)
     for w in model.weights:
@@ -347,7 +347,7 @@ class TestPersistence:
         loaded = load_artifact(path)
         rng = np.random.default_rng(23)
         for _ in range(100):
-            v = rng.normal(0, 1, (1, 6))
+            v = rng.normal(0, 1, (1, 58))
             assert forward(artifact.model, v)[0] == forward(loaded.model, v)[0]
 
     def test_serialization_is_byte_stable(self, tmp_path):
@@ -395,11 +395,28 @@ class TestPersistence:
 
     def test_bad_shapes_rejected(self, tmp_path):
         import json as json_mod
-        artifact = _make_artifact(seed=27)
         path = tmp_path / "m.json"
-        save_artifact(artifact, path)
-        doc = json_mod.loads(path.read_text())
-        doc["weights"][0] = doc["weights"][0][:-1]  # drop a row
-        path.write_text(json_mod.dumps(doc))
-        with pytest.raises(ArtifactError):
-            load_artifact(path)
+        save_artifact(_make_artifact(seed=27), path)
+        good = path.read_text()
+
+        def drop_a_row(doc):
+            doc["weights"][0] = doc["weights"][0][:-1]
+
+        def truncate_the_scaler(doc):
+            # a 57-entry scaler next to a 58-wide model
+            for key in ("minimum", "maximum"):
+                doc["scaler"][key] = doc["scaler"][key][:-1]
+
+        def narrow_the_model(doc):
+            # 57 inputs with weights that chain, and a scaler to match:
+            # consistent in itself, but not a schema v1 model
+            drop_a_row(doc)
+            truncate_the_scaler(doc)
+            doc["layer_dims"][0] = 57
+
+        for corrupt in (drop_a_row, truncate_the_scaler, narrow_the_model):
+            doc = json_mod.loads(good)
+            corrupt(doc)
+            path.write_text(json_mod.dumps(doc))
+            with pytest.raises(ArtifactError):
+                load_artifact(path)

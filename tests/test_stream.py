@@ -78,8 +78,7 @@ class TestEvaluateEqualsPipeline:
         for path in sorted(p for p in Path(dataset_dir).rglob("*.csv")
                            if p.is_file()):
             batch, _ = parse_trial_path(path, mapping)
-            emitted += classify_samples(artifact, batch,
-                                        extra_activities=mapping.extra_activities)
+            emitted += classify_samples(artifact, batch)
         assert len(emitted) == len(probs) > 0
         assert np.array([d.p_fall for d in emitted]).tobytes() == \
             probs.tobytes()
@@ -566,23 +565,60 @@ class TestSocketPipeline:
 
 class TestOverflowShedding:
     def test_shed_resets_partial_windows_so_windows_stay_contiguous(
-            self, artifact_path, tmp_path):
+            self, artifact_path, tmp_path, monkeypatch):
         out = tmp_path / "live.jsonl"
+        flood_lines, piece = 20_000, 50
+        seen = {"taken": 0}
+        real_init, real_get = BoundedQueue.__init__, BoundedQueue.get
 
-        def flood(dev):
+        def init(queue, capacity, policy, stats):
+            seen["stats"] = stats
+            real_init(queue, capacity, policy, stats)
+
+        def get(queue, timeout):
+            item, shed = real_get(queue, timeout)
+            if isinstance(item, SampleBatch):
+                seen["taken"] += len(item)
+            return item, shed
+
+        monkeypatch.setattr(BoundedQueue, "__init__", init)
+        monkeypatch.setattr(BoundedQueue, "get", get)
+
+        def drained(n_lines):
+            # every line sent was read, and the consumer took or shed it
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                stats = seen["stats"]
+                if stats.samples_in == n_lines == (
+                        seen["taken"] + stats.overflow_drops):
+                    return
+                time.sleep(0.01)
+            raise AssertionError(f"{n_lines} lines not drained")
+
+        def lines(dev, start, stop):
             return "".join(f"{dev},{i * 50},0.1,9.8,0.05\n"
-                           for i in range(20_000)).encode()
+                           for i in range(start, stop)).encode()
 
         def send(port):
             senders = [
                 threading.Thread(target=_send_in_pieces,
-                                 args=(port, flood(dev), 8192))
+                                 args=(port, lines(dev, 0, flood_lines), 8192))
                 for dev in ("f0", "f1")
             ]
             for t in senders:
                 t.start()
             for t in senders:
                 t.join(timeout=60)
+            sent = 2 * flood_lines
+            drained(sent)
+            # then 200 more lines per device into an idle queue, a piece
+            # below its 64 samples at a time: none is shed, so each
+            # device completes a window however slowly the consumer runs
+            for dev in ("f0", "f1"):
+                for i in range(flood_lines, flood_lines + 200, piece):
+                    _send_in_pieces(port, lines(dev, i, i + piece), 8192)
+                    sent += piece
+                    drained(sent)
 
         stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
                                      settle=0.5, overflow="drop_oldest",
@@ -590,9 +626,12 @@ class TestOverflowShedding:
         docs = [json.loads(l) for l in out.read_text().splitlines()]
         assert stats.overflow_drops > 0  # the floods did overflow
         assert len(docs) == stats.detections == stats.windows > 0
+        for dev in ("f0", "f1"):
+            assert any(d["device_id"] == dev
+                       and d["t_end_ms"] >= flood_lines * 50 for d in docs)
         spans = {d["t_end_ms"] - d["t_start_ms"] for d in docs}
         assert spans == {199 * 50}
-        assert stats.samples_in == 40_000 and stats.malformed == 0
+        assert stats.samples_in == 40_400 and stats.malformed == 0
         assert _conserved(stats)
 
 

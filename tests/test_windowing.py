@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from fallstream.errors import ConfigError, MissingLabel
 from fallstream.ingest import Sample, SampleBatch
-from fallstream.windowing import WindowAssembler, WindowConfig, majority_label
+from fallstream.windowing import (
+    WindowAssembler,
+    WindowConfig,
+    majority_label,
+    window_starts,
+)
 
 
 def _samples(n, device="d", label="WAL", t0=0):
@@ -47,7 +52,7 @@ class TestAssembly:
         (win,), _ = _assemble(_samples(200, t0=1000))
         assert win.t_start == 1000
         assert win.t_end == 1000 + 199 * 50
-        assert win.n == 200
+        assert len(win.t_ms) == len(win.acc) == 200
 
     def test_sliding_windows_overlap(self):
         cfg = WindowConfig(size=4, stride=2)
@@ -63,17 +68,6 @@ class TestAssembly:
         cfg = WindowConfig(size=200, stride=200)
         windows, _ = _assemble(stream, cfg)
         assert [w.device_id for w in windows] == ["a", "b"]
-
-    def test_unlabeled_stream_gives_unlabeled_windows(self):
-        stream = [Sample("d", i, 1.0, 2.0, 3.0) for i in range(200)]
-        (win,), _ = _assemble(stream)
-        assert win.majority_code is None
-
-    def test_mixed_labeling_is_an_error(self):
-        stream = [Sample("d", i, 1.0, 2.0, 3.0, "WAL" if i else None)
-                  for i in range(200)]
-        with pytest.raises(MissingLabel):
-            _assemble(stream)
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):
@@ -91,6 +85,9 @@ class TestAssembly:
         windows, _ = _assemble(_samples(n), cfg)
         expected = (n - size) // stride + 1 if n >= size else 0
         assert len(windows) == expected
+        # each window begins where window_starts says, prepare's rule too
+        assert [w.t_start // 50 for w in windows] == \
+            list(window_starts(n, cfg))
 
     @given(n=st.integers(0, 600), size=st.integers(1, 50))
     def test_tumbling_windows_are_disjoint_and_ordered(self, n, size):
@@ -102,7 +99,7 @@ class TestAssembly:
 
 
 def _window_key(w):
-    return (w.device_id, w.t_ms.tolist(), w.acc.tolist(), w.majority_code)
+    return (w.device_id, w.t_ms.tolist(), w.acc.tolist())
 
 
 def _one_at_a_time(samples, cfg):
@@ -116,16 +113,14 @@ def _one_at_a_time(samples, cfg):
 class TestBatchedAssembly:
     @given(n=st.integers(0, 120), devices=st.integers(1, 4),
            size=st.integers(1, 12), stride_frac=st.integers(1, 12),
-           cut=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-           labeled=st.booleans())
+           cut=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
     def test_batches_equal_one_sample_at_a_time(self, n, devices, size,
-                                                stride_frac, cut, seed,
-                                                labeled):
+                                                stride_frac, cut, seed):
         rng = np.random.default_rng(seed)
         cfg = WindowConfig(size=size, stride=min(stride_frac, size))
         owner = rng.integers(0, devices, n)
-        samples = [Sample(f"d{owner[i]}", i, float(rng.normal()), 0.0, 1.0,
-                          "WAL" if labeled else None) for i in range(n)]
+        samples = [Sample(f"d{owner[i]}", i, float(rng.normal()), 0.0, 1.0)
+                   for i in range(n)]
         expected, single = _one_at_a_time(samples, cfg)
         batched = WindowAssembler(cfg)
         got = []
@@ -159,7 +154,6 @@ class TestBatchedAssembly:
             assert w.acc[:, 1].tolist() == [float(j)
                                             for j in range(first, first + 8)]
             assert w.acc[:, 0].tolist() == [float(k % len(devices))] * 8
-            assert w.majority_code is None
         assert assembler.pending() == 4 * len(devices)
 
     def test_reset_drops_only_the_named_devices(self):
