@@ -298,10 +298,9 @@ def _parse_listen(raw: str) -> tuple[str, int]:
     host, sep, port = str(raw).rpartition(":")
     if not sep or not host:
         raise ConfigError(f"--listen must look like host:port, got {raw!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ConfigError(f"bad port in --listen value {raw!r}")
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ConfigError(f"bad port in --listen value {raw!r}: need 0-65535")
+    return host, int(port)
 
 
 def cmd_replay(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import selectors
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ STANDARD_GRAVITY_MS2 = 9.80665
 
 WIRE_DEVICE_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 # Longest accepted wire line, newline excluded; valid lines are < 200 bytes.
-# A longer line is malformed, and a reader never buffers more than this of
+# A longer line is malformed, and the reader never buffers more than this of
 # one unterminated line.
 MAX_LINE_BYTES = 1024
 # timestamps live in int64 columns; a wider value is malformed
@@ -385,16 +386,25 @@ def parse_wire_line(line: str) -> tuple[str, int, float, float, float] | None:
     return device_id, t_ms, ax, ay, az
 
 
+@dataclass(slots=True)
+class _Connection:  # what the I/O thread keeps of one open connection
+    tail: bytes = b""  # the unterminated start of the next line
+    skipping: bool = False  # discarding an over-long line through its newline
+    last_t: dict[str, int] = field(default_factory=dict)  # per device
+
+
 class SocketSource:
     """TCP listener turning protocol lines into a single sample stream.
 
-    Each connection is read by its own thread, so lines are never reordered
-    within a connection. Every ``recv`` chunk's complete lines are parsed in
-    one pass and handed on as one ``emit(SampleBatch)`` call (the
-    pipeline's queue). ``stats`` is any object with integer samples_in /
-    malformed / timestamp_regressions attributes; readers update them under
-    one lock. A connection's socket and reader thread are forgotten when
-    the reader ends.
+    One I/O thread reads every connection through a selector, however many
+    clients connect; lines are never reordered within a connection. Every
+    ``recv`` chunk's complete lines are parsed in one pass and handed on as
+    one ``emit(SampleBatch)`` call (the pipeline's queue); while it waits,
+    no connection is read, so backpressure reaches clients through TCP.
+    ``stats`` is any object with integer samples_in / malformed /
+    timestamp_regressions attributes; only the I/O thread writes them. A
+    timestamp regression is a sample older than the previous one of its
+    device on the same connection; a connection's state goes when it closes.
     """
 
     def __init__(self, host: str, port: int, emit: Callable, stats):
@@ -402,86 +412,86 @@ class SocketSource:
         self.port = port
         self._emit = emit
         self.stats = stats
-        self._listener: socket.socket | None = None
-        # live readers (and the accept thread); all guarded by _lock
-        self._threads: set[threading.Thread] = set()
-        self._conns: set[socket.socket] = set()
-        self._lock = threading.Lock()
-        # counter and last-timestamp updates come from one thread per
-        # connection; serialize them so no increment is lost
-        self._stats_lock = threading.Lock()
+        self._selector: selectors.BaseSelector | None = None
+        self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
-        self._last_t: dict[str, int] = {}
 
     def start(self) -> None:
-        """Bind and start accepting; bind failures propagate (fatal)."""
+        """Bind and start serving; bind failures propagate (fatal)."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self.host, self.port))
             listener.listen()
+            listener.setblocking(False)
         except OSError:
             listener.close()
             raise
         self.port = listener.getsockname()[1]
-        self._listener = listener
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.add(t)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                break
-            with self._lock:
-                if self._stopping.is_set():
-                    conn.close()
-                    break
-                self._conns.add(conn)
-                t = threading.Thread(
-                    target=self._read_conn, args=(conn,), daemon=True
-                )
-                t.start()
-                self._threads.add(t)
-
-    def _read_conn(self, conn: socket.socket) -> None:
-        tail = b""  # the unterminated start of the next line
-        skipping = False  # discarding an over-long line through its newline
+    def _serve(self) -> None:
+        selector = self._selector
         try:
-            while not self._stopping.is_set():
-                chunk = conn.recv(4096)
-                if not chunk:
-                    break
-                if skipping:
-                    end = chunk.find(b"\n")
-                    if end < 0:
-                        continue
-                    chunk = chunk[end + 1:]
-                    skipping = False
-                cut = chunk.rfind(b"\n")
-                if cut < 0:
-                    tail += chunk
-                else:
-                    self._handle_lines((tail + chunk[:cut]).split(b"\n"))
-                    tail = chunk[cut + 1:]
-                if len(tail) > MAX_LINE_BYTES:
-                    self._count_dropped_line()
-                    tail = b""
-                    skipping = True
-        except OSError:
-            pass
+            while not self._stopping.is_set():  # checked at least every 0.2 s
+                for key, _events in selector.select(timeout=0.2):
+                    if key.data is None:
+                        self._accept(key.fileobj)
+                    else:
+                        self._read(key)
         finally:
-            # an unterminated tail at disconnect is an incomplete record
-            if tail.strip():
-                self._count_dropped_line()
-            conn.close()
-            with self._lock:
-                self._conns.discard(conn)
-                self._threads.discard(threading.current_thread())
+            for key in list(selector.get_map().values()):
+                self._close(key)
+            selector.close()
 
-    def _handle_lines(self, lines: list[bytes]) -> None:
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            conn, _addr = listener.accept()
+        except OSError:  # EMFILE and the like leave it queued for a later try
+            return
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ, _Connection())
+
+    def _read(self, key: selectors.SelectorKey) -> None:
+        state = key.data
+        try:
+            chunk = key.fileobj.recv(4096)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""  # a reset ends the connection like EOF
+        if not chunk:
+            self._close(key)
+            return
+        if state.skipping:
+            end = chunk.find(b"\n")
+            if end < 0:
+                return
+            chunk = chunk[end + 1:]
+            state.skipping = False
+        cut = chunk.rfind(b"\n")
+        if cut < 0:
+            state.tail += chunk
+        else:
+            self._handle_lines((state.tail + chunk[:cut]).split(b"\n"),
+                               state.last_t)
+            state.tail = chunk[cut + 1:]
+        if len(state.tail) > MAX_LINE_BYTES:
+            self._count_dropped_line()
+            state.tail = b""
+            state.skipping = True
+
+    def _close(self, key: selectors.SelectorKey) -> None:
+        # an unterminated tail at disconnect is an incomplete record
+        if key.data is not None and key.data.tail.strip():
+            self._count_dropped_line()
+        self._selector.unregister(key.fileobj)
+        key.fileobj.close()
+
+    def _handle_lines(self, lines: list[bytes], last_t: dict[str, int]) -> None:
         parse = parse_wire_line  # the module global, so wrappers see calls
         rows = []
         for raw in lines:
@@ -494,16 +504,14 @@ class SocketSource:
             if row is not None:
                 rows.append(row)
         regressions = 0
-        with self._stats_lock:
-            last_t = self._last_t
-            for device_id, t_ms, *_ in rows:
-                prev = last_t.get(device_id)
-                if prev is not None and t_ms < prev:
-                    regressions += 1
-                last_t[device_id] = t_ms
-            self.stats.samples_in += len(lines)
-            self.stats.malformed += len(lines) - len(rows)
-            self.stats.timestamp_regressions += regressions
+        for device_id, t_ms, *_ in rows:
+            prev = last_t.get(device_id)
+            if prev is not None and t_ms < prev:
+                regressions += 1
+            last_t[device_id] = t_ms
+        self.stats.samples_in += len(lines)
+        self.stats.malformed += len(lines) - len(rows)
+        self.stats.timestamp_regressions += regressions
         if rows:
             self._emit(SampleBatch(
                 [r[0] for r in rows],
@@ -512,26 +520,11 @@ class SocketSource:
             ))
 
     def _count_dropped_line(self) -> None:
-        with self._stats_lock:
-            self.stats.samples_in += 1
-            self.stats.malformed += 1
+        self.stats.samples_in += 1
+        self.stats.malformed += 1
 
     def stop(self) -> None:
+        """Stop reading and close every socket; counters are final after."""
         self._stopping.set()
-        if self._listener is not None:
-            # closing alone does not wake a thread blocked in accept()
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._listener.close()
-        with self._lock:
-            conns, threads = list(self._conns), list(self._threads)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        for t in threads:
-            t.join(timeout=5.0)
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)

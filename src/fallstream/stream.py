@@ -7,8 +7,8 @@ one queue, bounded in samples. A replay runs in the consumer itself: before
 each get it queues the rows that are due, at most REPLAY_CHUNK at a time
 (every row at once at max speed), and when none is due it sleeps until the
 next one is. So replay starts no thread and never overflows. Only socket
-serving feeds the queue from other threads: one reader per connection puts
-each received chunk of lines (the optional stats reporter only prints).
+serving feeds the queue from another thread: one I/O thread reads every
+connection and puts each received chunk (the stats reporter only prints).
 Overflow policy ``block`` gives lossless backpressure; ``drop_oldest`` sheds
 the oldest queued batches and counts the shed samples (live default). A
 shed also resets the partial windows of the devices in the shed batch, so
@@ -151,6 +151,12 @@ class PipelineConfig:
             raise ConfigError(
                 f"overflow must be 'block' or 'drop_oldest', got {self.overflow!r}"
             )
+        # the reporter's wait raises OverflowError beyond TIMEOUT_MAX
+        if self.stats_interval_s and not (
+                0 < self.stats_interval_s <= threading.TIMEOUT_MAX):
+            raise ConfigError(
+                "stats interval must be 0 (off) or positive seconds up to "
+                f"{threading.TIMEOUT_MAX:.0f}, got {self.stats_interval_s}")
 
 
 class BoundedQueue:
@@ -394,7 +400,7 @@ def run_pipeline(
             if shutdown is not None and shutdown.is_set() and not stopping:
                 stopping = True
                 if socket_source is not None:
-                    # close the queue first so blocked reader threads can exit
+                    # close the queue first so a blocked I/O thread can exit
                     queue.close()
                     socket_source.stop()
             if chunks is not None:

@@ -575,3 +575,55 @@ class TestServe:
         rc = main(["serve", "--listen", "nocolon",
                    "--artifact", str(artifact_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("port", ["70000", "-5"])
+    def test_out_of_range_port_exits_2(self, tmp_path, artifact_path, port,
+                                       capsys):
+        rc = main(["serve", "--listen", f"127.0.0.1:{port}",
+                   "--artifact", str(artifact_path),
+                   "--sink", f"file:{tmp_path / 'live.jsonl'}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "listening" not in err
+
+    @pytest.mark.parametrize("interval", ["-1", "nan", "inf", "1e300"])
+    def test_bad_stats_interval_exits_2_before_listening(
+            self, tmp_path, artifact_path, interval):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fallstream", "serve",
+             "--listen", "127.0.0.1:0", "--artifact", str(artifact_path),
+             "--sink", f"file:{tmp_path / 'live.jsonl'}",
+             "--stats-interval", interval],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "error: stats interval must be" in proc.stderr
+        assert "listening" not in proc.stderr
+
+    def test_sigint_with_idle_and_mid_line_clients_closes_every_socket(
+            self, tmp_path, artifact_path):
+        port = _free_port()
+        proc = subprocess.Popen(
+            [sys.executable, "-X", "dev", "-m", "fallstream", "serve",
+             "--listen", f"127.0.0.1:{port}",
+             "--artifact", str(artifact_path),
+             "--sink", f"file:{tmp_path / 'live.jsonl'}",
+             "--stats-interval", "3600"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert _wait_for_port(port)
+            with socket.create_connection(("127.0.0.1", port), timeout=5), \
+                    socket.create_connection(("127.0.0.1", port),
+                                             timeout=5) as mid_line:
+                mid_line.sendall(b"dev1,0,0.1,9.8,0.0\ndev1,50,0.")
+                time.sleep(0.5)
+                proc.send_signal(signal.SIGINT)
+                _, stderr = proc.communicate(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "ResourceWarning" not in stderr
+        # the line cut off by the shutdown is counted, not lost
+        assert "samples_in=2 malformed=1" in stderr

@@ -1,5 +1,7 @@
+import errno
 import math
 import socket
+import threading
 import time
 
 import numpy as np
@@ -452,6 +454,17 @@ def _collecting_source():
     return source, got
 
 
+def _wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert condition()
+
+
+def _lines(device, times) -> bytes:
+    return b"".join(f"{device},{t},1,2,3\n".encode() for t in times)
+
+
 class TestSocketSource:
     def test_lines_become_samples_in_order(self):
         source, got = _collecting_source()
@@ -492,7 +505,7 @@ class TestSocketSource:
         t0 = time.monotonic()
         source.stop()
         assert time.monotonic() - t0 < 1.0
-        assert not any(t.is_alive() for t in source._threads)
+        assert not source._thread.is_alive()  # the one I/O thread
 
     def test_unterminated_line_dropped_once_it_passes_the_cap(self):
         source, got = _collecting_source()
@@ -530,20 +543,94 @@ class TestSocketSource:
         assert source.stats.samples_in == 4
 
     def test_closed_connections_are_forgotten(self):
+        before = set(threading.enumerate())
         source, got = _collecting_source()
+        registered = source._selector.get_map()
         for i in range(200):
             _connect_and_send(source.port, f"d,{i},1,2,3\n".encode())
         # a connection may still wait in the listen backlog: wait for its line
         deadline = time.monotonic() + 10
-        while ((source._conns or source.stats.samples_in < 200)
+        while ((len(registered) > 1 or source.stats.samples_in < 200)
                and time.monotonic() < deadline):
             time.sleep(0.01)
         try:
-            assert len(source._conns) == 0
-            # only the accept thread is left
-            assert len(source._threads) == 1
+            # only the listener is left
+            assert [key.fileobj.getsockname()[1]
+                    for key in registered.values()] == [source.port]
+            # only the I/O thread is left
+            assert set(threading.enumerate()) - before == {source._thread}
             assert source.stats.samples_in == len(got) == 200
         finally:
+            source.stop()
+
+    def test_one_backwards_step_counts_one_regression(self):
+        source, got = _collecting_source()
+        _connect_and_send(source.port, _lines("d", [100, 200, 150, 300]))
+        _wait_for(lambda: len(got) == 4)
+        source.stop()
+        assert source.stats.timestamp_regressions == 1
+
+    def test_reconnect_with_restarted_clock_is_no_regression(self):
+        source, got = _collecting_source()
+        _connect_and_send(source.port, _lines("d", range(0, 1000, 50)))
+        _wait_for(lambda: len(got) == 20)
+        _connect_and_send(source.port, _lines("d", range(0, 500, 50)))
+        _wait_for(lambda: len(got) == 30)
+        source.stop()
+        assert source.stats.timestamp_regressions == 0
+
+    def test_connections_sharing_an_id_count_only_their_own_regressions(self):
+        source, got = _collecting_source()
+        with socket.create_connection(("127.0.0.1", source.port),
+                                      timeout=5) as a, \
+                socket.create_connection(("127.0.0.1", source.port),
+                                         timeout=5) as b:
+            # the two clocks interleave; only b steps back on its own
+            a.sendall(_lines("d", range(10)))
+            _wait_for(lambda: len(got) == 10)
+            b.sendall(_lines("d", [1000, 1009, 1005]))
+            _wait_for(lambda: len(got) == 13)
+            a.sendall(_lines("d", range(10, 20)))
+            _wait_for(lambda: len(got) == 23)
+        source.stop()
+        assert source.stats.timestamp_regressions == 1
+
+    def test_failed_accept_leaves_the_source_serving(self, monkeypatch):
+        real_accept = socket.socket.accept
+        failures = []
+
+        def accept_failing_once(sock):
+            if not failures:
+                failures.append(sock)
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
+        source, got = _collecting_source()
+        try:
+            _connect_and_send(source.port, _lines("a", [1]))
+            _connect_and_send(source.port, _lines("b", [2]))
+            _wait_for(lambda: len(got) == 2, timeout=5)
+        finally:
+            source.stop()
+        assert len(failures) == 1
+        assert sorted(s.device_id for s in got) == ["a", "b"]
+
+    def test_thread_count_does_not_grow_with_connections(self):
+        source, got = _collecting_source()
+        conns, counts = [], []
+        try:
+            for k in range(50):
+                conns.append(socket.create_connection(
+                    ("127.0.0.1", source.port), timeout=5))
+                conns[-1].sendall(_lines(f"d{k}", [k]))
+                _wait_for(lambda: len(got) == k + 1)
+                counts.append(threading.active_count())
+            # the same with 1, 2, ... and 50 connections open
+            assert set(counts) == {counts[0]}
+        finally:
+            for conn in conns:
+                conn.close()
             source.stop()
 
     def test_bind_failure_is_fatal(self):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -514,6 +515,14 @@ def _wait_for_lines(path, n, timeout=30.0):
         time.sleep(0.05)
 
 
+def _wait_for_text(path, text, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if path.exists() and text in path.read_text():
+            return
+        time.sleep(0.05)
+
+
 def _send_in_pieces(port, payload: bytes, size: int):
     with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -561,6 +570,70 @@ class TestSocketPipeline:
         stats = _run_socket_pipeline(artifact_path, out, port, send)
         assert stats.malformed == 2
         assert stats.detections == 1
+
+
+class TestReaderFaults:
+    """One thread reads every connection: a stalled or broken client holds
+    up no other, and its unterminated line is counted once."""
+
+    def test_half_line_client_does_not_delay_another_detection(
+            self, artifact_path, tmp_path):
+        out = tmp_path / "live.jsonl"
+        seen_while_stalled = []
+
+        def send(port):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=5) as stalled:
+                stalled.sendall(b"stalled,1,0.")
+                _send_lines(port, _wire_lines(200))
+                _wait_for_lines(out, 1, timeout=10)
+                seen_while_stalled.append(out.read_text().count("\n"))
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.3, overflow="block")
+        assert seen_while_stalled == [1]
+        assert stats.detections == 1
+        assert stats.malformed == 1  # the half line, once its client left
+        assert _conserved(stats)
+
+    def test_reset_mid_line_counts_once_and_other_stream_equals_batch(
+            self, artifact, artifact_path, tmp_path):
+        trial = [replace(s, label=None)
+                 for s in make_trial("fall", 650, seed=7, device_id="a")]
+        expected = classify_samples(artifact, trial)
+        out = tmp_path / "live.jsonl"
+
+        def send(port):
+            payload = _wire_form(trial)
+            half = len(payload) // 2
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=5) as a:
+                a.sendall(payload[:half])
+                b = socket.create_connection(("127.0.0.1", port), timeout=5)
+                b.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                b.sendall("".join(_wire_lines(199, "b")).encode())
+                time.sleep(0.3)
+                # the window's last line and half a line in one segment: the
+                # detection shows that the half line has been read
+                b.sendall(b"b,9950,0.1,9.8,0.05\nb,10000,0.1,")
+                _wait_for_text(out, '"device_id": "b"')
+                # close with linger 0 sends a reset, not a FIN
+                b.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                             struct.pack("ii", 1, 0))
+                b.close()
+                a.sendall(payload[half:])
+            _wait_for_lines(out, len(expected) + 1)
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.3, overflow="block")
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        mine = [d for d in docs if d["device_id"] == "a"]
+        assert [d["p_fall"] for d in mine] == [e.p_fall for e in expected]
+        assert [d["seq"] for d in mine] == list(range(len(expected)))
+        assert stats.detections == len(expected) + 1
+        assert stats.malformed == 1
+        assert stats.samples_in == 650 + 200 + 1
+        assert _conserved(stats)
 
 
 class TestOverflowShedding:
