@@ -275,12 +275,43 @@ def _pick(flag, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
+def _section(cfg: dict, key: str) -> dict:
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {key!r} must be an object, got {section!r}")
+    return section
+
+
+def _path(raw, name: str):
+    """A path from flags or config; a number would open a file descriptor."""
+    if raw is not None and not isinstance(raw, str):
+        raise ConfigError(f"{name} must be a path string, got {raw!r}")
+    return raw
+
+
+def _number(kind, raw, name: str):
+    """int or float of a config value; a wrong-typed value is a ConfigError."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+
+
 def _build_window(args, cfg: dict) -> WindowConfig:
-    wcfg = cfg.get("window", {})
+    wcfg = _section(cfg, "window")
     return WindowConfig(
-        size=int(_pick(args.window_size, wcfg, "size", 200)),
-        stride=int(_pick(args.stride, wcfg, "stride", 200)),
+        size=_number(int, _pick(args.window_size, wcfg, "size", 200),
+                     "window size"),
+        stride=_number(int, _pick(args.stride, wcfg, "stride", 200),
+                       "window stride"),
     )
+
+
+def _build_sinks(args, cfg: dict) -> tuple[str, ...]:
+    sinks = _pick(args.sink or None, cfg, "sinks", ["stdout"])
+    if not (isinstance(sinks, list) and all(isinstance(s, str) for s in sinks)):
+        raise ConfigError(f"sinks must be a list of sink specs, got {sinks!r}")
+    return tuple(sinks)
 
 
 def _parse_speed(raw) -> float:
@@ -290,8 +321,9 @@ def _parse_speed(raw) -> float:
         return math.inf
     try:
         return float(raw)
-    except ValueError:
-        raise ConfigError(f"--speed must be a number or 'max', got {raw!r}")
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"--speed must be a number or 'max', got {raw!r}") from None
 
 
 def _parse_listen(raw: str) -> tuple[str, int]:
@@ -305,8 +337,9 @@ def _parse_listen(raw: str) -> tuple[str, int]:
 
 def cmd_replay(args) -> int:
     cfg = _load_config_file(args.config)
-    src_cfg = cfg.get("source", {})
-    mapping_path = _pick(args.mapping, src_cfg, "mapping", None)
+    src_cfg = _section(cfg, "source")
+    mapping_path = _path(_pick(args.mapping, src_cfg, "mapping", None),
+                         "mapping")
     if mapping_path is None:
         raise ConfigError("replay needs --mapping (or source.mapping in --config)")
     # detections need no labels: the label column is not parsed, so an
@@ -318,14 +351,16 @@ def cmd_replay(args) -> int:
 
     source = ReplaySpec(
         samples=batch,
-        rate_hz=float(_pick(args.rate_hz, src_cfg, "rate_hz", 20.0)),
+        rate_hz=_number(float, _pick(args.rate_hz, src_cfg, "rate_hz", 20.0),
+                        "rate_hz"),
         speed=_parse_speed(_pick(args.speed, src_cfg, "speed", math.inf)),
     )
     config = PipelineConfig(
         source=source,
-        artifact_path=_pick(args.artifact, cfg, "artifact", None),
+        artifact_path=_path(_pick(args.artifact, cfg, "artifact", None),
+                            "artifact"),
         window=_build_window(args, cfg),
-        sinks=tuple(_pick(args.sink or None, cfg, "sinks", ["stdout"])),
+        sinks=_build_sinks(args, cfg),
     )
     if config.artifact_path is None:
         raise ConfigError("replay needs --artifact (or artifact in --config)")
@@ -338,7 +373,7 @@ def cmd_replay(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = _load_config_file(args.config)
-    src_cfg = cfg.get("source", {})
+    src_cfg = _section(cfg, "source")
     listen = _pick(args.listen, src_cfg, "listen", None)
     if listen is None:
         raise ConfigError("serve needs --listen (or source.listen in --config)")
@@ -346,13 +381,17 @@ def cmd_serve(args) -> int:
 
     config = PipelineConfig(
         source=SocketSpec(host=host, port=port),
-        artifact_path=_pick(args.artifact, cfg, "artifact", None),
+        artifact_path=_path(_pick(args.artifact, cfg, "artifact", None),
+                            "artifact"),
         window=_build_window(args, cfg),
-        sinks=tuple(_pick(args.sink or None, cfg, "sinks", ["stdout"])),
-        queue_capacity=int(_pick(args.queue_capacity, cfg, "queue_capacity", 1024)),
+        sinks=_build_sinks(args, cfg),
+        queue_capacity=_number(
+            int, _pick(args.queue_capacity, cfg, "queue_capacity", 1024),
+            "queue_capacity"),
         overflow=_pick(args.overflow, cfg, "overflow", "drop_oldest"),
-        stats_interval_s=float(
-            _pick(args.stats_interval, cfg, "stats_interval_s", 10.0)),
+        stats_interval_s=_number(
+            float, _pick(args.stats_interval, cfg, "stats_interval_s", 10.0),
+            "stats_interval_s"),
     )
     if config.artifact_path is None:
         raise ConfigError("serve needs --artifact (or artifact in --config)")

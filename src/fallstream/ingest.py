@@ -12,6 +12,12 @@ The live wire protocol is newline-delimited UTF-8 text, one sample per
 line: ``device_id,t_ms,ax,ay,az`` (no label). device_id must match
 ``[A-Za-z0-9_-]{1,64}``, t_ms is a base-10 integer, accelerations are
 decimal floats. A line longer than MAX_LINE_BYTES is malformed.
+``parse_wire_line`` is the definition of a valid line. A socket read (up
+to READ_BYTES, 16 KiB) is parsed as columns by ``parse_wire_block``, one
+conversion per column; a read holding a line it rejects is parsed line by
+line instead, so each malformed line is still counted. A read's lines are
+one queue batch, so a ``drop_oldest`` shed drops up to one read's lines at
+a time.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ WIRE_DEVICE_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 MAX_LINE_BYTES = 1024
 # timestamps live in int64 columns; a wider value is malformed
 _T_LIMIT = 2**63
+# Bytes asked of one recv: ~480 live lines, under the default queue bound of
+# 1,024 samples. A read's lines are parsed, counted and queued together.
+READ_BYTES = 16384
+_NEWLINE, _COMMA = ord("\n"), ord(",")
 
 
 class BinaryClass(Enum):
@@ -386,6 +396,67 @@ def parse_wire_line(line: str) -> tuple[str, int, float, float, float] | None:
     return device_id, t_ms, ax, ay, az
 
 
+def parse_wire_block(block: bytes) -> SampleBatch | None:
+    """Complete protocol lines joined by newlines, as one batch converted a
+    column at a time; None when any line is one ``parse_wire_line`` rejects.
+
+    The conversions are parse_wire_line's, so an accepted block gives the
+    same rows, bit for bit, as parsing it line by line."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # UTF-8 never puts a newline or comma byte inside a multibyte character
+    codes = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(codes == _NEWLINE)
+    n = len(ends) + 1
+    commas = np.flatnonzero(codes == _COMMA)
+    if len(commas) != 4 * n:
+        return None
+    starts = np.empty(n, np.intp)
+    starts[0], starts[1:] = 0, ends + 1
+    stops = np.empty(n, np.intp)
+    stops[:-1], stops[-1] = ends, len(block)
+    commas = commas.reshape(n, 4)
+    # 4n commas in order, line i's first and fourth inside line i: every
+    # line holds exactly 4
+    if ((stops - starts > MAX_LINE_BYTES).any()
+            or (commas[:, 0] < starts).any() or (commas[:, 3] >= stops).any()):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    ids = fields[0::5]
+    devices = {d: d for d in set(ids)}
+    if not all(map(WIRE_DEVICE_RE.match, devices)):
+        return None
+    # one str object per device: the field strings die with this call, and
+    # the consumer's per-device lookups hit a cached hash
+    ids = list(map(devices.__getitem__, ids))
+    try:
+        # a t_ms outside int64 raises OverflowError here
+        t_ms = np.array(list(map(int, fields[1::5])), dtype=np.int64)
+        acc = np.empty((n, 3))
+        acc[:, 0] = list(map(float, fields[2::5]))
+        acc[:, 1] = list(map(float, fields[3::5]))
+        acc[:, 2] = list(map(float, fields[4::5]))
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(acc).all():
+        return None
+    return SampleBatch(ids, t_ms, acc)
+
+
+def _count_regressions(ids: Iterable[str], t_ms: Iterable[int],
+                       last_t: dict[str, int]) -> int:
+    """Samples older than their device's previous one; advances last_t."""
+    regressions = 0
+    for device_id, t in zip(ids, t_ms):
+        prev = last_t.get(device_id)
+        if prev is not None and t < prev:
+            regressions += 1
+        last_t[device_id] = t
+    return regressions
+
+
 @dataclass(slots=True)
 class _Connection:  # what the I/O thread keeps of one open connection
     tail: bytes = b""  # the unterminated start of the next line
@@ -397,10 +468,12 @@ class SocketSource:
     """TCP listener turning protocol lines into a single sample stream.
 
     One I/O thread reads every connection through a selector, however many
-    clients connect; lines are never reordered within a connection. Every
-    ``recv`` chunk's complete lines are parsed in one pass and handed on as
-    one ``emit(SampleBatch)`` call (the pipeline's queue); while it waits,
-    no connection is read, so backpressure reaches clients through TCP.
+    clients connect; lines are never reordered within a connection. Each
+    read is up to READ_BYTES; its complete lines are parsed as columns
+    (line by line only when one of them is malformed) and handed on as one
+    ``emit(SampleBatch)`` call (the pipeline's queue), so a ``drop_oldest``
+    shed drops up to one read's lines at a time. While emit waits, no
+    connection is read, so backpressure reaches clients through TCP.
     ``stats`` is any object with integer samples_in / malformed /
     timestamp_regressions attributes; only the I/O thread writes them. A
     timestamp regression is a sample older than the previous one of its
@@ -458,7 +531,7 @@ class SocketSource:
     def _read(self, key: selectors.SelectorKey) -> None:
         state = key.data
         try:
-            chunk = key.fileobj.recv(4096)
+            chunk = key.fileobj.recv(READ_BYTES)
         except BlockingIOError:
             return
         except OSError:
@@ -476,8 +549,7 @@ class SocketSource:
         if cut < 0:
             state.tail += chunk
         else:
-            self._handle_lines((state.tail + chunk[:cut]).split(b"\n"),
-                               state.last_t)
+            self._handle_block(state.tail + chunk[:cut], state.last_t)
             state.tail = chunk[cut + 1:]
         if len(state.tail) > MAX_LINE_BYTES:
             self._count_dropped_line()
@@ -491,6 +563,19 @@ class SocketSource:
         self._selector.unregister(key.fileobj)
         key.fileobj.close()
 
+    def _handle_block(self, block: bytes, last_t: dict[str, int]) -> None:
+        """Parse, count and emit a read's complete lines (newline-joined);
+        parse_wire_block is looked up as the module global, so wrappers see
+        calls."""
+        batch = parse_wire_block(block)
+        if batch is None:
+            self._handle_lines(block.split(b"\n"), last_t)
+            return
+        self.stats.samples_in += len(batch)
+        self.stats.timestamp_regressions += _count_regressions(
+            batch.device_id, batch.t_ms.tolist(), last_t)
+        self._emit(batch)
+
     def _handle_lines(self, lines: list[bytes], last_t: dict[str, int]) -> None:
         parse = parse_wire_line  # the module global, so wrappers see calls
         rows = []
@@ -503,19 +588,16 @@ class SocketSource:
                 continue
             if row is not None:
                 rows.append(row)
-        regressions = 0
-        for device_id, t_ms, *_ in rows:
-            prev = last_t.get(device_id)
-            if prev is not None and t_ms < prev:
-                regressions += 1
-            last_t[device_id] = t_ms
+        ids = [r[0] for r in rows]
+        t_ms = [r[1] for r in rows]
         self.stats.samples_in += len(lines)
         self.stats.malformed += len(lines) - len(rows)
-        self.stats.timestamp_regressions += regressions
+        self.stats.timestamp_regressions += _count_regressions(ids, t_ms,
+                                                               last_t)
         if rows:
             self._emit(SampleBatch(
-                [r[0] for r in rows],
-                np.array([r[1] for r in rows], dtype=np.int64),
+                ids,
+                np.array(t_ms, dtype=np.int64),
                 np.array([r[2:] for r in rows], dtype=np.float64),
             ))
 

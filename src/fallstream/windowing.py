@@ -125,13 +125,16 @@ class WindowAssembler:
         size = self.config.size
         pending = self._pending
         out = []
-        for device_id, t, acc in zip(batch.device_id, batch.t_ms.tolist(),
-                                     batch.acc.tolist()):
+        # each row's 3 doubles are copied as bytes: no float objects
+        raw = memoryview(np.ascontiguousarray(batch.acc, np.float64)).cast("B")
+        at = 0
+        for device_id, t in zip(batch.device_id, batch.t_ms.tolist()):
             held = pending.get(device_id)
             if held is None:
                 held = pending[device_id] = _Pending()
             held.t_ms.append(t)
-            held.acc.fromlist(acc)
+            held.acc.frombytes(raw[at:at + 24])
+            at += 24
             if len(held.t_ms) == size:
                 out.append(self._take(device_id, held))
         return out

@@ -410,6 +410,78 @@ class TestBadMappingFile:
         assert captured.err.count("error: bad mapping file") == 2
 
 
+class TestWrongTypedConfig:
+    """A config value of the wrong type is an ``error:`` with exit 2, found
+    before any source starts, not a traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        {"stats_interval_s": "abc"},
+        {"queue_capacity": "x"},
+        {"queue_capacity": None},
+        {"window": {"size": "big"}},
+        {"window": {"stride": [200]}},
+        {"window": [200, 200]},
+        {"source": "127.0.0.1:0"},
+        {"sinks": 5},
+    ])
+    def test_serve_exits_2_before_listening(self, tmp_path, artifact_path,
+                                            capsys, doc):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["serve", "--listen", "127.0.0.1:0",
+                   "--artifact", str(artifact_path), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "listening" not in err
+
+    @pytest.mark.parametrize("command,key,doc", [
+        ("serve", "artifact", {"artifact": 5}),
+        ("replay", "artifact", {"artifact": ["model.json"]}),
+        ("replay", "mapping", {"source": {"mapping": 0}}),  # not stdin
+    ])
+    def test_path_values_must_be_strings(self, tmp_path, dataset_dir,
+                                         mapping_path, artifact_path, capsys,
+                                         command, key, doc):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps(doc))
+        paths = {"--artifact": str(artifact_path)}
+        if command == "serve":
+            argv = ["serve", "--listen", "127.0.0.1:0"]
+        else:
+            argv = ["replay", str(sorted(dataset_dir.rglob("*.csv"))[0])]
+            paths["--mapping"] = str(mapping_path)
+        # every path but the one under test comes from a flag
+        for flag, value in paths.items():
+            if flag != "--" + key:
+                argv += [flag, value]
+        rc = main(argv + ["--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "must be a path string" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("doc", [
+        {"window": {"size": "big"}},
+        {"window": {"stride": None}},
+        {"window": "tumbling"},
+        {"source": {"rate_hz": "fast"}},
+        {"source": {"speed": [1]}},
+        {"sinks": "stdout"},
+    ])
+    def test_replay_exits_2_without_output(self, tmp_path, mapping_path,
+                                           artifact_path, capsys, doc):
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("adl", 300, seed=23), trial)
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(artifact_path), "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_cli_import_leaves_urllib_request_unloaded():
     # only a webhook sink needs it; it is ~10% of the CLI's start-up
     proc = subprocess.run(

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fallstream.errors import ConfigError, ParseError, UnknownActivity
@@ -22,6 +22,7 @@ from fallstream.ingest import (
     convert_adc_to_g,
     map_activity_to_class,
     parse_trial_file,
+    parse_wire_block,
     parse_wire_line,
 )
 from fallstream.stream import (
@@ -437,6 +438,92 @@ class TestWireProtocol:
 
     def test_crlf_tolerated(self):
         assert parse_wire_line("dev1,1000,0.1,9.8,0.0\r") is not None
+
+
+_wire_valid = st.builds(
+    lambda *fields: ",".join(fields).encode(),
+    st.one_of(st.sampled_from(["a", "b", "dev-1"]),
+              st.from_regex(r"[A-Za-z0-9_-]{1,64}", fullmatch=True)),
+    st.integers(-2**63, 2**63 - 1).map(str),
+    *[st.floats(allow_nan=False, allow_infinity=False).map(repr)] * 3,
+)
+# valid too: forms int() and float() accept, and CRs before the newline
+_wire_accepted = st.sampled_from([
+    b"a, 10 , 1.5,2,3", b"a,1_0,1_0.5,2e-3,3", b"b,+7,-0.0,1E3,.5",
+    b"a,5,1,2,3\r", b"b,6,1,2, 3 \r\r", "a,\u0663,\u0661.5,2,3".encode(),
+    b"a,1,2,3," + b" " * (MAX_LINE_BYTES - 9) + b"4",  # exactly the cap
+])
+_wire_malformed = st.sampled_from([
+    b"", b"a,1,2,3", b"a,1,2,3,4,5", b",,,,", b",1,2,3,4",
+    b"bad dev,1,2,3,4", b"a" * 65 + b",1,2,3,4", b"a\r,1,2,3,4",
+    f"a,{2**63},1,2,3".encode(), f"a,{-2**63 - 1},1,2,3".encode(),
+    b"a,1,inf,2,3", b"a,1,2,nan,3", b"a,1,2,3,-Infinity", b"a,1.5,1,2,3",
+    b"a,x,1,2,3", b"a,1,,2,3", b"a,1,2,3,\r", b"a,1,\xff,2,3",
+    b"\xc3(,1,2,3,4", b"a,1,2,3," + b" " * (MAX_LINE_BYTES - 8) + b"4",
+    b"7,1,2,3",
+])
+
+
+def _through(handler: str, block: bytes):
+    """(emitted batches, stats, last_t) of one read's lines sent through
+    the columnar handler or the per-line one, on fresh counters."""
+    got, last_t = [], {}
+    source = SocketSource("127.0.0.1", 0, emit=got.append,
+                          stats=PipelineStats())
+    if handler == "block":
+        source._handle_block(block, last_t)
+    else:
+        source._handle_lines(block.split(b"\n"), last_t)
+    return got, source.stats, last_t
+
+
+class TestWireBlock:
+    @settings(max_examples=300)
+    # 4n commas in all, but 5 and 3 (or 3 and 5) on adjacent lines
+    @example([b"a,1,2,3,4,5", b"7,1,2,3"])
+    @example([b"a,1,2,3", b"7,1,2,3,4,5"])
+    @given(st.one_of(
+        st.lists(st.one_of(_wire_valid, _wire_accepted), min_size=1,
+                 max_size=30),
+        st.lists(st.one_of(_wire_valid, _wire_accepted, _wire_malformed),
+                 min_size=1, max_size=30),
+    ))
+    def test_block_equals_line_by_line(self, lines):
+        block = b"\n".join(lines)
+        got, stats, last_t = _through("block", block)
+        want, want_stats, want_last_t = _through("lines", block)
+        assert stats == want_stats and last_t == want_last_t
+        assert len(got) == len(want) <= 1
+        for batch, ref in zip(got, want):
+            assert batch.device_id == ref.device_id
+            assert batch.t_ms.dtype == ref.t_ms.dtype == np.int64
+            assert batch.t_ms.tobytes() == ref.t_ms.tobytes()
+            assert batch.acc.shape == ref.acc.shape
+            assert batch.acc.tobytes() == ref.acc.tobytes()
+        # the columnar parse takes every block that has no malformed line
+        assert (parse_wire_block(block) is None) == (want_stats.malformed > 0)
+
+    def test_all_valid_block_is_one_batch(self):
+        lines = [f"d{i % 3},{i * 50},{i / 7!r},9.8,-0.5" for i in range(480)]
+        batch = parse_wire_block("\n".join(lines).encode())
+        assert batch is not None and len(batch) == 480
+        assert batch.device_id == [f"d{i % 3}" for i in range(480)]
+        assert batch.t_ms.tolist() == [i * 50 for i in range(480)]
+        assert batch.acc[:, 0].tolist() == [i / 7 for i in range(480)]
+
+    @pytest.mark.parametrize("handler", ["block", "lines"])
+    def test_only_a_step_back_is_a_regression(self, handler):
+        block = b"\n".join(b"d,%d,1,2,3" % t for t in (5, 5, 9, 4, 4, 9))
+        _, stats, last_t = _through(handler, block)
+        assert stats.timestamp_regressions == 1 and last_t == {"d": 9}
+
+    def test_one_bad_line_rejects_the_block(self):
+        lines = [f"d,{i},1,2,3" for i in range(100)]
+        lines[57] = "d,57,1,2"
+        assert parse_wire_block("\n".join(lines).encode()) is None
+        got, stats, _ = _through("block", "\n".join(lines).encode())
+        assert stats.samples_in == 100 and stats.malformed == 1
+        assert len(got[0]) == 99
 
 
 def _connect_and_send(port, payload: bytes):

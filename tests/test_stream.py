@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fallstream import stream
+from fallstream import ingest, stream
 from fallstream.cli import read_feature_csv
 from fallstream.errors import ArtifactError, ConfigError
 from fallstream.features import apply_scaler
@@ -523,11 +523,13 @@ def _wait_for_text(path, text, timeout=30.0):
         time.sleep(0.05)
 
 
-def _send_in_pieces(port, payload: bytes, size: int):
+def _send_in_pieces(port, payload: bytes, size: int, pause: float = 0.0):
     with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         for i in range(0, len(payload), size):
             conn.sendall(payload[i:i + size])
+            if pause:
+                time.sleep(pause)
 
 
 def _wire_form(samples) -> bytes:
@@ -570,6 +572,57 @@ class TestSocketPipeline:
         stats = _run_socket_pipeline(artifact_path, out, port, send)
         assert stats.malformed == 2
         assert stats.detections == 1
+
+
+class TestColumnarReads:
+    def test_reads_with_and_without_malformed_lines_equal_batch(
+            self, artifact, artifact_path, tmp_path, monkeypatch):
+        # two devices interleaved on one connection, a malformed line after
+        # every 300: some reads parse as columns, the rest line by line
+        trials = {dev: [replace(s, label=None)
+                        for s in make_trial("fall", 2400, seed=seed,
+                                            device_id=dev)]
+                  for dev, seed in (("a", 31), ("b", 32))}
+        expected = {dev: classify_samples(artifact, trial)
+                    for dev, trial in trials.items()}
+        bad = [b"garbage", b"a,notanint,0.1,9.8,0", b"b,50,inf,9.8,0",
+               b"a,50,0.1,9.8", b"b,\xff,0.1,9.8,0", b"\r"]
+        lines = []
+        for i, pair in enumerate(zip(trials["a"], trials["b"])):
+            if i and i % 150 == 0:
+                lines.append(bad[len(lines) % len(bad)] + b"\n")
+            lines.append(_wire_form(pair))
+        n_bad = len(lines) - len(trials["a"])
+        payload = b"".join(lines)
+
+        blocks = []
+        real = ingest.parse_wire_block
+
+        def counting(block):
+            batch = real(block)
+            blocks.append(batch is not None)
+            return batch
+
+        monkeypatch.setattr(ingest, "parse_wire_block", counting)
+        out = tmp_path / "live.jsonl"
+        n_detections = sum(map(len, expected.values()))
+
+        def send(port):
+            _send_in_pieces(port, payload, 8192, pause=0.01)
+            _wait_for_lines(out, n_detections)
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.3, overflow="block")
+        assert True in blocks and False in blocks
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        for dev, want in expected.items():
+            mine = [d for d in docs if d["device_id"] == dev]
+            assert [d["p_fall"] for d in mine] == [e.p_fall for e in want]
+            assert [d["t_end_ms"] for d in mine] == [e.t_end_ms for e in want]
+        assert stats.detections == n_detections
+        assert stats.malformed == n_bad == 15
+        assert stats.samples_in == 4800 + n_bad
+        assert _conserved(stats)
 
 
 class TestReaderFaults:
