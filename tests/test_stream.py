@@ -590,7 +590,7 @@ class TestColumnarReads:
         lines = []
         for i, pair in enumerate(zip(trials["a"], trials["b"])):
             if i and i % 150 == 0:
-                lines.append(bad[len(lines) % len(bad)] + b"\n")
+                lines.append(bad[i // 150 % len(bad)] + b"\n")
             lines.append(_wire_form(pair))
         n_bad = len(lines) - len(trials["a"])
         payload = b"".join(lines)
