@@ -110,9 +110,13 @@ def read_feature_csv(path: str | Path):
                 continue
             if len(row) != len(FEATURE_HEADER):
                 raise ParseError(f"{path}: row with {len(row)} columns")
-            values.append([float(v) for v in row[:58]])
+            try:
+                values.append([float(v) for v in row[:58]])
+                classes.append(BinaryClass(row[59]) if row[59] else None)
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}, line {reader.line_num}: {exc}") from None
             codes.append(row[58])
-            classes.append(BinaryClass(row[59]) if row[59] else None)
     X = np.asarray(values, dtype=np.float64)
     return X, codes, classes
 
@@ -240,8 +244,13 @@ def cmd_evaluate(args) -> int:
         if digest != meta.get("dataset_digest"):
             _info("warning: CSV digest differs from the artifact's training "
                   "set; --split selects rows as if it were the same file")
-        train_idx, test_idx = stratified_split(
-            y, meta["test_fraction"], meta["split_seed"])
+        try:
+            test_fraction, split_seed = meta["test_fraction"], meta["split_seed"]
+        except KeyError as exc:
+            raise ArtifactError(
+                f"artifact {args.artifact} has no {exc} in its metadata, "
+                f"so --split {args.split} cannot be rebuilt") from None
+        train_idx, test_idx = stratified_split(y, test_fraction, split_seed)
         idx = train_idx if args.split == "train" else test_idx
         X, y = X[idx], y[idx]
 
@@ -365,6 +374,8 @@ def cmd_replay(args) -> int:
     if config.artifact_path is None:
         raise ConfigError("replay needs --artifact (or artifact in --config)")
     stats = run_pipeline(config)
+    # a malformed row was read too, as serve counts a malformed line
+    stats.samples_in += report.malformed
     stats.malformed += report.malformed
     stats.timestamp_regressions += report.timestamp_regressions
     _info(stats.format_line())

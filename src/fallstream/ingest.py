@@ -16,8 +16,8 @@ decimal floats. A line longer than MAX_LINE_BYTES is malformed.
 to READ_BYTES, 16 KiB) is parsed as columns by ``parse_wire_block``, one
 conversion per column; a read holding a line it rejects is parsed line by
 line instead, so each malformed line is still counted. A read's lines are
-one queue batch, so a ``drop_oldest`` shed drops up to one read's lines at
-a time.
+handed on as one batch, and the pipeline cuts them into windows before its
+queue, so a ``drop_oldest`` shed drops whole windows, never part of one.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ WIRE_DEVICE_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 MAX_LINE_BYTES = 1024
 # timestamps live in int64 columns; a wider value is malformed
 _T_LIMIT = 2**63
-# Bytes asked of one recv: ~480 live lines, under the default queue bound of
-# 1,024 samples. A read's lines are parsed, counted and queued together.
+# Bytes asked of one recv: ~480 live lines. A read's lines are parsed,
+# counted and handed on together.
 READ_BYTES = 16384
 _NEWLINE, _COMMA = ord("\n"), ord(",")
 
@@ -113,10 +113,6 @@ class SampleBatch:
             self.acc[start:stop],
             None if self.labels is None else self.labels[start:stop],
         )
-
-    def devices(self) -> set[str]:
-        ids = self.device_id
-        return {ids} if isinstance(ids, str) else set(ids)
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> "SampleBatch":
@@ -471,8 +467,9 @@ class SocketSource:
     clients connect; lines are never reordered within a connection. Each
     read is up to READ_BYTES; its complete lines are parsed as columns
     (line by line only when one of them is malformed) and handed on as one
-    ``emit(SampleBatch)`` call (the pipeline's queue), so a ``drop_oldest``
-    shed drops up to one read's lines at a time. While emit waits, no
+    ``emit(SampleBatch)`` call on the I/O thread; the pipeline's emit cuts
+    the read into windows and queues those it completes, so a
+    ``drop_oldest`` shed drops whole windows. While emit waits, no
     connection is read, so backpressure reaches clients through TCP.
     ``stats`` is any object with integer samples_in / malformed /
     timestamp_regressions attributes; only the I/O thread writes them. A

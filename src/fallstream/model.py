@@ -85,14 +85,18 @@ def _hidden_grad(z: np.ndarray) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
-def _forward_cached(model: MlpModel, X: np.ndarray):
-    """All layer pre-activations and activations for backprop."""
-    zs, acts = [], [X]
-    a = X
+def _layers(model: MlpModel, a: np.ndarray):
+    """Pre-activations and activations of every layer, the input first.
+
+    ``a`` is (n, d) for one BLAS product over all rows per layer, or
+    (n, 1, d) for one (1, d_in) @ (d_in, d_out) product per row.
+    """
+    zs, acts = [], [a]
+    last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ W + b
         zs.append(z)
-        a = _sigmoid(z) if i == len(model.weights) - 1 else _hidden(z)
+        a = _sigmoid(z) if i == last else _hidden(z)
         acts.append(a)
     return zs, acts
 
@@ -110,12 +114,8 @@ def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
         raise SchemaMismatch(
             f"expected (n, {model.layer_dims[0]}) inputs, got {X.shape}"
         )
-    a = X[:, None, :]
-    last = len(model.weights) - 1
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ W + b
-        a = _sigmoid(z) if i == last else _hidden(z)
-    return a[:, 0, 0]
+    _zs, acts = _layers(model, X[:, None, :])
+    return acts[-1][:, 0, 0]
 
 
 def loss_bce(p, target) -> float:
@@ -133,7 +133,7 @@ def backward(model: MlpModel, X: np.ndarray, y: np.ndarray):
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    zs, acts = _forward_cached(model, X)
+    zs, acts = _layers(model, X)
     n = X.shape[0]
 
     # sigmoid + BCE collapse to (p - t) at the output pre-activation
@@ -194,10 +194,17 @@ def train(
 
     rng = np.random.default_rng(config.shuffle_seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    # the weights and biases become views of one flat vector, so an Adam
+    # step is a few whole-vector operations, with the same bits as per array
+    params = model.weights + model.biases
+    theta = np.concatenate([p.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params]).tolist()
+    views = [theta[end - p.size:end].reshape(p.shape)
+             for p, end in zip(params, ends)]
+    k = len(model.weights)
+    model.weights[:], model.biases[:] = views[:k], views[k:]
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     step = 0
     history: list[EpochStats] = []
     n = X.shape[0]
@@ -206,18 +213,14 @@ def train(
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             w_grads, b_grads = backward(model, X[idx], y[idx])
+            g = np.concatenate([d.ravel() for d in w_grads + b_grads])
             step += 1
             corr1 = 1.0 - beta1**step
             corr2 = 1.0 - beta2**step
-            for i in range(len(model.weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * w_grads[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * w_grads[i] ** 2
-                model.weights[i] -= config.learning_rate * (
-                    m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * b_grads[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * b_grads[i] ** 2
-                model.biases[i] -= config.learning_rate * (
-                    m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g ** 2
+            theta -= config.learning_rate * (m / corr1) / (
+                np.sqrt(v / corr2) + eps)
         probs = forward(model, X)
         history.append(EpochStats(
             epoch=epoch,

@@ -1,18 +1,16 @@
 """The running pipeline: source -> windower -> features -> model -> sinks.
 
-One consumer loop assembles windows, classifies the windows each batch
-completes with one feature, one scaling and one forward call, and delivers
-detections to every sink in per-device order. It takes sample batches from
-one queue, bounded in samples. A replay runs in the consumer itself: before
-each get it queues the rows that are due, at most REPLAY_CHUNK at a time
-(every row at once at max speed), and when none is due it sleeps until the
-next one is. So replay starts no thread and never overflows. Only socket
-serving feeds the queue from another thread: one I/O thread reads every
-connection and puts each received chunk (the stats reporter only prints).
-Overflow policy ``block`` gives lossless backpressure; ``drop_oldest`` sheds
-the oldest queued batches and counts the shed samples (live default). A
-shed also resets the partial windows of the devices in the shed batch, so
-no window ever joins samples that were not adjacent.
+Windows are cut before the queue, by one WindowAssembler: serving's I/O
+thread pushes each read into it, and a replay's consumer pushes each due
+chunk (at most REPLAY_CHUNK rows; every row at once at max speed). Either
+puts the windows a push completes, if any, on one queue, bounded in
+samples. The consumer classifies each queued window list with one feature,
+one scaling and one forward call, and delivers detections to every sink in
+per-device order. Replay starts no thread and never overflows; when no row
+is due it sleeps until the next one is. Overflow policy ``block`` gives
+lossless backpressure; ``drop_oldest`` (live default) sheds the oldest
+queued window lists whole and counts their samples, so a shed never
+touches a partial window and every window is contiguous.
 
 Detections serialize to one JSON line with a fixed key order:
 ``device_id, t_start_ms, t_end_ms, p_fall, class, seq, model_digest``.
@@ -160,26 +158,23 @@ class PipelineConfig:
 
 
 class BoundedQueue:
-    """Thread-safe queue of sample batches, bounded in samples, with two
-    full-queue modes. A batch larger than the capacity still enters an
-    empty queue, so a put never waits forever.
-
-    Under ``drop_oldest`` the devices of every shed batch are recorded and
-    handed out with the next batch ``get`` returns: that consumer must
-    reset their partial windows before pushing it."""
+    """Thread-safe queue of window lists, bounded in samples: an item counts
+    the samples of its windows. Under ``block`` a put waits for room; under
+    ``drop_oldest`` it sheds the oldest items whole and counts their
+    samples. An item larger than the capacity still enters an empty queue,
+    so a put never waits forever."""
 
     def __init__(self, capacity: int, policy: str, stats: PipelineStats):
         self._capacity = capacity
         self._block = policy == "block"
         self._stats = stats
-        self._items: deque = deque()
+        self._items: deque = deque()  # (windows, their samples)
         self._queued = 0  # samples in _items
-        self._shed_devices: set[str] = set()
         self._cond = threading.Condition()
         self._closed = False
 
-    def put(self, batch: list) -> None:
-        n = len(batch)
+    def put(self, windows: list[Window]) -> None:
+        n = sum(len(w.t_ms) for w in windows)
         with self._cond:
             if self._block:
                 while (self._items and self._queued + n > self._capacity
@@ -187,34 +182,29 @@ class BoundedQueue:
                     self._cond.wait(0.1)
             else:
                 while self._items and self._queued + n > self._capacity:
-                    shed = self._items.popleft()
-                    self._queued -= len(shed)
-                    self._stats.overflow_drops += len(shed)
-                    self._shed_devices |= shed.devices()
+                    _shed, shed_n = self._items.popleft()
+                    self._queued -= shed_n
+                    self._stats.overflow_drops += shed_n
             if self._closed:
                 # arrivals racing a shutdown are shed, not lost silently
                 self._stats.overflow_drops += n
                 return
-            self._items.append(batch)
+            self._items.append((windows, n))
             self._queued += n
             self._cond.notify_all()
 
-    def get(self, timeout: float) -> tuple[object, set[str]]:
-        """(batch, devices shed since the last get) — or _TIMEOUT when
-        nothing arrived, QUEUE_CLOSED when drained, each with no devices.
-
-        Sheds take the oldest batches, so every shed batch came after the
-        previous batch handed out and before this one."""
+    def get(self, timeout: float):
+        """The oldest window list; _TIMEOUT when nothing arrived, or
+        QUEUE_CLOSED when closed and drained."""
         with self._cond:
             if not self._items and not self._closed:
                 self._cond.wait(timeout)
             if self._items:
-                item = self._items.popleft()
-                self._queued -= len(item)
-                shed, self._shed_devices = self._shed_devices, set()
+                windows, n = self._items.popleft()
+                self._queued -= n
                 self._cond.notify_all()
-                return item, shed
-            return (QUEUE_CLOSED if self._closed else _TIMEOUT), set()
+                return windows
+            return QUEUE_CLOSED if self._closed else _TIMEOUT
 
     def close(self) -> None:
         with self._cond:
@@ -369,17 +359,26 @@ def run_pipeline(
     stats = PipelineStats()
     sinks = [build_sink(s) for s in config.sinks]
     queue = BoundedQueue(config.queue_capacity, config.overflow, stats)
+    # while serving only the I/O thread pushes; the consumer finishes the
+    # assembler after stop() has joined that thread
+    assembler = WindowAssembler(config.window)
+
+    def assemble(batch: SampleBatch) -> None:
+        windows = assembler.push(batch)
+        if windows:
+            queue.put(windows)
 
     socket_source = None
     chunks = None
     if isinstance(config.source, ReplaySpec):
-        # the consumer queues each due chunk itself, right before its get:
-        # the queue never holds more than one batch, so it cannot overflow
+        # the consumer assembles each due chunk itself, right before its
+        # get: the queue never holds more than one item, so it cannot
+        # overflow
         chunks = _replay_chunks(as_batch(config.source.samples),
                                 config.source, stats)
     else:
         socket_source = SocketSource(
-            config.source.host, config.source.port, emit=queue.put, stats=stats
+            config.source.host, config.source.port, emit=assemble, stats=stats
         )
         socket_source.start()
         print(f"listening on {socket_source.host}:{socket_source.port}",
@@ -392,7 +391,6 @@ def run_pipeline(
                 print(stats.format_line(), file=sys.stderr, flush=True)
         threading.Thread(target=_report, daemon=True).start()
 
-    assembler = WindowAssembler(config.window)
     seqs: dict[str, int] = {}
     stopping = False
     try:
@@ -411,18 +409,14 @@ def run_pipeline(
                     queue.close()
                     chunks = None
                 else:
-                    queue.put(chunk)
-            batch, shed = queue.get(timeout=0.2)
-            if shed:
-                # the shed samples broke these devices' runs: a window
-                # never joins samples that were not adjacent
-                stats.partial_window_drops += assembler.reset(shed)
-            if batch is QUEUE_CLOSED:
+                    windows = assembler.push(chunk)
+                    if not windows:
+                        continue
+                    queue.put(windows)
+            windows = queue.get(timeout=0.2)
+            if windows is QUEUE_CLOSED:
                 break
-            if batch is _TIMEOUT:
-                continue
-            windows = assembler.push(batch)
-            if not windows:
+            if windows is _TIMEOUT:
                 continue
             stats.windows += len(windows)
             for detection in classify_windows(artifact, windows, seqs):

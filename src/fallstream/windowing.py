@@ -179,16 +179,6 @@ class WindowAssembler:
         """Samples sitting in partial windows right now."""
         return sum(len(held) for held in self._pending.values())
 
-    def reset(self, devices: Iterable[str]) -> int:
-        """Drop and count the partial windows of these devices, so their
-        next window starts fresh; returns the drop count."""
-        dropped = 0
-        for device_id in devices:
-            held = self._pending.pop(device_id, None)
-            if held is not None:
-                dropped += len(held)
-        return dropped
-
     def finish(self) -> int:
         """Drop and count all partial windows; returns the drop count."""
         dropped = self.pending()

@@ -255,6 +255,46 @@ class TestEvaluate:
         rc = main(["evaluate", str(csv_path), "--artifact", str(broken)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("column, value", [(3, "abc"), (59, "MAYBE")],
+                             ids=["feature", "class"])
+    def test_corrupt_feature_csv_names_file_and_line(
+            self, tmp_path, capsys, command, column, value):
+        csv_path = _separable_csv(tmp_path / "f.csv", n=20)
+        artifact_path = tmp_path / "m.json"
+        assert main(["train", str(csv_path), "--artifact", str(artifact_path),
+                     "--epochs", "1"]) == 0
+        lines = csv_path.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[column] = value
+        lines[4] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = (["--artifact", str(tmp_path / "m2.json")] if command == "train"
+               else ["--artifact", str(artifact_path)])
+        rc = main([command, str(csv_path), *out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {csv_path}, line 5: ")
+        assert value in err
+
+    @pytest.mark.parametrize("key", ["test_fraction", "split_seed"])
+    def test_split_needs_split_metadata(self, tmp_path, capsys, key):
+        csv_path = _separable_csv(tmp_path / "f.csv", n=20)
+        artifact_path = tmp_path / "m.json"
+        assert main(["train", str(csv_path), "--artifact", str(artifact_path),
+                     "--epochs", "1"]) == 0
+        doc = json.loads(artifact_path.read_text())
+        del doc["metadata"][key]
+        artifact_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["evaluate", str(csv_path), "--artifact", str(artifact_path),
+                   "--split", "test"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: artifact {artifact_path} has no ")
+        assert key in err
+
 
 class TestReplay:
     def test_speed_max_equals_speed_one(self, tmp_path, mapping_path,
@@ -356,6 +396,28 @@ class TestReplay:
         assert captured.out.splitlines() == expected
         assert len(expected) == 5
         assert "stats samples_in=1000 malformed=0 " in captured.err
+
+    def test_malformed_rows_count_in_samples_in(self, tmp_path, mapping_path,
+                                                artifact_path, capsys):
+        # every row read is in samples_in, as serve counts every line, so
+        # the conservation identity holds for replay too
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("fall", 1015, seed=27), trial)
+        lines = trial.read_text().splitlines(keepends=True)
+        for i in (10, 500, 1000):
+            lines[i] = "1,abc,9.8,0.0,FOL\n"
+        trial.write_text("".join(lines))
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(artifact_path), "--speed", "max",
+                   "--sink", f"file:{tmp_path / 'out.jsonl'}"])
+        assert rc == 0
+        stats = dict(kv.split("=") for kv in re.search(
+            r"^stats (.*)$", capsys.readouterr().err, re.M)[1].split())
+        stats = {k: int(v) for k, v in stats.items()}
+        assert stats["samples_in"] == 1015 and stats["malformed"] == 3
+        assert stats["samples_in"] == (
+            stats["malformed"] + stats["overflow_drops"]
+            + 200 * stats["windows"] + stats["partial_window_drops"])
 
 
 class TestWindowSizeOne:

@@ -292,7 +292,6 @@ class TestSampleBatch:
         batch = SampleBatch.from_samples(rows)
         assert batch.device_id == ["a", "b"]
         assert _rows(batch) == rows
-        assert batch.devices() == {"a", "b"}
 
     def test_one_device_collapses_to_one_id(self):
         batch = SampleBatch.from_samples(_mk_samples(3))

@@ -38,6 +38,7 @@ from fallstream.stream import (
     run_pipeline,
 )
 from fallstream.synth import make_trial
+from fallstream.windowing import Window
 
 
 class TestDetectionLine:
@@ -95,102 +96,107 @@ class TestEvaluateEqualsPipeline:
             [int(np.sum(pred & ~true)), int(np.sum(~pred & ~true))]]
 
 
-def _batch(device, n, t0=0):
-    """n samples of one device, 50 ms apart."""
-    return SampleBatch(device, t0 + 50 * np.arange(n, dtype=np.int64),
-                       np.zeros((n, 3)))
+def _windows(device, k, n):
+    """k windows of n samples each from one device, 50 ms apart."""
+    return [Window(device, 50 * np.arange(j * n, (j + 1) * n, dtype=np.int64),
+                   np.zeros((n, 3)))
+            for j in range(k)]
 
 
 class TestBoundedQueue:
     def test_drop_oldest_sheds_and_counts(self):
         stats = PipelineStats()
         q = BoundedQueue(2, "drop_oldest", stats)
-        first, second, third = _batch("a", 3), _batch("b", 1), _batch("c", 1)
+        first, second, third = (_windows("a", 1, 3), _windows("b", 1, 1),
+                                _windows("c", 1, 1))
         q.put(first)
         q.put(second)
-        q.put(third)  # shoves out the first batch
+        q.put(third)  # shoves out the first item, all 3 of its samples
         assert stats.overflow_drops == 3
-        # the shed batch's device comes with the next batch handed out
-        assert q.get(0.1) == (second, {"a"})
-        assert q.get(0.1) == (third, set())
+        assert q.get(0.1) is second
+        assert q.get(0.1) is third
 
     def test_put_after_close_counts_drops(self):
         stats = PipelineStats()
         q = BoundedQueue(4, "drop_oldest", stats)
         q.close()
-        q.put([1, 2])
+        q.put(_windows("a", 1, 2))
         assert stats.overflow_drops == 2
 
     def test_block_policy_waits_for_room(self):
         stats = PipelineStats()
         q = BoundedQueue(1, "block", stats)
-        q.put([1])
+        first = _windows("a", 1, 1)
+        q.put(first)
         done = threading.Event()
 
         def producer():
-            q.put([2])
+            q.put(_windows("b", 1, 1))
             done.set()
 
         threading.Thread(target=producer, daemon=True).start()
         time.sleep(0.15)
         assert not done.is_set()  # blocked: queue is full
-        assert q.get(0.5) == ([1], set())
+        assert q.get(0.5) is first
         assert done.wait(1.0)
         assert stats.overflow_drops == 0
 
     def test_capacity_counts_samples_not_batches(self):
         q = BoundedQueue(4, "block", PipelineStats())
-        q.put([1, 2, 3])
+        first, second = _windows("a", 3, 1), _windows("b", 1, 2)
+        q.put(first)
         done = threading.Event()
 
         def producer():
-            q.put([4, 5])  # 3 + 2 samples exceed the capacity of 4
+            q.put(second)  # 3 + 2 samples exceed the capacity of 4
             done.set()
 
         threading.Thread(target=producer, daemon=True).start()
         assert not done.wait(0.15)
-        assert q.get(0.5) == ([1, 2, 3], set())
+        assert q.get(0.5) is first
         assert done.wait(1.0)
-        assert q.get(0.5) == ([4, 5], set())
+        assert q.get(0.5) is second
 
     def test_oversized_batch_enters_empty_block_queue(self):
         stats = PipelineStats()
         q = BoundedQueue(2, "block", stats)
+        big = _windows("a", 1, 5)
         done = threading.Event()
 
         def producer():
-            q.put(list(range(5)))
+            q.put(big)
             done.set()
 
         threading.Thread(target=producer, daemon=True).start()
         assert done.wait(1.0)
-        assert q.get(0.1) == (list(range(5)), set())
+        assert q.get(0.1) is big
         assert stats.overflow_drops == 0
 
     def test_drop_oldest_sheds_whole_batches_until_the_new_one_fits(self):
         stats = PipelineStats()
         q = BoundedQueue(5, "drop_oldest", stats)
-        q.put(_batch("a", 2))
-        q.put(_batch("b", 2))
-        kept = _batch("c", 1)
+        q.put(_windows("a", 1, 2))
+        q.put(_windows("b", 2, 1))
+        kept = _windows("c", 1, 1)
         q.put(kept)
-        new = _batch("d", 3)
-        q.put(new)  # needs 3 of 5 slots: sheds a's and b's batches
+        new = _windows("d", 1, 3)
+        q.put(new)  # needs 3 of 5 slots: sheds a's and b's items whole
         assert stats.overflow_drops == 4
-        assert q.get(0.1) == (kept, {"a", "b"})
-        assert q.get(0.1) == (new, set())
-        big = _batch("e", 9)
+        assert q.get(0.1) is kept
+        assert q.get(0.1) is new
+        big = _windows("e", 3, 3)
         q.put(big)  # larger than the capacity: enters empty queue
-        assert q.get(0.1) == (big, set())
+        assert q.get(0.1) is big
         assert stats.overflow_drops == 4
 
     def test_get_drains_then_reports_closed(self):
         from fallstream.stream import QUEUE_CLOSED
         q = BoundedQueue(4, "block", PipelineStats())
-        q.put([1])
+        item = _windows("a", 1, 1)
+        q.put(item)
         q.close()
-        assert q.get(0.1) == ([1], set())
-        assert q.get(0.1) == (QUEUE_CLOSED, set())
+        assert q.get(0.1) is item
+        assert q.get(0.1) is QUEUE_CLOSED
 
 
 class FlakySink:
@@ -690,74 +696,64 @@ class TestReaderFaults:
 
 
 class TestOverflowShedding:
-    def test_shed_resets_partial_windows_so_windows_stay_contiguous(
-            self, artifact_path, tmp_path, monkeypatch):
-        out = tmp_path / "live.jsonl"
-        flood_lines, piece = 20_000, 50
-        seen = {"taken": 0}
-        real_init, real_get = BoundedQueue.__init__, BoundedQueue.get
+    def test_shed_drops_whole_windows_and_leaves_partial_ones(
+            self, artifact, artifact_path, tmp_path, monkeypatch):
+        # the consumer is held on its first window list while two devices
+        # flood a queue of two windows; once every line is read it goes on
+        trials = {dev: [replace(s, label=None)
+                        for s in make_trial(kind, n, seed=seed,
+                                            device_id=dev)]
+                  for dev, kind, n, seed in (("f0", "fall", 3050, 41),
+                                             ("f1", "adl", 2930, 42))}
+        n_lines = {dev: len(trial) for dev, trial in trials.items()}
+        expected = {(d.device_id, d.t_start_ms): d
+                    for trial in trials.values()
+                    for d in classify_samples(artifact, trial)}
+        payload = b"".join(_wire_form(pair) for pair in zip(*trials.values()))
+        payload += _wire_form(trials["f0"][len(trials["f1"]):])
+        seen = {}
+        release = threading.Event()
+        real_init, real_classify = (BoundedQueue.__init__,
+                                    stream.classify_windows)
 
         def init(queue, capacity, policy, stats):
             seen["stats"] = stats
             real_init(queue, capacity, policy, stats)
 
-        def get(queue, timeout):
-            item, shed = real_get(queue, timeout)
-            if isinstance(item, SampleBatch):
-                seen["taken"] += len(item)
-            return item, shed
+        def held(artifact, windows, seqs):
+            release.wait(30)
+            return real_classify(artifact, windows, seqs)
 
         monkeypatch.setattr(BoundedQueue, "__init__", init)
-        monkeypatch.setattr(BoundedQueue, "get", get)
-
-        def drained(n_lines):
-            # every line sent was read, and the consumer took or shed it
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                stats = seen["stats"]
-                if stats.samples_in == n_lines == (
-                        seen["taken"] + stats.overflow_drops):
-                    return
-                time.sleep(0.01)
-            raise AssertionError(f"{n_lines} lines not drained")
-
-        def lines(dev, start, stop):
-            return "".join(f"{dev},{i * 50},0.1,9.8,0.05\n"
-                           for i in range(start, stop)).encode()
+        monkeypatch.setattr(stream, "classify_windows", held)
+        out = tmp_path / "live.jsonl"
 
         def send(port):
-            senders = [
-                threading.Thread(target=_send_in_pieces,
-                                 args=(port, lines(dev, 0, flood_lines), 8192))
-                for dev in ("f0", "f1")
-            ]
-            for t in senders:
-                t.start()
-            for t in senders:
-                t.join(timeout=60)
-            sent = 2 * flood_lines
-            drained(sent)
-            # then 200 more lines per device into an idle queue, a piece
-            # below its 64 samples at a time: none is shed, so each
-            # device completes a window however slowly the consumer runs
-            for dev in ("f0", "f1"):
-                for i in range(flood_lines, flood_lines + 200, piece):
-                    _send_in_pieces(port, lines(dev, i, i + piece), 8192)
-                    sent += piece
-                    drained(sent)
+            _send_in_pieces(port, payload, 8192)
+            deadline = time.monotonic() + 30
+            while seen["stats"].samples_in < sum(n_lines.values()):
+                assert time.monotonic() < deadline, "flood not read"
+                time.sleep(0.01)
+            release.set()
 
         stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
                                      settle=0.5, overflow="drop_oldest",
-                                     queue_capacity=64)
+                                     queue_capacity=400)
+        assert stats.overflow_drops > 0  # the flood did overflow
+        assert stats.overflow_drops % 200 == 0
+        # no shed touched a partial window: what is left is each device's
+        # tail past its last full window
+        assert stats.partial_window_drops == sum(n % 200
+                                                 for n in n_lines.values())
         docs = [json.loads(l) for l in out.read_text().splitlines()]
-        assert stats.overflow_drops > 0  # the floods did overflow
         assert len(docs) == stats.detections == stats.windows > 0
-        for dev in ("f0", "f1"):
-            assert any(d["device_id"] == dev
-                       and d["t_end_ms"] >= flood_lines * 50 for d in docs)
-        spans = {d["t_end_ms"] - d["t_start_ms"] for d in docs}
-        assert spans == {199 * 50}
-        assert stats.samples_in == 40_400 and stats.malformed == 0
+        for d in docs:
+            want = expected.get((d["device_id"], d["t_start_ms"]))
+            assert want is not None, d  # a window the trial's grid holds
+            assert d["t_end_ms"] == want.t_end_ms
+            assert d["p_fall"] == want.p_fall
+        assert stats.samples_in == sum(n_lines.values())
+        assert stats.malformed == 0
         assert _conserved(stats)
 
 

@@ -156,22 +156,6 @@ class TestBatchedAssembly:
             assert w.acc[:, 0].tolist() == [float(k % len(devices))] * 8
         assert assembler.pending() == 4 * len(devices)
 
-    def test_reset_drops_only_the_named_devices(self):
-        assembler = WindowAssembler(WindowConfig(size=4, stride=4))
-        stream = [Sample(d, i, 0.0, 0.0, 0.0) for i in range(3)
-                  for d in ("a", "b")]
-        assembler.push(SampleBatch.from_samples(stream))
-        dropped = assembler.reset({"a", "nobody"})
-        assert dropped == 3
-        assert assembler.pending() == 3
-        # a's next window starts fresh; b completes from its pending three
-        out = assembler.push(SampleBatch.from_samples(
-            [Sample("a", 10 + i, 1.0, 0.0, 0.0) for i in range(4)]
-            + [Sample("b", 3, 0.0, 0.0, 0.0)]))
-        assert [(w.device_id, w.t_start) for w in out] == [("a", 10), ("b", 0)]
-        # only a's three were ever dropped
-        assert dropped + assembler.finish() == 3
-
     def test_idle_partial_devices_cost_memory_per_pending_sample(self):
         n = 50_000
         batch = SampleBatch(
