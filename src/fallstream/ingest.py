@@ -27,7 +27,6 @@ import math
 import re
 import selectors
 import socket
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -425,7 +424,7 @@ def parse_wire_block(block: bytes) -> SampleBatch | None:
     if not all(map(WIRE_DEVICE_RE.match, devices)):
         return None
     # one str object per device: the field strings die with this call, and
-    # the consumer's per-device lookups hit a cached hash
+    # the assembler's per-device lookups hit a cached hash
     ids = list(map(devices.__getitem__, ids))
     try:
         # a t_ms outside int64 raises OverflowError here
@@ -454,7 +453,7 @@ def _count_regressions(ids: Iterable[str], t_ms: Iterable[int],
 
 
 @dataclass(slots=True)
-class _Connection:  # what the I/O thread keeps of one open connection
+class _Connection:  # what the source keeps of one open connection
     tail: bytes = b""  # the unterminated start of the next line
     skipping: bool = False  # discarding an over-long line through its newline
     last_t: dict[str, int] = field(default_factory=dict)  # per device
@@ -463,18 +462,18 @@ class _Connection:  # what the I/O thread keeps of one open connection
 class SocketSource:
     """TCP listener turning protocol lines into a single sample stream.
 
-    One I/O thread reads every connection through a selector, however many
-    clients connect; lines are never reordered within a connection. Each
-    read is up to READ_BYTES; its complete lines are parsed as columns
-    (line by line only when one of them is malformed) and handed on as one
-    ``emit(SampleBatch)`` call on the I/O thread; the pipeline's emit cuts
-    the read into windows and queues those it completes, so a
-    ``drop_oldest`` shed drops whole windows. While emit waits, no
-    connection is read, so backpressure reaches clients through TCP.
+    It starts no thread: the caller's loop calls ``poll``, which makes one
+    selector pass over the listener and every connection, accepting what
+    waits and reading each ready connection once (up to READ_BYTES), so
+    lines are never reordered within a connection and one stalled client
+    holds up no other. A read's complete lines are parsed as columns (line
+    by line only when one of them is malformed) and handed on as one
+    ``emit(SampleBatch)`` call. What the caller does not read stays in the
+    kernel, so a caller that stops polling gives clients TCP backpressure.
     ``stats`` is any object with integer samples_in / malformed /
-    timestamp_regressions attributes; only the I/O thread writes them. A
-    timestamp regression is a sample older than the previous one of its
-    device on the same connection; a connection's state goes when it closes.
+    timestamp_regressions attributes. A timestamp regression is a sample
+    older than the previous one of its device on the same connection; a
+    connection's state goes when it closes.
     """
 
     def __init__(self, host: str, port: int, emit: Callable, stats):
@@ -483,11 +482,9 @@ class SocketSource:
         self._emit = emit
         self.stats = stats
         self._selector: selectors.BaseSelector | None = None
-        self._thread: threading.Thread | None = None
-        self._stopping = threading.Event()
 
     def start(self) -> None:
-        """Bind and start serving; bind failures propagate (fatal)."""
+        """Bind and listen; bind failures propagate (fatal)."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -500,22 +497,24 @@ class SocketSource:
         self.port = listener.getsockname()[1]
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ)
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
 
-    def _serve(self) -> None:
-        selector = self._selector
-        try:
-            while not self._stopping.is_set():  # checked at least every 0.2 s
-                for key, _events in selector.select(timeout=0.2):
-                    if key.data is None:
-                        self._accept(key.fileobj)
-                    else:
-                        self._read(key)
-        finally:
-            for key in list(selector.get_map().values()):
-                self._close(key)
-            selector.close()
+    def poll(self, timeout: float) -> bool:
+        """One selector pass, waiting up to ``timeout`` seconds for a ready
+        socket; whether any was ready."""
+        ready = self._selector.select(timeout)
+        for key, _events in ready:
+            if key.data is None:
+                self._accept(key.fileobj)
+            else:
+                self._read(key)
+        return bool(ready)
+
+    def close(self) -> None:
+        """Close every socket, counting each connection's unterminated line
+        once; the counters are final after."""
+        for key in list(self._selector.get_map().values()):
+            self._close(key)
+        self._selector.close()
 
     def _accept(self, listener: socket.socket) -> None:
         try:
@@ -601,9 +600,3 @@ class SocketSource:
     def _count_dropped_line(self) -> None:
         self.stats.samples_in += 1
         self.stats.malformed += 1
-
-    def stop(self) -> None:
-        """Stop reading and close every socket; counters are final after."""
-        self._stopping.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)

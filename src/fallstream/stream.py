@@ -1,16 +1,20 @@
 """The running pipeline: source -> windower -> features -> model -> sinks.
 
-Windows are cut before the queue, by one WindowAssembler: serving's I/O
-thread pushes each read into it, and a replay's consumer pushes each due
-chunk (at most REPLAY_CHUNK rows; every row at once at max speed). Either
-puts the windows a push completes, if any, on one queue, bounded in
-samples. The consumer classifies each queued window list with one feature,
-one scaling and one forward call, and delivers detections to every sink in
-per-device order. Replay starts no thread and never overflows; when no row
-is due it sleeps until the next one is. Overflow policy ``block`` gives
-lossless backpressure; ``drop_oldest`` (live default) sheds the oldest
-queued window lists whole and counts their samples, so a shed never
-touches a partial window and every window is contiguous.
+One loop on the calling thread runs replay and serve alike; the pipeline
+starts no thread. Each turn reads from the source, classifies one queued
+window list and prints the stats line when it is due. Replay reads the
+next due chunk (at most REPLAY_CHUNK rows; every row at once at max
+speed), and sleeps until a row is due when none is. Serve makes selector
+passes over the listener and every connection, waiting only while nothing
+is queued. Either pushes what it reads into one WindowAssembler and puts
+the windows a push completes on one queue, bounded in samples. A window
+list is classified with one feature, one scaling and one forward call, and
+its detections go to every sink in per-device order. Overflow policy
+``block`` reads nothing while the queue is full, so backpressure reaches
+clients through TCP; ``drop_oldest`` (live default) keeps reading and
+sheds the oldest queued window lists whole, counting their samples, so a
+shed never touches a partial window and every window is contiguous. A
+replay puts at most one list per turn and gets one, so it never overflows.
 
 Detections serialize to one JSON line with a fixed key order:
 ``device_id, t_start_ms, t_end_ms, p_fall, class, seq, model_digest``.
@@ -42,12 +46,9 @@ from .ingest import (
 from .model import ModelArtifact, forward, load_artifact
 from .windowing import Window, WindowAssembler, WindowConfig
 
-QUEUE_CLOSED = object()
-_TIMEOUT = object()
-
 REPLAY_CHUNK = 512
-# longest replay sleep, so a shutdown event is seen within it
-REPLAY_SLEEP_S = 0.2
+# longest wait for input, so a shutdown event is seen within it
+WAIT_S = 0.2
 WEBHOOK_TIMEOUT_S = 2.0
 
 
@@ -109,7 +110,7 @@ class ReplaySpec:
 
     samples: SampleBatch | list[Sample]
     rate_hz: float = 20.0
-    speed: float = math.inf  # math.inf = as fast as the consumer accepts
+    speed: float = math.inf  # math.inf = as fast as the loop classifies
 
     def __post_init__(self):
         if not (0 < self.rate_hz < math.inf):
@@ -149,7 +150,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"overflow must be 'block' or 'drop_oldest', got {self.overflow!r}"
             )
-        # the reporter's wait raises OverflowError beyond TIMEOUT_MAX
+        # the longest interval accepted is the longest timed wait the
+        # standard library takes, threading.TIMEOUT_MAX
         if self.stats_interval_s and not (
                 0 < self.stats_interval_s <= threading.TIMEOUT_MAX):
             raise ConfigError(
@@ -158,11 +160,12 @@ class PipelineConfig:
 
 
 class BoundedQueue:
-    """Thread-safe queue of window lists, bounded in samples: an item counts
-    the samples of its windows. Under ``block`` a put waits for room; under
-    ``drop_oldest`` it sheds the oldest items whole and counts their
-    samples. An item larger than the capacity still enters an empty queue,
-    so a put never waits forever."""
+    """Queue of window lists, bounded in samples: an item counts the samples
+    of its windows. Under ``block`` a put always enters and the queue is
+    ``full`` once it holds its capacity, so the loop reads nothing until a
+    get makes room. Under ``drop_oldest`` a put sheds the oldest items whole
+    and counts their samples until the new one fits, and the queue is never
+    full. An item larger than the capacity still enters an empty queue."""
 
     def __init__(self, capacity: int, policy: str, stats: PipelineStats):
         self._capacity = capacity
@@ -170,46 +173,31 @@ class BoundedQueue:
         self._stats = stats
         self._items: deque = deque()  # (windows, their samples)
         self._queued = 0  # samples in _items
-        self._cond = threading.Condition()
-        self._closed = False
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    @property
+    def full(self) -> bool:
+        return self._block and self._queued >= self._capacity
 
     def put(self, windows: list[Window]) -> None:
         n = sum(len(w.t_ms) for w in windows)
-        with self._cond:
-            if self._block:
-                while (self._items and self._queued + n > self._capacity
-                       and not self._closed):
-                    self._cond.wait(0.1)
-            else:
-                while self._items and self._queued + n > self._capacity:
-                    _shed, shed_n = self._items.popleft()
-                    self._queued -= shed_n
-                    self._stats.overflow_drops += shed_n
-            if self._closed:
-                # arrivals racing a shutdown are shed, not lost silently
-                self._stats.overflow_drops += n
-                return
-            self._items.append((windows, n))
-            self._queued += n
-            self._cond.notify_all()
+        if not self._block:
+            while self._items and self._queued + n > self._capacity:
+                _shed, shed_n = self._items.popleft()
+                self._queued -= shed_n
+                self._stats.overflow_drops += shed_n
+        self._items.append((windows, n))
+        self._queued += n
 
-    def get(self, timeout: float):
-        """The oldest window list; _TIMEOUT when nothing arrived, or
-        QUEUE_CLOSED when closed and drained."""
-        with self._cond:
-            if not self._items and not self._closed:
-                self._cond.wait(timeout)
-            if self._items:
-                windows, n = self._items.popleft()
-                self._queued -= n
-                self._cond.notify_all()
-                return windows
-            return QUEUE_CLOSED if self._closed else _TIMEOUT
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+    def get(self) -> list[Window] | None:
+        """The oldest window list, or None when the queue is empty."""
+        if not self._items:
+            return None
+        windows, n = self._items.popleft()
+        self._queued -= n
+        return windows
 
 
 class StdoutSink:
@@ -313,9 +301,9 @@ def _replay_chunks(batch: SampleBatch, spec: ReplaySpec,
     """The rows of ``batch`` as they fall due, at most REPLAY_CHUNK at a
     time; at max speed every row is due at once and no clock is read.
 
-    When no row is due it sleeps until the next one is, at most
-    REPLAY_SLEEP_S, and yields None, so the caller can look for a shutdown
-    between sleeps."""
+    When no row is due it sleeps until the next one is, at most WAIT_S, and
+    yields an empty chunk, so the caller can look for a shutdown between
+    sleeps."""
     n = len(batch)
     paced = not math.isinf(spec.speed)
     if paced:
@@ -328,9 +316,8 @@ def _replay_chunks(batch: SampleBatch, spec: ReplaySpec,
             elapsed = time.monotonic() - start
             due = min(n, math.floor(elapsed / interval) + 1)
             if due <= i:
-                time.sleep(min(max(i * interval - elapsed, 0.0),
-                               REPLAY_SLEEP_S))
-                yield None
+                time.sleep(min(max(i * interval - elapsed, 0.0), WAIT_S))
+                yield batch.rows(i, i)
                 continue
         chunk = batch.rows(i, min(due, i + REPLAY_CHUNK))
         i += len(chunk)
@@ -352,28 +339,30 @@ def _deliver(line: str, sinks: list, stats: PipelineStats) -> None:
 def run_pipeline(
     config: PipelineConfig, shutdown: threading.Event | None = None
 ) -> PipelineStats:
-    """Run until the source ends or the shutdown event fires; drains what is
-    already queued before returning. Artifact, sink, and bind problems are
-    fatal at startup; everything after that only moves counters."""
+    """Run on the calling thread until the source ends or the shutdown
+    event fires; drains what is already queued before returning. Artifact,
+    sink, and bind problems are fatal at startup; everything after that
+    only moves counters."""
     artifact = load_artifact(config.artifact_path)
     stats = PipelineStats()
     sinks = [build_sink(s) for s in config.sinks]
     queue = BoundedQueue(config.queue_capacity, config.overflow, stats)
-    # while serving only the I/O thread pushes; the consumer finishes the
-    # assembler after stop() has joined that thread
     assembler = WindowAssembler(config.window)
+    seqs: dict[str, int] = {}
 
     def assemble(batch: SampleBatch) -> None:
         windows = assembler.push(batch)
         if windows:
             queue.put(windows)
 
-    socket_source = None
-    chunks = None
+    def classify(windows: list[Window]) -> None:
+        stats.windows += len(windows)
+        for detection in classify_windows(artifact, windows, seqs):
+            stats.detections += 1
+            _deliver(detection_line(detection), sinks, stats)
+
+    socket_source = chunks = None
     if isinstance(config.source, ReplaySpec):
-        # the consumer assembles each due chunk itself, right before its
-        # get: the queue never holds more than one item, so it cannot
-        # overflow
         chunks = _replay_chunks(as_batch(config.source.samples),
                                 config.source, stats)
     else:
@@ -384,48 +373,38 @@ def run_pipeline(
         print(f"listening on {socket_source.host}:{socket_source.port}",
               file=sys.stderr, flush=True)
 
-    reporter_stop = threading.Event()
-    if config.stats_interval_s:
-        def _report():
-            while not reporter_stop.wait(config.stats_interval_s):
-                print(stats.format_line(), file=sys.stderr, flush=True)
-        threading.Thread(target=_report, daemon=True).start()
-
-    seqs: dict[str, int] = {}
-    stopping = False
+    interval = config.stats_interval_s
+    next_stats = time.monotonic() + interval if interval else math.inf
     try:
-        while True:
-            if shutdown is not None and shutdown.is_set() and not stopping:
-                stopping = True
-                if socket_source is not None:
-                    # close the queue first so a blocked I/O thread can exit
-                    queue.close()
-                    socket_source.stop()
+        while shutdown is None or not shutdown.is_set():
             if chunks is not None:
-                chunk = QUEUE_CLOSED if stopping else next(chunks, QUEUE_CLOSED)
+                # one chunk and one get per turn: replay never queues up
+                chunk = next(chunks, None)
                 if chunk is None:
-                    continue  # nothing due yet
-                if chunk is QUEUE_CLOSED:
-                    queue.close()
-                    chunks = None
-                else:
-                    windows = assembler.push(chunk)
-                    if not windows:
-                        continue
-                    queue.put(windows)
-            windows = queue.get(timeout=0.2)
-            if windows is QUEUE_CLOSED:
-                break
-            if windows is _TIMEOUT:
-                continue
-            stats.windows += len(windows)
-            for detection in classify_windows(artifact, windows, seqs):
-                stats.detections += 1
-                _deliver(detection_line(detection), sinks, stats)
+                    break  # every row is read
+                if len(chunk):
+                    assemble(chunk)
+            elif not queue.full:
+                # selector passes until none finds a ready socket, the queue
+                # is full or a queue's worth of lines is read: reading more
+                # before a get would only shed what this turn read
+                wait = 0.0 if queue else min(
+                    WAIT_S, max(next_stats - time.monotonic(), 0.0))
+                lines = stats.samples_in + config.queue_capacity
+                while (socket_source.poll(wait) and not queue.full
+                       and stats.samples_in < lines):
+                    wait = 0.0
+            windows = queue.get()
+            if windows is not None:
+                classify(windows)
+            if interval and time.monotonic() >= next_stats:
+                print(stats.format_line(), file=sys.stderr, flush=True)
+                next_stats = time.monotonic() + interval
+        while (windows := queue.get()) is not None:
+            classify(windows)
     finally:
-        if socket_source is not None and not stopping:
-            socket_source.stop()
-        reporter_stop.set()
+        if socket_source is not None:
+            socket_source.close()
         stats.partial_window_drops += assembler.finish()
         for sink in sinks:
             try:

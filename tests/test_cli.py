@@ -614,7 +614,116 @@ def _free_port():
         return s.getsockname()[1]
 
 
+def _flood(port, stop: threading.Event, sent: list, devices=4):
+    """Send lines for ``devices`` devices as fast as TCP takes them until
+    ``stop`` is set or the server closes the connection; ``sent`` gets the
+    number of lines handed to the kernel."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        t = 0
+        sent.append(0)
+        try:
+            while not stop.is_set():
+                block = "".join(f"f{d},{(t + i) * 50},0.1,9.8,0.05\n"
+                                for i in range(200) for d in range(devices))
+                conn.sendall(block.encode())
+                sent[0] += 200 * devices
+                t += 200
+        except OSError:
+            pass  # the server closed the connection mid-flood
+
+
+def _stats(line: str) -> dict:
+    return {k: int(v) for k, v in
+            (kv.split("=", 1) for kv in line.split()[1:])}
+
+
+def _serve(port, artifact_path, out, *flags):
+    return subprocess.Popen(
+        [sys.executable, "-m", "fallstream", "serve",
+         "--listen", f"127.0.0.1:{port}", "--artifact", str(artifact_path),
+         "--sink", f"file:{out}", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+STATS_KEYS = ["samples_in", "malformed", "timestamp_regressions", "windows",
+              "partial_window_drops", "detections", "sink_failures",
+              "overflow_drops"]
+
+
 class TestServe:
+    def test_stats_lines_keep_their_deadline_during_a_flood(
+            self, tmp_path, artifact_path):
+        port = _free_port()
+        proc = _serve(port, artifact_path, tmp_path / "live.jsonl",
+                      "--overflow", "block", "--stats-interval", "0.2")
+        stop, sent = threading.Event(), []
+        flood = threading.Thread(target=_flood, args=(port, stop, sent))
+        try:
+            assert _wait_for_port(port)
+            flood.start()
+            time.sleep(2.0)
+            stop.set()
+            flood.join(timeout=30)
+            assert not flood.is_alive()
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=15)
+        finally:
+            stop.set()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        lines = [ln for ln in stderr.splitlines() if ln.startswith("stats ")]
+        # the periodic lines, then the final one; the keys keep their order
+        assert len(lines) >= 6
+        for line in lines:
+            assert [kv.split("=")[0] for kv in line.split()[1:]] == STATS_KEYS
+        seen = [_stats(line)["samples_in"] for line in lines[:-1]]
+        assert seen == sorted(seen) and seen[-1] > 0
+        assert seen[-1] <= _stats(lines[-1])["samples_in"] <= sent[0]
+
+    @pytest.mark.parametrize("policy", ["block", "drop_oldest"])
+    def test_sigint_mid_flood_exits_promptly_and_counts_every_sample(
+            self, tmp_path, artifact_path, policy):
+        port = _free_port()
+        out = tmp_path / "live.jsonl"
+        proc = _serve(port, artifact_path, out, "--overflow", policy,
+                      "--stats-interval", "3600")
+        stop, sent = threading.Event(), []
+        flood = threading.Thread(target=_flood, args=(port, stop, sent))
+        try:
+            assert _wait_for_port(port)
+            flood.start()
+            deadline = time.monotonic() + 10
+            while not (out.exists() and out.read_text().count("\n") >= 5):
+                assert time.monotonic() < deadline, "no detection"
+                time.sleep(0.05)
+            assert flood.is_alive()  # the client is still sending
+            t0 = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=15)
+            elapsed = time.monotonic() - t0
+        finally:
+            stop.set()
+            flood.join(timeout=30)
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert not flood.is_alive()
+        assert elapsed < 2.0
+        final = _stats([ln for ln in stderr.splitlines()
+                        if ln.startswith("stats ")][-1])
+        # a block cut off by the shutdown may be partly read
+        assert 0 < final["samples_in"] <= sent[0] + 800
+        assert final["samples_in"] == (final["malformed"]
+                                       + final["overflow_drops"]
+                                       + 200 * final["windows"]
+                                       + final["partial_window_drops"])
+        assert final["windows"] == final["detections"] == \
+            out.read_text().count("\n")
+
     def test_serve_classifies_and_shuts_down_on_sigint(self, tmp_path,
                                                        artifact_path):
         out = tmp_path / "live.jsonl"

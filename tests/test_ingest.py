@@ -13,6 +13,7 @@ from fallstream.errors import ConfigError, ParseError, UnknownActivity
 from fallstream.ingest import (
     MAX_LINE_BYTES,
     MOBIACT_ACTIVITIES,
+    READ_BYTES,
     STANDARD_GRAVITY_MS2,
     BinaryClass,
     ColumnMapping,
@@ -540,11 +541,26 @@ def _collecting_source():
     return source, got
 
 
-def _wait_for(condition, timeout=10.0):
+def _poll_until(source, condition, timeout=10.0):
+    """Drive the source's selector passes on this thread until condition()."""
     deadline = time.monotonic() + timeout
     while not condition() and time.monotonic() < deadline:
-        time.sleep(0.01)
+        source.poll(0.01)
     assert condition()
+
+
+def _poll_for(source, seconds):
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        source.poll(0.01)
+
+
+def _send_polling(source, conn, payload: bytes):
+    """Send in READ_BYTES pieces with a pass after each, so the kernel
+    buffers never hold more than a piece or two."""
+    for i in range(0, len(payload), READ_BYTES):
+        conn.sendall(payload[i:i + READ_BYTES])
+        source.poll(0)
 
 
 def _lines(device, times) -> bytes:
@@ -558,8 +574,8 @@ class TestSocketSource:
             f"dev1,{i * 50},0.1,9.8,0.0\n".encode() for i in range(10)
         )
         _connect_and_send(source.port, payload)
-        time.sleep(0.3)
-        source.stop()
+        _poll_until(source, lambda: len(got) == 10)
+        source.close()
         assert [s.t_ms for s in got] == [i * 50 for i in range(10)]
         assert source.stats.samples_in == 10
         assert source.stats.malformed == 0
@@ -568,8 +584,8 @@ class TestSocketSource:
         source, got = _collecting_source()
         _connect_and_send(
             source.port, b"dev1,abc,0.1,9.8,0.0\ndev1,100,0.1,9.8,0.0\n")
-        time.sleep(0.3)
-        source.stop()
+        _poll_until(source, lambda: source.stats.samples_in == 2)
+        source.close()
         assert len(got) == 1
         assert source.stats.malformed == 1
         assert source.stats.samples_in == 2
@@ -580,32 +596,44 @@ class TestSocketSource:
         b = b"".join(f"b,{i},1,2,3\n".encode() for i in range(20))
         _connect_and_send(source.port, a)
         _connect_and_send(source.port, b)
-        time.sleep(0.3)
-        source.stop()
+        _poll_until(source, lambda: len(got) == 40)
+        source.close()
         for dev in ("a", "b"):
             ts = [s.t_ms for s in got if s.device_id == dev]
             assert ts == sorted(ts) and len(ts) == 20
 
-    def test_stop_returns_promptly(self):
-        source, _ = _collecting_source()
-        t0 = time.monotonic()
-        source.stop()
-        assert time.monotonic() - t0 < 1.0
-        assert not source._thread.is_alive()  # the one I/O thread
+    def test_close_counts_open_tails_and_starts_no_thread(self):
+        before = threading.active_count()
+        source, got = _collecting_source()
+        with socket.create_connection(("127.0.0.1", source.port),
+                                      timeout=5) as conn:
+            conn.sendall(b"d,1,1,2,3\nd,2,1,")
+            _poll_until(source, lambda: len(got) == 1)
+            assert threading.active_count() == before
+            t0 = time.monotonic()
+            source.close()
+            assert time.monotonic() - t0 < 1.0
+            # the open connection's half line is counted once, at close
+            assert source.stats.samples_in == 2
+            assert source.stats.malformed == 1
+            assert conn.recv(1) == b""  # the server's end is closed
+        # so is the listener: its port can be bound again
+        with socket.socket() as again:
+            again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            again.bind(("127.0.0.1", source.port))
 
     def test_unterminated_line_dropped_once_it_passes_the_cap(self):
         source, got = _collecting_source()
         with socket.create_connection(("127.0.0.1", source.port),
                                       timeout=5) as conn:
-            conn.sendall(b"7" * 100_000)
-            deadline = time.monotonic() + 5
-            while source.stats.malformed == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
+            _send_polling(source, conn, b"7" * 100_000)
+            _poll_until(source, lambda: source.stats.malformed > 0, 5)
             # counted before any newline arrives: nothing past the cap is kept
             assert source.stats.malformed == 1
-            conn.sendall(b"7" * 100_000 + b"\nd,1,1,2,3\n")
-        time.sleep(0.3)
-        source.stop()
+            _send_polling(source, conn, b"7" * 100_000 + b"\nd,1,1,2,3\n")
+        _poll_until(source, lambda: len(got) == 1)
+        _poll_for(source, 0.1)
+        source.close()
         assert [s.t_ms for s in got] == [1]
         assert source.stats.malformed == 1
         assert source.stats.samples_in == 2
@@ -620,10 +648,11 @@ class TestSocketSource:
                                       timeout=5) as conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.sendall(padded[:-20])
-            time.sleep(0.1)
+            _poll_for(source, 0.1)
             conn.sendall(padded[-20:] + b"d,3,1,2,3\n")
-        time.sleep(0.3)
-        source.stop()
+        _poll_until(source, lambda: source.stats.samples_in == 4)
+        _poll_for(source, 0.1)
+        source.close()
         assert sorted(s.t_ms for s in got) == [2, 3]
         assert source.stats.malformed == 2
         assert source.stats.samples_in == 4
@@ -632,37 +661,36 @@ class TestSocketSource:
         before = set(threading.enumerate())
         source, got = _collecting_source()
         registered = source._selector.get_map()
-        for i in range(200):
-            _connect_and_send(source.port, f"d,{i},1,2,3\n".encode())
-        # a connection may still wait in the listen backlog: wait for its line
-        deadline = time.monotonic() + 10
-        while ((len(registered) > 1 or source.stats.samples_in < 200)
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
         try:
+            for i in range(200):
+                _connect_and_send(source.port, f"d,{i},1,2,3\n".encode())
+                source.poll(0)  # keeps the listen backlog short
+            # a connection may still wait in the listen backlog
+            _poll_until(source, lambda: (len(registered) == 1
+                                         and source.stats.samples_in == 200))
             # only the listener is left
             assert [key.fileobj.getsockname()[1]
                     for key in registered.values()] == [source.port]
-            # only the I/O thread is left
-            assert set(threading.enumerate()) - before == {source._thread}
+            # and no thread was started
+            assert set(threading.enumerate()) == before
             assert source.stats.samples_in == len(got) == 200
         finally:
-            source.stop()
+            source.close()
 
     def test_one_backwards_step_counts_one_regression(self):
         source, got = _collecting_source()
         _connect_and_send(source.port, _lines("d", [100, 200, 150, 300]))
-        _wait_for(lambda: len(got) == 4)
-        source.stop()
+        _poll_until(source, lambda: len(got) == 4)
+        source.close()
         assert source.stats.timestamp_regressions == 1
 
     def test_reconnect_with_restarted_clock_is_no_regression(self):
         source, got = _collecting_source()
         _connect_and_send(source.port, _lines("d", range(0, 1000, 50)))
-        _wait_for(lambda: len(got) == 20)
+        _poll_until(source, lambda: len(got) == 20)
         _connect_and_send(source.port, _lines("d", range(0, 500, 50)))
-        _wait_for(lambda: len(got) == 30)
-        source.stop()
+        _poll_until(source, lambda: len(got) == 30)
+        source.close()
         assert source.stats.timestamp_regressions == 0
 
     def test_connections_sharing_an_id_count_only_their_own_regressions(self):
@@ -673,12 +701,12 @@ class TestSocketSource:
                                          timeout=5) as b:
             # the two clocks interleave; only b steps back on its own
             a.sendall(_lines("d", range(10)))
-            _wait_for(lambda: len(got) == 10)
+            _poll_until(source, lambda: len(got) == 10)
             b.sendall(_lines("d", [1000, 1009, 1005]))
-            _wait_for(lambda: len(got) == 13)
+            _poll_until(source, lambda: len(got) == 13)
             a.sendall(_lines("d", range(10, 20)))
-            _wait_for(lambda: len(got) == 23)
-        source.stop()
+            _poll_until(source, lambda: len(got) == 23)
+        source.close()
         assert source.stats.timestamp_regressions == 1
 
     def test_failed_accept_leaves_the_source_serving(self, monkeypatch):
@@ -696,13 +724,14 @@ class TestSocketSource:
         try:
             _connect_and_send(source.port, _lines("a", [1]))
             _connect_and_send(source.port, _lines("b", [2]))
-            _wait_for(lambda: len(got) == 2, timeout=5)
+            _poll_until(source, lambda: len(got) == 2, timeout=5)
         finally:
-            source.stop()
+            source.close()
         assert len(failures) == 1
         assert sorted(s.device_id for s in got) == ["a", "b"]
 
     def test_thread_count_does_not_grow_with_connections(self):
+        before = threading.active_count()
         source, got = _collecting_source()
         conns, counts = [], []
         try:
@@ -710,14 +739,14 @@ class TestSocketSource:
                 conns.append(socket.create_connection(
                     ("127.0.0.1", source.port), timeout=5))
                 conns[-1].sendall(_lines(f"d{k}", [k]))
-                _wait_for(lambda: len(got) == k + 1)
+                _poll_until(source, lambda: len(got) == k + 1)
                 counts.append(threading.active_count())
-            # the same with 1, 2, ... and 50 connections open
-            assert set(counts) == {counts[0]}
+            # the same with 1, 2, ... and 50 connections open: none started
+            assert set(counts) == {before}
         finally:
             for conn in conns:
                 conn.close()
-            source.stop()
+            source.close()
 
     def test_bind_failure_is_fatal(self):
         holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

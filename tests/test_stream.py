@@ -113,63 +113,39 @@ class TestBoundedQueue:
         q.put(second)
         q.put(third)  # shoves out the first item, all 3 of its samples
         assert stats.overflow_drops == 3
-        assert q.get(0.1) is second
-        assert q.get(0.1) is third
-
-    def test_put_after_close_counts_drops(self):
-        stats = PipelineStats()
-        q = BoundedQueue(4, "drop_oldest", stats)
-        q.close()
-        q.put(_windows("a", 1, 2))
-        assert stats.overflow_drops == 2
+        assert not q.full  # a drop_oldest queue makes room itself
+        assert q.get() is second
+        assert q.get() is third
 
     def test_block_policy_waits_for_room(self):
+        # full stops the loop's reading until a get makes room
         stats = PipelineStats()
         q = BoundedQueue(1, "block", stats)
         first = _windows("a", 1, 1)
         q.put(first)
-        done = threading.Event()
-
-        def producer():
-            q.put(_windows("b", 1, 1))
-            done.set()
-
-        threading.Thread(target=producer, daemon=True).start()
-        time.sleep(0.15)
-        assert not done.is_set()  # blocked: queue is full
-        assert q.get(0.5) is first
-        assert done.wait(1.0)
+        assert q.full
+        assert q.get() is first
+        assert not q.full
         assert stats.overflow_drops == 0
 
     def test_capacity_counts_samples_not_batches(self):
         q = BoundedQueue(4, "block", PipelineStats())
         first, second = _windows("a", 3, 1), _windows("b", 1, 2)
         q.put(first)
-        done = threading.Event()
-
-        def producer():
-            q.put(second)  # 3 + 2 samples exceed the capacity of 4
-            done.set()
-
-        threading.Thread(target=producer, daemon=True).start()
-        assert not done.wait(0.15)
-        assert q.get(0.5) is first
-        assert done.wait(1.0)
-        assert q.get(0.5) is second
+        assert not q.full  # 3 samples in 3 windows, capacity 4
+        q.put(second)  # a put under block always enters
+        assert q.full and len(q) == 2
+        assert q.get() is first
+        assert not q.full  # 2 samples left
+        assert q.get() is second
 
     def test_oversized_batch_enters_empty_block_queue(self):
         stats = PipelineStats()
         q = BoundedQueue(2, "block", stats)
         big = _windows("a", 1, 5)
-        done = threading.Event()
-
-        def producer():
-            q.put(big)
-            done.set()
-
-        threading.Thread(target=producer, daemon=True).start()
-        assert done.wait(1.0)
-        assert q.get(0.1) is big
+        q.put(big)
+        assert q.full
+        assert q.get() is big
         assert stats.overflow_drops == 0
 
     def test_drop_oldest_sheds_whole_batches_until_the_new_one_fits(self):
@@ -182,21 +158,21 @@ class TestBoundedQueue:
         new = _windows("d", 1, 3)
         q.put(new)  # needs 3 of 5 slots: sheds a's and b's items whole
         assert stats.overflow_drops == 4
-        assert q.get(0.1) is kept
-        assert q.get(0.1) is new
+        assert q.get() is kept
+        assert q.get() is new
         big = _windows("e", 3, 3)
         q.put(big)  # larger than the capacity: enters empty queue
-        assert q.get(0.1) is big
+        assert q.get() is big
         assert stats.overflow_drops == 4
 
-    def test_get_drains_then_reports_closed(self):
-        from fallstream.stream import QUEUE_CLOSED
+    def test_get_drains_then_returns_none(self):
         q = BoundedQueue(4, "block", PipelineStats())
-        item = _windows("a", 1, 1)
-        q.put(item)
-        q.close()
-        assert q.get(0.1) is item
-        assert q.get(0.1) is QUEUE_CLOSED
+        first, second = _windows("a", 1, 1), _windows("b", 1, 1)
+        q.put(first)
+        q.put(second)
+        assert q.get() is first
+        assert q.get() is second
+        assert q.get() is None and len(q) == 0
 
 
 class FlakySink:
@@ -323,7 +299,7 @@ class TestReplayPipeline:
 
     def test_fast_paced_replay_sheds_nothing(self, artifact_path, tmp_path):
         # 20,000 rows due within 0.1 s, more than a 1,024-sample queue
-        # holds: the consumer queues only what it is about to take
+        # holds: the loop queues only what it is about to take
         rng = np.random.default_rng(18)
         batch = SampleBatch("dev", 50 * np.arange(20_000, dtype=np.int64),
                             rng.normal((0.0, 9.8, 0.0), 2.0, (20_000, 3)))
@@ -476,18 +452,24 @@ def _free_port():
 
 
 def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0,
-                         overflow="drop_oldest", queue_capacity=1024):
+                         overflow="drop_oldest", queue_capacity=1024,
+                         sinks=None, stats_interval_s=None, result=None):
+    """Serve on a runner thread while ``send(port)`` runs on this one, then
+    shut down; ``result`` gets the stats and the thread count the runner
+    saw before it called run_pipeline."""
     shutdown = threading.Event()
     config = PipelineConfig(
         source=SocketSpec("127.0.0.1", port),
         artifact_path=artifact_path,
-        sinks=(f"file:{out}",),
+        sinks=sinks or (f"file:{out}",),
         overflow=overflow,
         queue_capacity=queue_capacity,
+        stats_interval_s=stats_interval_s,
     )
-    result = {}
+    result = {} if result is None else result
 
     def runner():
+        result["threads"] = threading.active_count()
         result["stats"] = run_pipeline(config, shutdown=shutdown)
 
     thread = threading.Thread(target=runner, daemon=True)
@@ -578,6 +560,42 @@ class TestSocketPipeline:
         stats = _run_socket_pipeline(artifact_path, out, port, send)
         assert stats.malformed == 2
         assert stats.detections == 1
+
+
+    def test_serving_runs_on_one_thread(self, artifact_path, tmp_path,
+                                        monkeypatch, capsys):
+        # reading, classifying and the periodic stats line share the
+        # thread that called run_pipeline
+        seen = []
+        real_build = stream.build_sink
+
+        class ThreadCountingSink:
+            def emit(self, line):
+                seen.append(threading.active_count())
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(
+            stream, "build_sink",
+            lambda spec: (ThreadCountingSink() if spec == "threads"
+                          else real_build(spec)))
+        out = tmp_path / "live.jsonl"
+        result = {}
+
+        def send(port):
+            for k in range(3):
+                _send_lines(port, _wire_lines(200, f"d{k}"))
+            _wait_for_lines(out, 3)
+            time.sleep(0.5)  # two stats intervals at least
+
+        stats = _run_socket_pipeline(
+            artifact_path, out, _free_port(), send, settle=0.0,
+            sinks=(f"file:{out}", "threads"), stats_interval_s=0.2,
+            result=result)
+        assert stats.detections == 3
+        assert seen == [result["threads"]] * 3
+        assert capsys.readouterr().err.count("stats samples_in=") >= 2
 
 
 class TestColumnarReads:
@@ -695,11 +713,64 @@ class TestReaderFaults:
         assert _conserved(stats)
 
 
+def _slow_classification(monkeypatch, delay_s):
+    """Make every classify_windows call take ``delay_s`` longer."""
+    real = stream.classify_windows
+
+    def slow(artifact, windows, seqs):
+        time.sleep(delay_s)
+        return real(artifact, windows, seqs)
+
+    monkeypatch.setattr(stream, "classify_windows", slow)
+
+
 class TestOverflowShedding:
+    def test_block_reads_nothing_while_the_queue_is_full(
+            self, artifact, artifact_path, tmp_path, monkeypatch):
+        # classification lags behind a flood into a queue of two windows:
+        # under block no read happens while the queue is full, so nothing
+        # is shed and the client waits through TCP
+        trials = {dev: [replace(s, label=None)
+                        for s in make_trial(kind, 1250, seed=seed,
+                                            device_id=dev)]
+                  for dev, kind, seed in (("b0", "fall", 43),
+                                          ("b1", "adl", 44))}
+        payload = b"".join(_wire_form(pair) for pair in zip(*trials.values()))
+        room_at_put = []
+        real_put = BoundedQueue.put
+
+        def put(queue, windows):
+            room_at_put.append(queue._queued < queue._capacity)
+            real_put(queue, windows)
+
+        monkeypatch.setattr(BoundedQueue, "put", put)
+        _slow_classification(monkeypatch, 0.02)
+        out = tmp_path / "live.jsonl"
+
+        def send(port):
+            _send_in_pieces(port, payload, 8192)
+            _wait_for_lines(out, 12)
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.3, overflow="block",
+                                     queue_capacity=400)
+        assert room_at_put and all(room_at_put)
+        docs = [json.loads(l) for l in out.read_text().splitlines()]
+        for dev, trial in trials.items():
+            mine = [d for d in docs if d["device_id"] == dev]
+            want = classify_samples(artifact, trial)
+            assert [d["p_fall"] for d in mine] == [w.p_fall for w in want]
+            assert [d["seq"] for d in mine] == list(range(len(want)))
+        assert stats.overflow_drops == 0
+        assert stats.windows == stats.detections == 12
+        assert stats.samples_in == 2500
+        assert stats.partial_window_drops == 100
+        assert _conserved(stats)
+
     def test_shed_drops_whole_windows_and_leaves_partial_ones(
             self, artifact, artifact_path, tmp_path, monkeypatch):
-        # the consumer is held on its first window list while two devices
-        # flood a queue of two windows; once every line is read it goes on
+        # classification lags while two devices flood a queue of two
+        # windows: reading goes on and the oldest window lists are shed
         trials = {dev: [replace(s, label=None)
                         for s in make_trial(kind, n, seed=seed,
                                             device_id=dev)]
@@ -712,20 +783,14 @@ class TestOverflowShedding:
         payload = b"".join(_wire_form(pair) for pair in zip(*trials.values()))
         payload += _wire_form(trials["f0"][len(trials["f1"]):])
         seen = {}
-        release = threading.Event()
-        real_init, real_classify = (BoundedQueue.__init__,
-                                    stream.classify_windows)
+        real_init = BoundedQueue.__init__
 
         def init(queue, capacity, policy, stats):
             seen["stats"] = stats
             real_init(queue, capacity, policy, stats)
 
-        def held(artifact, windows, seqs):
-            release.wait(30)
-            return real_classify(artifact, windows, seqs)
-
         monkeypatch.setattr(BoundedQueue, "__init__", init)
-        monkeypatch.setattr(stream, "classify_windows", held)
+        _slow_classification(monkeypatch, 0.05)
         out = tmp_path / "live.jsonl"
 
         def send(port):
@@ -734,7 +799,6 @@ class TestOverflowShedding:
             while seen["stats"].samples_in < sum(n_lines.values()):
                 assert time.monotonic() < deadline, "flood not read"
                 time.sleep(0.01)
-            release.set()
 
         stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
                                      settle=0.5, overflow="drop_oldest",
@@ -838,6 +902,28 @@ class TestWebhookSink:
         docs = [json.loads(b) for b in _Responder.bodies]
         assert [d["seq"] for d in docs] == [0, 1]
 
+
+    def test_slow_webhook_pauses_reading_and_miscounts_nothing(
+            self, http_server, artifact_path, tmp_path):
+        # each POST takes 0.3 s on the serving thread; the clients wait
+        # through TCP meanwhile and every sink gets every detection
+        _Responder.delay_s = 0.3
+        url = f"http://127.0.0.1:{http_server.server_port}/hook"
+        out = tmp_path / "live.jsonl"
+
+        def send(port):
+            _send_lines(port, _wire_lines(400, "w0"))
+            _send_lines(port, _wire_lines(400, "w1"))
+            _wait_for_lines(out, 4)
+
+        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
+                                     settle=0.5,
+                                     sinks=(f"file:{out}", f"webhook:{url}"))
+        lines = out.read_text().splitlines()
+        assert len(lines) == stats.detections == 4
+        assert [b.decode() for b in _Responder.bodies] == lines
+        assert stats.sink_failures == 0
+        assert _conserved(stats)
 
 class TestBatchedIngest:
     def test_live_stream_equals_batch_across_chunk_boundaries(
