@@ -150,8 +150,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"overflow must be 'block' or 'drop_oldest', got {self.overflow!r}"
             )
-        # the longest interval accepted is the longest timed wait the
-        # standard library takes, threading.TIMEOUT_MAX
+        # an interval past threading.TIMEOUT_MAX is refused as it always
+        # was, so a config that serve accepts stays the same across versions
         if self.stats_interval_s and not (
                 0 < self.stats_interval_s <= threading.TIMEOUT_MAX):
             raise ConfigError(
@@ -163,9 +163,12 @@ class BoundedQueue:
     """Queue of window lists, bounded in samples: an item counts the samples
     of its windows. Under ``block`` a put always enters and the queue is
     ``full`` once it holds its capacity, so the loop reads nothing until a
-    get makes room. Under ``drop_oldest`` a put sheds the oldest items whole
-    and counts their samples until the new one fits, and the queue is never
-    full. An item larger than the capacity still enters an empty queue."""
+    get makes room; as ``full`` is checked between selector passes, the
+    pass that fills the queue can take it past its capacity by up to one
+    read per ready connection. Under ``drop_oldest`` a put sheds the oldest
+    items whole and counts their samples until the new one fits, and the
+    queue is never full. An item larger than the capacity still enters an
+    empty queue."""
 
     def __init__(self, capacity: int, policy: str, stats: PipelineStats):
         self._capacity = capacity
@@ -385,14 +388,18 @@ def run_pipeline(
                 if len(chunk):
                     assemble(chunk)
             elif not queue.full:
-                # selector passes until none finds a ready socket, the queue
-                # is full or a queue's worth of lines is read: reading more
-                # before a get would only shed what this turn read
+                # selector passes until one reads no line, the queue is full
+                # or a queue's worth of lines is read: reading more before a
+                # get would only shed what this turn read. A pass can find a
+                # socket ready and read no line (an accept that keeps failing,
+                # a client inside an over-long line), so only lines go on
                 wait = 0.0 if queue else min(
                     WAIT_S, max(next_stats - time.monotonic(), 0.0))
-                lines = stats.samples_in + config.queue_capacity
-                while (socket_source.poll(wait) and not queue.full
-                       and stats.samples_in < lines):
+                before = stats.samples_in
+                lines = before + config.queue_capacity
+                while (socket_source.poll(wait) and stats.samples_in > before
+                       and not queue.full and stats.samples_in < lines):
+                    before = stats.samples_in
                     wait = 0.0
             windows = queue.get()
             if windows is not None:

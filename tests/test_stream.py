@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import re
@@ -355,9 +356,8 @@ class TestReplayPipeline:
     def test_due_chunk_schedule(self, monkeypatch):
         batch = SampleBatch.from_samples(_fall_trial(seed=17, n=20_000))
         paced = PipelineStats()
-        chunks = [c for c in stream._replay_chunks(
-            batch, ReplaySpec(samples=batch, rate_hz=20.0, speed=1e4), paced)
-            if c is not None]
+        spec = ReplaySpec(samples=batch, rate_hz=20.0, speed=1e4)
+        chunks = list(stream._replay_chunks(batch, spec, paced))
         assert max(len(c) for c in chunks) <= REPLAY_CHUNK
         assert np.concatenate([c.t_ms for c in chunks]).tobytes() == \
             batch.t_ms.tobytes()
@@ -455,8 +455,9 @@ def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0,
                          overflow="drop_oldest", queue_capacity=1024,
                          sinks=None, stats_interval_s=None, result=None):
     """Serve on a runner thread while ``send(port)`` runs on this one, then
-    shut down; ``result`` gets the stats and the thread count the runner
-    saw before it called run_pipeline."""
+    shut down; ``result`` gets the stats, the thread count the runner saw
+    before it called run_pipeline and the seconds from shutdown to return
+    (``stop_s``)."""
     shutdown = threading.Event()
     config = PipelineConfig(
         source=SocketSpec("127.0.0.1", port),
@@ -484,8 +485,10 @@ def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0,
     send(port)
     time.sleep(settle)
     shutdown.set()
+    stopping = time.monotonic()
     thread.join(timeout=10)
     assert not thread.is_alive()
+    result["stop_s"] = time.monotonic() - stopping
     return result["stats"]
 
 
@@ -710,6 +713,86 @@ class TestReaderFaults:
         assert stats.detections == len(expected) + 1
         assert stats.malformed == 1
         assert stats.samples_in == 650 + 200 + 1
+        assert _conserved(stats)
+
+
+    def test_accept_that_keeps_failing_does_not_stall_the_loop(
+            self, artifact_path, tmp_path, monkeypatch):
+        # a connection waits in the backlog that no accept can take: the
+        # listener stays ready, yet the loop classifies, and shutdown ends it
+        real_accept = socket.socket.accept
+        accepted = []
+
+        def accept(sock):
+            if len(accepted) == 2:  # the helper's probe and the first client
+                raise OSError(errno.EMFILE, "Too many open files")
+            accepted.append(sock)
+            return real_accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        _slow_classification(monkeypatch, 0.1)
+        out = tmp_path / "live.jsonl"
+        waiting = []
+
+        def send(port):
+            _send_lines(port, _wire_lines(1000))
+            waiting.append(socket.create_connection(("127.0.0.1", port),
+                                                    timeout=5))
+            waiting[0].sendall("".join(_wire_lines(200, "late")).encode())
+
+        result = {}
+        try:
+            stats = _run_socket_pipeline(artifact_path, out, _free_port(),
+                                         send, settle=0.2, overflow="block",
+                                         result=result)
+        finally:
+            for conn in waiting:
+                conn.close()
+        assert result["stop_s"] < 1.0
+        assert stats.windows == stats.detections == 5
+        assert out.read_text().count("\n") == 5
+        assert stats.samples_in == 1000
+        assert _conserved(stats)
+
+    def test_endless_line_does_not_stall_the_loop(
+            self, artifact_path, tmp_path, monkeypatch):
+        # one client streams a line that never ends while another sends two
+        # windows; reads of 64 bytes keep the streamer's socket ready on
+        # every pass. Both windows are classified and shutdown ends the loop
+        monkeypatch.setattr(ingest, "READ_BYTES", 64)
+        out = tmp_path / "live.jsonl"
+        streaming = threading.Event()
+        done = threading.Event()
+
+        def stream_sevens(port):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=5) as conn:
+                try:
+                    while not done.is_set():
+                        conn.sendall(b"7" * (1 << 20))
+                        streaming.set()
+                except OSError:
+                    pass  # the server closed the connection
+            streaming.set()
+
+        def send(port):
+            threading.Thread(target=stream_sevens, args=(port,),
+                             daemon=True).start()
+            assert streaming.wait(5)
+            _send_lines(port, _wire_lines(400))
+            _wait_for_lines(out, 2, timeout=10)
+
+        result = {}
+        try:
+            stats = _run_socket_pipeline(artifact_path, out, _free_port(),
+                                         send, settle=0.2, overflow="block",
+                                         result=result)
+        finally:
+            done.set()
+        assert result["stop_s"] < 1.0
+        assert stats.windows == stats.detections == 2
+        assert stats.malformed == 1  # the endless line, once
+        assert stats.samples_in == 401
         assert _conserved(stats)
 
 
