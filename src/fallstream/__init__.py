@@ -1,5 +1,12 @@
 """Streaming fall detection from wearable accelerometer data."""
 
+import os
+
+# Set before anything imports numpy. The largest matrix product here is
+# (32 x 58) @ (58 x 64), far below OpenBLAS's threading threshold, so its
+# thread pool would only cost start-up time; a value set by the user wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     ArtifactError,
     ConfigError,

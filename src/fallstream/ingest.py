@@ -27,6 +27,7 @@ import math
 import re
 import selectors
 import socket
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -48,6 +49,16 @@ _T_LIMIT = 2**63
 # Bytes asked of one recv: ~480 live lines. A read's lines are parsed,
 # counted and handed on together.
 READ_BYTES = 16384
+# Seconds the listener is left out of the selector after a failed accept
+# (say EMFILE): the pending connection keeps it readable, and selecting on
+# it would return at once on every pass.
+ACCEPT_RETRY_S = 0.1
+# Bytes of trial text parsed as one block of columns; a block ends after a
+# newline, so it holds whole lines.
+TRIAL_BLOCK_BYTES = 65536
+# Line breaks of str.splitlines besides "\n" that UTF-8 writes in more than
+# one byte; the one-byte ones are \v \f \r (11-13) and \x1c-\x1e (28-30).
+_WIDE_BREAKS = ("\x85".encode(), "\u2028".encode(), "\u2029".encode())
 _NEWLINE, _COMMA = ord("\n"), ord(",")
 
 
@@ -259,22 +270,34 @@ def parse_trial_file(
     an acceleration is not finite, its timestamp does not fit int64 or its
     label is empty. Raises ParseError when the input is unreadable or more
     than half of the data rows are malformed (which signals a wrong mapping).
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"trial file is not UTF-8 text: {exc}") from exc
 
-    lines = text.splitlines()
+    Lines are those of ``str.splitlines``. The text is parsed in blocks of
+    about TRIAL_BLOCK_BYTES cut after a newline, each as columns by
+    ``_block_columns``; a block it rejects is parsed row by row by
+    ``_block_rows``, so malformed counts stay exact. Both write into arrays
+    allocated up front, and memory holds one block's strings at a time.
+    """
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"trial file is not UTF-8 text: {exc}") from exc
+
+    delimiter = mapping.delimiter
     header_fields = None
+    start = 0
     if mapping.header:
-        if not lines:
+        if not data:
             return SampleBatch(device_id, np.empty(0, dtype=np.int64),
                                np.empty((0, 3))), ParseReport()
-        header_fields = [f.strip() for f in lines[0].split(mapping.delimiter)]
-        lines = lines[1:]
+        head = data[:data.find(b"\n") + 1 or len(data)].decode("utf-8")
+        first = head.splitlines(keepends=True)[0]
+        header_fields = [f.strip()
+                         for f in first.splitlines()[0].split(delimiter)]
+        start = len(first.encode("utf-8"))
 
-    t_col, x_col, y_col, z_col, label_col = _resolve_columns(mapping, header_fields)
+    cols = _resolve_columns(mapping, header_fields)
+    t_col, label_col = cols[0], cols[4]
     if mapping.unit == "m/s2":
         accel_factor = 1.0
     elif mapping.unit == "g":
@@ -288,14 +311,133 @@ def parse_trial_file(
     # surrounding whitespace, so only the label field is stripped
     number = _count_as_float if mapping.unit == "adc_bits" else float
 
-    delimiter = mapping.delimiter
+    # one row per "\n" and one more; a row-parsed block can split lines at
+    # other breaks too, and then the arrays grow
+    size = data.count(b"\n", start) + 1
+    ts = np.empty(size) if t_col is not None else None
+    acc = np.empty((size, 3))
+    labels: list[str] = []
+    codes: dict[str, str] = {}  # raw label field -> code, one object per code
+    n = rows = 0  # rows parsed; lines that are not blank
+    while start < len(data):
+        stop = data.find(b"\n", start + TRIAL_BLOCK_BYTES - 1) + 1 or len(data)
+        block = data[start:stop]
+        start = stop
+        parsed = _block_columns(block, delimiter, cols, number, codes)
+        if parsed is None:
+            block_lines = block.decode("utf-8").splitlines()
+            parsed, blank = _block_rows(block_lines, delimiter, cols, number,
+                                        codes)
+            rows += len(block_lines) - blank
+        else:
+            rows += len(parsed[1])
+        t, x, y, z, block_labels = parsed
+        k = len(x)
+        if n + k > len(acc):  # rows past n are overwritten or cut
+            acc = np.resize(acc, (2 * (n + k), 3))
+            ts = None if ts is None else np.resize(ts, 2 * (n + k))
+        acc[n:n + k, 0], acc[n:n + k, 1], acc[n:n + k, 2] = x, y, z
+        if ts is not None:
+            ts[n:n + k] = t
+        if label_col is not None:
+            labels += block_labels
+        n += k
+
+    acc = acc[:n]
+    if accel_factor != 1.0:
+        acc *= accel_factor
+    ok = np.isfinite(acc).all(axis=1)
+    if t_col is not None:
+        t_ms = np.rint(ts[:n] * _TIME_UNITS[mapping.time_unit])
+        ok &= (t_ms >= -_T_LIMIT) & (t_ms < _T_LIMIT)  # False for nan
+    if not ok.all():
+        acc = acc[ok]
+        if t_col is not None:
+            t_ms = t_ms[ok]
+        if label_col is not None:
+            labels = [c for c, keep in zip(labels, ok.tolist()) if keep]
+    if t_col is None:
+        t_ms = np.rint(np.arange(len(acc)) * 1000.0 / mapping.synthetic_rate_hz)
+    t_ms = t_ms.astype(np.int64)
+
+    report = ParseReport(
+        rows=rows,
+        malformed=rows - len(acc),
+        timestamp_regressions=int(np.count_nonzero(t_ms[1:] < t_ms[:-1])),
+    )
+    if report.rows and report.malformed * 2 > report.rows:
+        raise ParseError(
+            f"{report.malformed}/{report.rows} rows malformed; mapping is likely wrong"
+        )
+    return SampleBatch(device_id, t_ms, acc,
+                       labels if label_col is not None else None), report
+
+
+def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
+                   codes: dict[str, str]) -> tuple | None:
+    """The rows of a block of whole lines as (t, x, y, z, labels) columns,
+    converted one column at a time; None when the block holds a line the
+    row loop might parse otherwise: another field count (so a blank line),
+    a line break other than "\\n", a failed conversion or an empty label;
+    also for a delimiter other than one ASCII character.
+
+    The conversions are the row loop's, on the same field strings, so an
+    accepted block gives the same rows, bit for bit."""
+    if len(delimiter) != 1 or not delimiter.isascii():
+        return None
+    body = block[:-1] if block.endswith(b"\n") else block
+    octets = np.frombuffer(body, np.uint8)
+    if ((octets - 11 < 3) | (octets - 28 < 3)).any() or (
+            not body.isascii() and any(b in body for b in _WIDE_BREAKS)):
+        return None
+    ends = np.flatnonzero(octets == _NEWLINE)
+    n = len(ends) + 1
+    seps = np.flatnonzero(octets == ord(delimiter))
+    per_line = len(seps) // n
+    if per_line == 0 or len(seps) != per_line * n:
+        return None
+    seps = seps.reshape(n, per_line)
+    # per_line * n separators in order, line i's first and last inside line
+    # i: every line holds exactly per_line (UTF-8 never puts an ASCII byte
+    # inside a multibyte character)
+    if (seps[1:, 0] < ends).any() or (seps[:-1, -1] > ends).any():
+        return None
+    width = per_line + 1
+    if not all(-width <= c < width for c in cols if c is not None):
+        return None  # fields[c] raises IndexError on every line
+    t_col, x_col, y_col, z_col, label_col = (
+        None if c is None else c % width for c in cols)
+    fields = body.decode("utf-8").replace("\n", delimiter).split(delimiter)
+    try:
+        x = list(map(number, fields[x_col::width]))
+        y = list(map(number, fields[y_col::width]))
+        z = list(map(number, fields[z_col::width]))
+        t = None if t_col is None else list(map(float, fields[t_col::width]))
+    except (ValueError, OverflowError):
+        return None
+    labels = None
+    if label_col is not None:
+        raw = fields[label_col::width]
+        for field_ in set(raw).difference(codes):
+            code = field_.strip().upper()
+            if not code:
+                return None
+            codes[field_] = code
+        labels = list(map(codes.__getitem__, raw))
+    return t, x, y, z, labels
+
+
+def _block_rows(lines: list[str], delimiter: str, cols: tuple, number,
+                codes: dict[str, str]) -> tuple[tuple, int]:
+    """The parseable rows of ``lines`` as (t, x, y, z, labels) columns, one
+    row at a time, and how many lines were blank."""
+    t_col, x_col, y_col, z_col, label_col = cols
     ts: list[float] = []
     xs: list[float] = []
     ys: list[float] = []
     zs: list[float] = []
     labels: list[str] = []
-    codes: dict[str, str] = {}  # raw label field -> code, one object per code
-    blank = unparsed = 0
+    blank = 0
     for line in lines:
         fields = line.split(delimiter)
         try:
@@ -314,45 +456,14 @@ def parse_trial_file(
                 labels.append(code)
         except (ValueError, IndexError, OverflowError):
             # a blank line always lands here; it is not a row
-            if line.strip():
-                unparsed += 1
-            else:
+            if not line.strip():
                 blank += 1
             continue
         ts.append(t)
         xs.append(x)
         ys.append(y)
         zs.append(z)
-
-    acc = np.empty((len(xs), 3))
-    acc[:, 0], acc[:, 1], acc[:, 2] = xs, ys, zs
-    if accel_factor != 1.0:
-        acc *= accel_factor
-    ok = np.isfinite(acc).all(axis=1)
-    if t_col is not None:
-        t_ms = np.rint(np.asarray(ts) * _TIME_UNITS[mapping.time_unit])
-        ok &= (t_ms >= -_T_LIMIT) & (t_ms < _T_LIMIT)  # False for nan
-    if not ok.all():
-        acc = acc[ok]
-        if t_col is not None:
-            t_ms = t_ms[ok]
-        if label_col is not None:
-            labels = [c for c, keep in zip(labels, ok.tolist()) if keep]
-    if t_col is None:
-        t_ms = np.rint(np.arange(len(acc)) * 1000.0 / mapping.synthetic_rate_hz)
-    t_ms = t_ms.astype(np.int64)
-
-    report = ParseReport(
-        rows=len(lines) - blank,
-        malformed=unparsed + len(xs) - len(acc),
-        timestamp_regressions=int(np.count_nonzero(t_ms[1:] < t_ms[:-1])),
-    )
-    if report.rows and report.malformed * 2 > report.rows:
-        raise ParseError(
-            f"{report.malformed}/{report.rows} rows malformed; mapping is likely wrong"
-        )
-    return SampleBatch(device_id, t_ms, acc,
-                       labels if label_col is not None else None), report
+    return (ts, xs, ys, zs, labels), blank
 
 
 def _count_as_float(field: str) -> float:
@@ -464,7 +575,8 @@ class SocketSource:
 
     It starts no thread: the caller's loop calls ``poll``, which makes one
     selector pass over the listener and every connection, accepting what
-    waits and reading each ready connection once (up to READ_BYTES), so
+    waits (after a failed accept the listener sits out ACCEPT_RETRY_S) and
+    reading each ready connection once (up to READ_BYTES), so
     lines are never reordered within a connection and one stalled client
     holds up no other. A read's complete lines are parsed as columns (line
     by line only when one of them is malformed) and handed on as one
@@ -482,6 +594,8 @@ class SocketSource:
         self._emit = emit
         self.stats = stats
         self._selector: selectors.BaseSelector | None = None
+        self._listener: socket.socket | None = None
+        self._accept_at: float | None = None  # when a paused listener resumes
 
     def start(self) -> None:
         """Bind and listen; bind failures propagate (fatal)."""
@@ -495,12 +609,20 @@ class SocketSource:
             listener.close()
             raise
         self.port = listener.getsockname()[1]
+        self._listener = listener
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ)
 
     def poll(self, timeout: float) -> bool:
         """One selector pass, waiting up to ``timeout`` seconds for a ready
         socket; whether any was ready."""
+        if self._accept_at is not None:
+            left = self._accept_at - time.monotonic()
+            if left <= 0:
+                self._selector.register(self._listener, selectors.EVENT_READ)
+                self._accept_at = None
+            else:
+                timeout = min(timeout, left)
         ready = self._selector.select(timeout)
         for key, _events in ready:
             if key.data is None:
@@ -515,11 +637,15 @@ class SocketSource:
         for key in list(self._selector.get_map().values()):
             self._close(key)
         self._selector.close()
+        self._listener.close()
 
     def _accept(self, listener: socket.socket) -> None:
         try:
             conn, _addr = listener.accept()
-        except OSError:  # EMFILE and the like leave it queued for a later try
+        except OSError:
+            # EMFILE and the like leave it queued: try again after a pause
+            self._selector.unregister(listener)
+            self._accept_at = time.monotonic() + ACCEPT_RETRY_S
             return
         conn.setblocking(False)
         self._selector.register(conn, selectors.EVENT_READ, _Connection())

@@ -3,18 +3,20 @@
 One loop on the calling thread runs replay and serve alike; the pipeline
 starts no thread. Each turn reads from the source, classifies one queued
 window list and prints the stats line when it is due. Replay reads the
-next due chunk (at most REPLAY_CHUNK rows; every row at once at max
-speed), and sleeps until a row is due when none is. Serve makes selector
-passes over the listener and every connection, waiting only while nothing
-is queued. Either pushes what it reads into one WindowAssembler and puts
-the windows a push completes on one queue, bounded in samples. A window
-list is classified with one feature, one scaling and one forward call, and
-its detections go to every sink in per-device order. Overflow policy
-``block`` reads nothing while the queue is full, so backpressure reaches
-clients through TCP; ``drop_oldest`` (live default) keeps reading and
-sheds the oldest queued window lists whole, counting their samples, so a
-shed never touches a partial window and every window is contiguous. A
-replay puts at most one list per turn and gets one, so it never overflows.
+rows due so far, at most REPLAY_CHUNK (12,800 rows, 64 default windows)
+per turn, so a max-speed turn reads a full chunk and classifies its
+windows with one call each; it sleeps until a row is due when none is.
+Serve makes selector passes over the listener and every connection,
+waiting only while nothing is queued. Either pushes what it reads into
+one WindowAssembler and puts the windows a push completes on one queue,
+bounded in samples. A window list is classified with one feature, one
+scaling and one forward call, and its detections go to every sink in
+per-device order. Overflow policy ``block`` reads nothing while the queue
+is full, so backpressure reaches clients through TCP; ``drop_oldest``
+(live default) keeps reading and sheds the oldest queued window lists
+whole, counting their samples, so a shed never touches a partial window
+and every window is contiguous. A replay puts at most one list per turn
+and gets one, so it never overflows.
 
 Detections serialize to one JSON line with a fixed key order:
 ``device_id, t_start_ms, t_end_ms, p_fall, class, seq, model_digest``.
@@ -46,7 +48,9 @@ from .ingest import (
 from .model import ModelArtifact, forward, load_artifact
 from .windowing import Window, WindowAssembler, WindowConfig
 
-REPLAY_CHUNK = 512
+# rows a replay turn reads at most: at max speed a turn completes one
+# features.STACK_BLOCK stack of 64 default (200-sample) windows
+REPLAY_CHUNK = 12_800
 # longest wait for input, so a shutdown event is seen within it
 WAIT_S = 0.2
 WEBHOOK_TIMEOUT_S = 2.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import signal
 import socket
@@ -552,6 +553,23 @@ def test_cli_import_leaves_urllib_request_unloaded():
          "sys.exit('urllib.request' in sys.modules)"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc")
+def test_import_starts_no_blas_threads():
+    # no product here is big enough for OpenBLAS to thread; its pool only
+    # costs start-up time. A value the user sets wins
+    code = ("import os, fallstream; print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir('/proc/self/task')))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for value, expected in ((None, "1 1"), ("2", "2 ")):
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(expected)
 
 
 def _foreign_schema_artifact(artifact_path, tmp_path):

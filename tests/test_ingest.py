@@ -3,12 +3,15 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fallstream import ingest
 from fallstream.errors import ConfigError, ParseError, UnknownActivity
 from fallstream.ingest import (
     MAX_LINE_BYTES,
@@ -284,6 +287,151 @@ class TestColumnarParse:
                                                             timestamp=3))
         assert len(batch) == 0 and batch.acc.shape == (0, 3)
         assert batch.labels is None and report.rows == 0
+
+
+_BLOCK_NUMBERS = ["0", "50", "-3", "25.5", " 7 ", "1_000", "1e3", "-0.0",
+                  "nan", "inf", "-inf", "1e19", "-1e400", "9" * 30, "abc", ""]
+_BLOCK_LABELS = ["WAL"] * 8 + ["jog", " wal ", "Std ", "", "  "]
+# str.splitlines breaks every one of these; the column path takes only "\n"
+_BLOCK_BREAKS = ["\n"] * 40 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                              "\x85", "\u2028", "\u2029"]
+_BLOCK_MAPPINGS = [
+    BASIC,
+    ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4, unit="g",
+                  time_unit="s"),
+    ColumnMapping(timestamp=0, ax=1, ay=2, az=3, unit="adc_bits"),
+    ColumnMapping(ax=0, ay=1, az=2, label=3, synthetic_rate_hz=30.0),
+    ColumnMapping(timestamp="t", ax="x", ay="y", az="z", label="label",
+                  header=True),
+    ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=-1),
+    ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4, delimiter="\t"),
+]
+
+
+@st.composite
+def _block_trial(draw):
+    """A mapping and a trial text for it: mostly valid rows, so that many
+    blocks are parsed as columns, mixed with blank lines, other line
+    breaks, extra or missing fields, bad numbers and empty or padded
+    labels."""
+    mapping = draw(st.sampled_from(_BLOCK_MAPPINGS))
+    sep = mapping.delimiter
+    number = st.one_of(
+        st.integers(-5000, 5000).map(str),
+        st.floats(-50, 50).map(repr),
+        st.sampled_from(_BLOCK_NUMBERS),
+    )
+    header = [sep.join(["t", " x", "y ", "z", "label"])] if mapping.header else []
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(
+            ["row"] * 24 + ["extra", "missing", "shift", "blank", "garbage"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        if kind == "garbage":
+            lines.append("garbage")
+            continue
+        fields = [draw(number) for _ in range(4)]
+        fields.append(draw(st.sampled_from(_BLOCK_LABELS)))
+        if kind == "extra":
+            fields.append(draw(st.sampled_from(["x", "1", "WAL"])))
+        elif kind == "shift":
+            fields.append(draw(number))
+        elif kind == "missing":
+            fields.pop()
+        lines.append(sep.join(fields))
+        if kind == "shift":
+            # with the next line one field short, the block's field count
+            # is a whole number of rows whose fields all convert
+            lines.append(sep.join(draw(number) for _ in range(4)))
+    lines = [line + draw(st.sampled_from(_BLOCK_BREAKS))
+             for line in header + lines]
+    text = "".join(lines)
+    if text and draw(st.booleans()):
+        text = text[:-1]  # no final line break (or half of a "\r\n")
+    return mapping, text.encode()
+
+
+def _outcome(data, mapping):
+    try:
+        batch, report = parse_trial_file(data, mapping)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return batch.t_ms.tobytes(), batch.acc.tobytes(), batch.labels, report
+
+
+def _row_loop_outcome(data, mapping):
+    """The outcome with every block parsed row by row."""
+    with mock.patch.object(ingest, "_block_columns", lambda *args: None):
+        return _outcome(data, mapping)
+
+
+def _trial_bytes(rows, label=lambda i: "WAL"):
+    rng = np.random.default_rng(5)
+    return "".join(
+        f"{50 * i},{x!r},{y!r},{z!r},{label(i)}\n"
+        for i, (x, y, z) in enumerate(rng.normal(0.0, 5.0, (rows, 3)).tolist())
+    ).encode()
+
+
+class TestBlockParse:
+    """Blocks parsed as columns give what the row loop alone gives."""
+
+    @settings(max_examples=200)
+    @given(_block_trial(), st.sampled_from([1, 16, 64, 200, 65536]))
+    # an extra field then a missing one: a whole number of rows in all
+    @example((BASIC, b"0,1,2,3,WAL,1\n5,1,2,3\n"), 65536)
+    # a label column counted from the end
+    @example((_BLOCK_MAPPINGS[5], b"0,1,2,3,WAL\n5,1,2,3,JOG\n"), 65536)
+    @example((BASIC, "0,1,2,3,WAL\x1c5,1,2,3,WAL\n".encode()), 65536)
+    @example((BASIC, "0,1,2,3,WAL\u20285,1,2,3,WAL\n".encode()), 65536)
+    def test_blocks_match_the_row_loop(self, trial, block_bytes):
+        mapping, data = trial
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", block_bytes):
+            got = _outcome(data, mapping)
+        assert got == _row_loop_outcome(data, mapping)
+
+    def test_valid_blocks_never_reach_the_row_loop(self):
+        data = _trial_bytes(3000, lambda i: "WAL" if i % 7 else " jog ")
+        with mock.patch.object(ingest, "_block_rows", None):
+            batch, report = parse_trial_file(data, BASIC)
+        assert len(data) > 2 * ingest.TRIAL_BLOCK_BYTES
+        assert report == ingest.ParseReport(rows=3000)
+        assert _outcome(data, BASIC) == _row_loop_outcome(data, BASIC)
+        # label codes are interned across blocks: one object per raw field
+        assert len({id(c) for c in batch.labels}) == 2
+
+    def test_a_bad_row_sends_only_its_block_to_the_row_loop(self):
+        lines = _trial_bytes(3000).decode().splitlines(keepends=True)
+        lines[1500] = "1,2,oops,4,WAL\n"
+        data = "".join(lines).encode()
+        calls = []
+        real = ingest._block_rows
+
+        def rows(lines, *args):
+            calls.append(len(lines))
+            return real(lines, *args)
+
+        with mock.patch.object(ingest, "_block_rows", rows):
+            batch, report = parse_trial_file(data, BASIC)
+        assert len(calls) == 1 and calls[0] < 3000
+        assert report.malformed == 1 and len(batch) == 2999
+        assert batch.t_ms.tolist() == [50 * i for i in range(3000)
+                                       if i != 1500]
+
+    def test_memory_stays_within_twice_the_file(self):
+        # the parse holds one block's strings, not the file as lines and
+        # float objects
+        data = _trial_bytes(100_000)
+        tracemalloc.start()
+        try:
+            _batch, report = parse_trial_file(data, BASIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rows == 100_000 and report.malformed == 0
+        assert peak <= 2 * len(data)
 
 
 class TestSampleBatch:

@@ -365,10 +365,13 @@ class TestReplayPipeline:
         # at max speed every row is due at once: no clock is read
         monkeypatch.setattr(stream, "time", None)
         fast = PipelineStats()
-        chunks = list(stream._replay_chunks(
-            batch.rows(0, 1234), ReplaySpec(samples=batch), fast))
-        assert [len(c) for c in chunks] == [512, 512, 210]
-        assert fast.samples_in == 1234
+        n = len(batch)  # more than one chunk, not a whole number of them
+        chunks = list(stream._replay_chunks(batch, ReplaySpec(samples=batch),
+                                            fast))
+        full, rest = divmod(n, REPLAY_CHUNK)
+        assert full >= 1 and rest > 0
+        assert [len(c) for c in chunks] == [REPLAY_CHUNK] * full + [rest]
+        assert fast.samples_in == n
 
     def test_per_device_order_and_sequences(self, artifact_path, tmp_path):
         a = make_trial("adl", 650, seed=14, device_id="dev_a")
@@ -719,7 +722,9 @@ class TestReaderFaults:
     def test_accept_that_keeps_failing_does_not_stall_the_loop(
             self, artifact_path, tmp_path, monkeypatch):
         # a connection waits in the backlog that no accept can take: the
-        # listener stays ready, yet the loop classifies, and shutdown ends it
+        # listener stays ready, yet the loop classifies, and shutdown ends it.
+        # The queue drains well within the settle, so the loop then idles
+        # beside the waiting connection
         real_accept = socket.socket.accept
         accepted = []
 
@@ -731,6 +736,16 @@ class TestReaderFaults:
 
         monkeypatch.setattr(socket.socket, "accept", accept)
         _slow_classification(monkeypatch, 0.1)
+        real_poll = ingest.SocketSource.poll
+        polls = []
+
+        def poll(source, timeout):
+            polls.append(timeout)
+            return real_poll(source, timeout)
+
+        # after a failed accept the listener sits out a pause instead of
+        # making every select return at once
+        monkeypatch.setattr(ingest.SocketSource, "poll", poll)
         out = tmp_path / "live.jsonl"
         waiting = []
 
@@ -743,7 +758,7 @@ class TestReaderFaults:
         result = {}
         try:
             stats = _run_socket_pipeline(artifact_path, out, _free_port(),
-                                         send, settle=0.2, overflow="block",
+                                         send, settle=0.8, overflow="block",
                                          result=result)
         finally:
             for conn in waiting:
@@ -753,6 +768,7 @@ class TestReaderFaults:
         assert out.read_text().count("\n") == 5
         assert stats.samples_in == 1000
         assert _conserved(stats)
+        assert len(polls) <= 50
 
     def test_endless_line_does_not_stall_the_loop(
             self, artifact_path, tmp_path, monkeypatch):
