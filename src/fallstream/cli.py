@@ -299,40 +299,27 @@ def _path(raw, name: str):
 
 
 def _number(kind, raw, name: str):
-    """int or float of a config value; a wrong-typed value is a ConfigError."""
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _build_window(args, cfg: dict) -> WindowConfig:
-    wcfg = _section(cfg, "window")
-    return WindowConfig(
-        size=_number(int, _pick(args.window_size, wcfg, "size", 200),
-                     "window size"),
-        stride=_number(int, _pick(args.stride, wcfg, "stride", 200),
-                       "window stride"),
-    )
-
-
-def _build_sinks(args, cfg: dict) -> tuple[str, ...]:
-    sinks = _pick(args.sink or None, cfg, "sinks", ["stdout"])
-    if not (isinstance(sinks, list) and all(isinstance(s, str) for s in sinks)):
-        raise ConfigError(f"sinks must be a list of sink specs, got {sinks!r}")
-    return tuple(sinks)
+    """A config value as ``kind``: a JSON integer for an int setting, an
+    integer or float for a float one; anything else is a ConfigError."""
+    if isinstance(raw, (kind, int)) and not isinstance(raw, bool):
+        try:
+            return kind(raw)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be a number, got {raw!r}")
 
 
 def _parse_speed(raw) -> float:
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if str(raw).lower() in ("max", "inf"):
-        return math.inf
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"--speed must be a number or 'max', got {raw!r}") from None
+    if isinstance(raw, str):
+        if raw.lower() == "max":
+            return math.inf
+        try:
+            return float(raw)
+        except ValueError:
+            pass
+    elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return _number(float, raw, "--speed")
+    raise ConfigError(f"--speed must be a number or 'max', got {raw!r}")
 
 
 def _parse_listen(raw: str) -> tuple[str, int]:
@@ -342,6 +329,39 @@ def _parse_listen(raw: str) -> tuple[str, int]:
     if not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ConfigError(f"bad port in --listen value {raw!r}: need 0-65535")
     return host, int(port)
+
+
+def _pipeline_config(args, cfg: dict, source) -> PipelineConfig:
+    """replay's or serve's PipelineConfig: each setting from its flag, else
+    from --config, else its default. Queue and stats settings are serve's."""
+    artifact = _path(_pick(args.artifact, cfg, "artifact", None), "artifact")
+    wcfg = _section(cfg, "window")
+    window = WindowConfig(
+        size=_number(int, _pick(args.window_size, wcfg, "size", 200),
+                     "window size"),
+        stride=_number(int, _pick(args.stride, wcfg, "stride", 200),
+                       "window stride"),
+    )
+    sinks = _pick(args.sink or None, cfg, "sinks", ["stdout"])
+    if not (isinstance(sinks, list) and all(isinstance(s, str) for s in sinks)):
+        raise ConfigError(f"sinks must be a list of sink specs, got {sinks!r}")
+    live = {}
+    if isinstance(source, SocketSpec):
+        live = dict(
+            queue_capacity=_number(
+                int, _pick(args.queue_capacity, cfg, "queue_capacity", 1024),
+                "queue_capacity"),
+            overflow=_pick(args.overflow, cfg, "overflow", "drop_oldest"),
+            stats_interval_s=_number(
+                float, _pick(args.stats_interval, cfg, "stats_interval_s",
+                             10.0),
+                "stats_interval_s"),
+        )
+    config = PipelineConfig(source, artifact, window, tuple(sinks), **live)
+    if artifact is None:
+        raise ConfigError(
+            f"{args.command} needs --artifact (or artifact in --config)")
+    return config
 
 
 def cmd_replay(args) -> int:
@@ -364,16 +384,7 @@ def cmd_replay(args) -> int:
                         "rate_hz"),
         speed=_parse_speed(_pick(args.speed, src_cfg, "speed", math.inf)),
     )
-    config = PipelineConfig(
-        source=source,
-        artifact_path=_path(_pick(args.artifact, cfg, "artifact", None),
-                            "artifact"),
-        window=_build_window(args, cfg),
-        sinks=_build_sinks(args, cfg),
-    )
-    if config.artifact_path is None:
-        raise ConfigError("replay needs --artifact (or artifact in --config)")
-    stats = run_pipeline(config)
+    stats = run_pipeline(_pipeline_config(args, cfg, source))
     # a malformed row was read too, as serve counts a malformed line
     stats.samples_in += report.malformed
     stats.malformed += report.malformed
@@ -384,28 +395,10 @@ def cmd_replay(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = _load_config_file(args.config)
-    src_cfg = _section(cfg, "source")
-    listen = _pick(args.listen, src_cfg, "listen", None)
+    listen = _pick(args.listen, _section(cfg, "source"), "listen", None)
     if listen is None:
         raise ConfigError("serve needs --listen (or source.listen in --config)")
-    host, port = _parse_listen(listen)
-
-    config = PipelineConfig(
-        source=SocketSpec(host=host, port=port),
-        artifact_path=_path(_pick(args.artifact, cfg, "artifact", None),
-                            "artifact"),
-        window=_build_window(args, cfg),
-        sinks=_build_sinks(args, cfg),
-        queue_capacity=_number(
-            int, _pick(args.queue_capacity, cfg, "queue_capacity", 1024),
-            "queue_capacity"),
-        overflow=_pick(args.overflow, cfg, "overflow", "drop_oldest"),
-        stats_interval_s=_number(
-            float, _pick(args.stats_interval, cfg, "stats_interval_s", 10.0),
-            "stats_interval_s"),
-    )
-    if config.artifact_path is None:
-        raise ConfigError("serve needs --artifact (or artifact in --config)")
+    config = _pipeline_config(args, cfg, SocketSpec(*_parse_listen(listen)))
 
     shutdown = threading.Event()
 
@@ -496,10 +489,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ConfigError, ArtifactError, SchemaMismatch,
-            MissingLabel, UnknownActivity, InsufficientData) as exc:
-        _err(str(exc))
-        return 2
-    except OSError as exc:
+            MissingLabel, UnknownActivity, InsufficientData, OSError) as exc:
         _err(str(exc))
         return 2
 

@@ -59,7 +59,7 @@ TRIAL_BLOCK_BYTES = 65536
 # Line breaks of str.splitlines besides "\n" that UTF-8 writes in more than
 # one byte; the one-byte ones are \v \f \r (11-13) and \x1c-\x1e (28-30).
 _WIDE_BREAKS = ("\x85".encode(), "\u2028".encode(), "\u2029".encode())
-_NEWLINE, _COMMA = ord("\n"), ord(",")
+_NEWLINE = ord("\n")
 
 
 class BinaryClass(Enum):
@@ -165,6 +165,11 @@ def convert_adc_to_g(bits: int, range_g: float, resolution_bits: int) -> float:
     return bits * (2.0 * range_g / (1 << resolution_bits))
 
 
+def _is_a(value, types) -> bool:
+    """isinstance, with a bool counting as no number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 _UNITS = ("m/s2", "g", "adc_bits")
 _TIME_UNITS = {"ms": 1.0, "s": 1000.0, "us": 1e-3, "ns": 1e-6}
 
@@ -198,6 +203,18 @@ class ColumnMapping:
             c for c in (self.timestamp, self.ax, self.ay, self.az, self.label)
             if c is not None
         ]
+        # a JSON file can hold any type here, and a bool is an int
+        if not all(_is_a(c, (int, str)) for c in roles):
+            raise ConfigError(f"column roles must be indices or names, got {roles}")
+        if not (isinstance(self.delimiter, str) and self.delimiter):
+            raise ConfigError("delimiter must be a non-empty string")
+        if not isinstance(self.header, bool):
+            raise ConfigError(f"header must be true or false, got {self.header!r}")
+        if not (_is_a(self.adc_range_g, (int, float))
+                and _is_a(self.adc_resolution_bits, int)
+                and _is_a(self.synthetic_rate_hz, (int, float, type(None)))):
+            raise ConfigError("adc_range_g and synthetic_rate_hz must be "
+                              "numbers, adc_resolution_bits an integer")
         if len(set(roles)) != len(roles):
             raise ConfigError("column roles must map to distinct columns")
         if self.unit not in _UNITS:
@@ -390,24 +407,14 @@ def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
     if ((octets - 11 < 3) | (octets - 28 < 3)).any() or (
             not body.isascii() and any(b in body for b in _WIDE_BREAKS)):
         return None
-    ends = np.flatnonzero(octets == _NEWLINE)
-    n = len(ends) + 1
-    seps = np.flatnonzero(octets == ord(delimiter))
-    per_line = len(seps) // n
-    if per_line == 0 or len(seps) != per_line * n:
+    split = _split_fields(body, delimiter)
+    if split is None:
         return None
-    seps = seps.reshape(n, per_line)
-    # per_line * n separators in order, line i's first and last inside line
-    # i: every line holds exactly per_line (UTF-8 never puts an ASCII byte
-    # inside a multibyte character)
-    if (seps[1:, 0] < ends).any() or (seps[:-1, -1] > ends).any():
-        return None
-    width = per_line + 1
+    fields, width, _ends = split
     if not all(-width <= c < width for c in cols if c is not None):
         return None  # fields[c] raises IndexError on every line
     t_col, x_col, y_col, z_col, label_col = (
         None if c is None else c % width for c in cols)
-    fields = body.decode("utf-8").replace("\n", delimiter).split(delimiter)
     try:
         x = list(map(number, fields[x_col::width]))
         y = list(map(number, fields[y_col::width]))
@@ -425,6 +432,35 @@ def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
             codes[field_] = code
         labels = list(map(codes.__getitem__, raw))
     return t, x, y, z, labels
+
+
+def _split_fields(body: bytes, sep: str, width: int | None = None):
+    """The fields of newline-joined lines as one flat list, the fields per
+    line and the offsets of the newlines; None when a line holds another
+    number of ``sep`` (one ASCII character) than the others, when the lines
+    hold none, when a line has other than ``width`` fields (if given) or
+    when the body is not UTF-8.
+
+    The separators are counted on the bytes: UTF-8 never puts an ASCII byte
+    inside a multibyte character."""
+    octets = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(octets == _NEWLINE)
+    n = len(ends) + 1
+    seps = np.flatnonzero(octets == ord(sep))
+    per_line = len(seps) // n
+    if (per_line == 0 or len(seps) != per_line * n
+            or width is not None and per_line != width - 1):
+        return None
+    seps = seps.reshape(n, per_line)
+    # per_line * n separators in order, line i's first and last inside line
+    # i: every line holds exactly per_line
+    if (seps[1:, 0] < ends).any() or (seps[:-1, -1] > ends).any():
+        return None
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return text.replace("\n", sep).split(sep), per_line + 1, ends
 
 
 def _block_rows(lines: list[str], delimiter: str, cols: tuple, number,
@@ -508,28 +544,13 @@ def parse_wire_block(block: bytes) -> SampleBatch | None:
 
     The conversions are parse_wire_line's, so an accepted block gives the
     same rows, bit for bit, as parsing it line by line."""
-    try:
-        text = block.decode("utf-8")
-    except UnicodeDecodeError:
+    split = _split_fields(block, ",", 5)
+    if split is None:
         return None
-    # UTF-8 never puts a newline or comma byte inside a multibyte character
-    codes = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(codes == _NEWLINE)
-    n = len(ends) + 1
-    commas = np.flatnonzero(codes == _COMMA)
-    if len(commas) != 4 * n:
+    fields, _width, ends = split
+    # line i runs from ends[i - 1] + 1 to ends[i], the last one to the end
+    if (np.diff(ends, prepend=-1, append=len(block)) > MAX_LINE_BYTES + 1).any():
         return None
-    starts = np.empty(n, np.intp)
-    starts[0], starts[1:] = 0, ends + 1
-    stops = np.empty(n, np.intp)
-    stops[:-1], stops[-1] = ends, len(block)
-    commas = commas.reshape(n, 4)
-    # 4n commas in order, line i's first and fourth inside line i: every
-    # line holds exactly 4
-    if ((stops - starts > MAX_LINE_BYTES).any()
-            or (commas[:, 0] < starts).any() or (commas[:, 3] >= stops).any()):
-        return None
-    fields = text.replace("\n", ",").split(",")
     ids = fields[0::5]
     devices = {d: d for d in set(ids)}
     if not all(map(WIRE_DEVICE_RE.match, devices)):
@@ -540,7 +561,7 @@ def parse_wire_block(block: bytes) -> SampleBatch | None:
     try:
         # a t_ms outside int64 raises OverflowError here
         t_ms = np.array(list(map(int, fields[1::5])), dtype=np.int64)
-        acc = np.empty((n, 3))
+        acc = np.empty((len(ids), 3))
         acc[:, 0] = list(map(float, fields[2::5]))
         acc[:, 1] = list(map(float, fields[3::5]))
         acc[:, 2] = list(map(float, fields[4::5]))
@@ -686,42 +707,37 @@ class SocketSource:
         key.fileobj.close()
 
     def _handle_block(self, block: bytes, last_t: dict[str, int]) -> None:
-        """Parse, count and emit a read's complete lines (newline-joined);
-        parse_wire_block is looked up as the module global, so wrappers see
-        calls."""
+        """Parse, count and emit a read's complete lines (newline-joined):
+        as columns, or line by line when one is malformed. Both parsers are
+        looked up as module globals, so wrappers see calls."""
         batch = parse_wire_block(block)
         if batch is None:
-            self._handle_lines(block.split(b"\n"), last_t)
-            return
-        self.stats.samples_in += len(batch)
+            parse = parse_wire_line
+            lines = block.split(b"\n")
+            rows = []
+            for raw in lines:
+                if len(raw) > MAX_LINE_BYTES:
+                    continue
+                try:
+                    row = parse(raw.decode("utf-8"))
+                except UnicodeDecodeError:
+                    continue
+                if row is not None:
+                    rows.append(row)
+            batch = SampleBatch(
+                [r[0] for r in rows],
+                np.array([r[1] for r in rows], dtype=np.int64),
+                np.array([r[2:] for r in rows], dtype=np.float64),
+            )
+            read = len(lines)
+        else:
+            read = len(batch)
+        self.stats.samples_in += read
+        self.stats.malformed += read - len(batch)
         self.stats.timestamp_regressions += _count_regressions(
             batch.device_id, batch.t_ms.tolist(), last_t)
-        self._emit(batch)
-
-    def _handle_lines(self, lines: list[bytes], last_t: dict[str, int]) -> None:
-        parse = parse_wire_line  # the module global, so wrappers see calls
-        rows = []
-        for raw in lines:
-            if len(raw) > MAX_LINE_BYTES:
-                continue
-            try:
-                row = parse(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                continue
-            if row is not None:
-                rows.append(row)
-        ids = [r[0] for r in rows]
-        t_ms = [r[1] for r in rows]
-        self.stats.samples_in += len(lines)
-        self.stats.malformed += len(lines) - len(rows)
-        self.stats.timestamp_regressions += _count_regressions(ids, t_ms,
-                                                               last_t)
-        if rows:
-            self._emit(SampleBatch(
-                ids,
-                np.array(t_ms, dtype=np.int64),
-                np.array([r[2:] for r in rows], dtype=np.float64),
-            ))
+        if len(batch):
+            self._emit(batch)
 
     def _count_dropped_line(self) -> None:
         self.stats.samples_in += 1

@@ -352,10 +352,11 @@ def run_pipeline(
     only moves counters."""
     artifact = load_artifact(config.artifact_path)
     stats = PipelineStats()
-    sinks = [build_sink(s) for s in config.sinks]
     queue = BoundedQueue(config.queue_capacity, config.overflow, stats)
     assembler = WindowAssembler(config.window)
     seqs: dict[str, int] = {}
+    sinks = []
+    socket_source = chunks = None
 
     def assemble(batch: SampleBatch) -> None:
         windows = assembler.push(batch)
@@ -368,21 +369,21 @@ def run_pipeline(
             stats.detections += 1
             _deliver(detection_line(detection), sinks, stats)
 
-    socket_source = chunks = None
-    if isinstance(config.source, ReplaySpec):
-        chunks = _replay_chunks(as_batch(config.source.samples),
-                                config.source, stats)
-    else:
-        socket_source = SocketSource(
-            config.source.host, config.source.port, emit=assemble, stats=stats
-        )
-        socket_source.start()
-        print(f"listening on {socket_source.host}:{socket_source.port}",
-              file=sys.stderr, flush=True)
-
     interval = config.stats_interval_s
     next_stats = time.monotonic() + interval if interval else math.inf
     try:
+        for spec in config.sinks:  # built one by one, so finally closes each
+            sinks.append(build_sink(spec))
+        if isinstance(config.source, ReplaySpec):
+            chunks = _replay_chunks(as_batch(config.source.samples),
+                                    config.source, stats)
+        else:
+            source = SocketSource(config.source.host, config.source.port,
+                                  emit=assemble, stats=stats)
+            source.start()
+            socket_source = source
+            print(f"listening on {source.host}:{source.port}",
+                  file=sys.stderr, flush=True)
         while shutdown is None or not shutdown.is_set():
             if chunks is not None:
                 # one chunk and one get per turn: replay never queues up

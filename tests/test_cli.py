@@ -454,6 +454,10 @@ class TestBadMappingFile:
         {"delimeter": ";"},  # misspelt keys are not ignored
         {"lable": 9},
         {"extra_activities": ["XYZ"]},  # not a code -> class object
+        {"delimiter": ""},  # wrong-typed values are refused, not coerced
+        {"delimiter": 5},
+        {"unit": "adc_bits", "adc_range_g": "16"},
+        {"header": "no"},
     ])
     def test_prepare_and_replay_exit_2(self, tmp_path, dataset_dir,
                                        artifact_path, capsys, fault):
@@ -486,11 +490,20 @@ class TestWrongTypedConfig:
         {"window": [200, 200]},
         {"source": "127.0.0.1:0"},
         {"sinks": 5},
+        {"queue_capacity": 1.7},  # not truncated to 1
+        {"queue_capacity": True},
+        {"window": {"size": "200"}},
+        {"stats_interval_s": False},
     ])
     def test_serve_exits_2_before_listening(self, tmp_path, artifact_path,
-                                            capsys, doc):
+                                            capsys, monkeypatch, doc):
         cfg = tmp_path / "pipeline.json"
         cfg.write_text(json.dumps(doc))
+
+        def serve(config, shutdown=None):  # a served config would never end
+            raise AssertionError(f"{doc} was accepted")
+
+        monkeypatch.setattr(cli, "run_pipeline", serve)
         rc = main(["serve", "--listen", "127.0.0.1:0",
                    "--artifact", str(artifact_path), "--config", str(cfg)])
         assert rc == 2
@@ -530,6 +543,7 @@ class TestWrongTypedConfig:
         {"window": "tumbling"},
         {"source": {"rate_hz": "fast"}},
         {"source": {"speed": [1]}},
+        {"source": {"speed": True}},
         {"sinks": "stdout"},
     ])
     def test_replay_exits_2_without_output(self, tmp_path, mapping_path,
@@ -560,7 +574,9 @@ def test_cli_import_leaves_urllib_request_unloaded():
 def test_import_starts_no_blas_threads():
     # no product here is big enough for OpenBLAS to thread; its pool only
     # costs start-up time. A value the user sets wins
-    code = ("import os, fallstream; print(os.environ['OPENBLAS_NUM_THREADS'], "
+    # fallstream.model imports numpy; the package namespace imports nothing
+    code = ("import os, fallstream.model; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
             "len(os.listdir('/proc/self/task')))")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     for value, expected in ((None, "1 1"), ("2", "2 ")):

@@ -614,14 +614,16 @@ _wire_malformed = st.sampled_from([
 
 def _through(handler: str, block: bytes):
     """(emitted batches, stats, last_t) of one read's lines sent through
-    the columnar handler or the per-line one, on fresh counters."""
+    the columnar parse or, with parse_wire_block refusing every block, the
+    per-line one, on fresh counters."""
     got, last_t = [], {}
     source = SocketSource("127.0.0.1", 0, emit=got.append,
                           stats=PipelineStats())
     if handler == "block":
         source._handle_block(block, last_t)
     else:
-        source._handle_lines(block.split(b"\n"), last_t)
+        with mock.patch.object(ingest, "parse_wire_block", lambda block: None):
+            source._handle_block(block, last_t)
     return got, source.stats, last_t
 
 
@@ -630,6 +632,10 @@ class TestWireBlock:
     # 4n commas in all, but 5 and 3 (or 3 and 5) on adjacent lines
     @example([b"a,1,2,3,4,5", b"7,1,2,3"])
     @example([b"a,1,2,3", b"7,1,2,3,4,5"])
+    # lines one byte under, at and over the cap
+    @example([b"a,1,2,3," + b" " * n + b"4"
+              for n in (MAX_LINE_BYTES - 10, MAX_LINE_BYTES - 9)])
+    @example([b"a,1,2,3," + b" " * (MAX_LINE_BYTES - 8) + b"4"])
     @given(st.one_of(
         st.lists(st.one_of(_wire_valid, _wire_accepted), min_size=1,
                  max_size=30),

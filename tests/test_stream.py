@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import struct
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -426,6 +428,33 @@ class TestReplayPipeline:
         )
         with pytest.raises(ArtifactError):
             run_pipeline(config)
+
+    # recorded, not raised: pytest reports a warning raised in a finalizer
+    # as another warning, and the test would pass
+    @pytest.mark.parametrize("busy_port,sinks,error", [
+        (True, ("file:out.jsonl",), OSError),
+        (False, ("file:x", "bogus"), ConfigError),
+    ])
+    def test_startup_failure_closes_the_sinks_built(
+            self, artifact_path, tmp_path, monkeypatch, busy_port, sinks,
+            error):
+        monkeypatch.chdir(tmp_path)
+        holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        source = (SocketSpec(port=holder.getsockname()[1]) if busy_port
+                  else ReplaySpec(samples=[]))
+        try:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(error):
+                    run_pipeline(PipelineConfig(source, artifact_path,
+                                                sinks=sinks))
+                gc.collect()
+        finally:
+            holder.close()
+        assert [str(w.message) for w in seen
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_config_invariants(self, artifact_path):
         with pytest.raises(ConfigError):
