@@ -18,15 +18,28 @@ conversion per column; a read holding a line it rejects is parsed line by
 line instead, so each malformed line is still counted. A read's lines are
 handed on as one batch, and the pipeline cuts them into windows before its
 queue, so a ``drop_oldest`` shed drops whole windows, never part of one.
+
+serve reads its sockets in a process of its own: ``ReaderProcess`` binds
+the listener and starts ``python -m fallstream.ingest``, whose
+``serve_reader`` loop runs SocketSource and sends each read to the main
+process as one message on a pipe (the format is described at _HEADER).
+The reader ends when its control pipe closes: on a stop, and also when
+the main process dies, since the main process holds the pipe's only
+write end.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import select
 import selectors
+import signal
 import socket
+import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -102,27 +115,46 @@ class SampleBatch:
     """Samples as columns, one row per sample in arrival order.
 
     ``device_id`` is the one device of every row, or a list with one id
-    per row (a live chunk mixes devices). ``labels`` holds one activity
-    code (or None) per row, or is None when no row is labeled.
+    per row (a live chunk mixes devices). With ``device_index`` (a decoded
+    reader message) the list names each device once instead, and row i
+    belongs to ``device_id[device_index[i]]``. ``labels`` holds one
+    activity code (or None) per row, or is None when no row is labeled.
     """
 
     device_id: str | list[str]
     t_ms: np.ndarray  # (n,) int64
     acc: np.ndarray  # (n, 3) float64: ax, ay, az in m/s^2
     labels: list[str | None] | None = None
+    device_index: np.ndarray | None = None  # (n,) ints into device_id
 
     def __len__(self) -> int:
         return len(self.t_ms)
 
     def rows(self, start: int, stop: int) -> "SampleBatch":
         """Rows start..stop-1; the columns are views of this batch's."""
-        ids = self.device_id
+        ids, index = self.device_id, self.device_index
         return SampleBatch(
-            ids if isinstance(ids, str) else ids[start:stop],
+            ids if isinstance(ids, str) or index is not None
+            else ids[start:stop],
             self.t_ms[start:stop],
             self.acc[start:stop],
             None if self.labels is None else self.labels[start:stop],
+            None if index is None else index[start:stop],
         )
+
+    def device_groups(self) -> tuple[list[str], np.ndarray]:
+        """Each device once, in order of first appearance, and the position
+        of each row's device in that list."""
+        ids = self.device_id
+        if isinstance(ids, str):
+            return [ids], np.zeros(len(self), np.intp)
+        if self.device_index is not None:
+            return ids, self.device_index
+        codes = dict.fromkeys(ids)
+        for code, device_id in enumerate(codes):
+            codes[device_id] = code
+        return list(codes), np.fromiter(map(codes.__getitem__, ids), np.intp,
+                                        len(ids))
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> "SampleBatch":
@@ -584,6 +616,19 @@ def _count_regressions(ids: Iterable[str], t_ms: Iterable[int],
     return regressions
 
 
+def bind_listener(host: str, port: int) -> socket.socket:
+    """A TCP socket listening on host:port (0: any free port)."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen()
+    except OSError:
+        listener.close()
+        raise
+    return listener
+
+
 @dataclass(slots=True)
 class _Connection:  # what the source keeps of one open connection
     tail: bytes = b""  # the unterminated start of the next line
@@ -594,15 +639,17 @@ class _Connection:  # what the source keeps of one open connection
 class SocketSource:
     """TCP listener turning protocol lines into a single sample stream.
 
-    It starts no thread: the caller's loop calls ``poll``, which makes one
-    selector pass over the listener and every connection, accepting what
-    waits (after a failed accept the listener sits out ACCEPT_RETRY_S) and
-    reading each ready connection once (up to READ_BYTES), so
-    lines are never reordered within a connection and one stalled client
-    holds up no other. A read's complete lines are parsed as columns (line
-    by line only when one of them is malformed) and handed on as one
-    ``emit(SampleBatch)`` call. What the caller does not read stays in the
-    kernel, so a caller that stops polling gives clients TCP backpressure.
+    It starts no thread: the caller's loop (serve's reader process, see
+    ``serve_reader``) calls ``poll``, which makes one selector pass over the
+    listener and every connection, accepting what waits (after a failed
+    accept the listener sits out ACCEPT_RETRY_S) and reading each ready
+    connection once (up to READ_BYTES), so lines are never reordered
+    within a connection and one stalled client holds up no other. A read's
+    complete lines are parsed as columns (line by line only when one of
+    them is malformed) and handed on as one ``emit(SampleBatch)`` call.
+    What the caller does not read stays in the kernel, so a caller that
+    stops polling (the reader, while its write to a full pipe blocks) gives
+    clients TCP backpressure.
     ``stats`` is any object with integer samples_in / malformed /
     timestamp_regressions attributes. A timestamp regression is a sample
     older than the previous one of its device on the same connection; a
@@ -618,17 +665,12 @@ class SocketSource:
         self._listener: socket.socket | None = None
         self._accept_at: float | None = None  # when a paused listener resumes
 
-    def start(self) -> None:
-        """Bind and listen; bind failures propagate (fatal)."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen()
-            listener.setblocking(False)
-        except OSError:
-            listener.close()
-            raise
+    def start(self, listener: socket.socket | None = None) -> None:
+        """Serve ``listener``, or bind and listen on host:port; bind
+        failures propagate (fatal)."""
+        if listener is None:
+            listener = bind_listener(self.host, self.port)
+        listener.setblocking(False)
         self.port = listener.getsockname()[1]
         self._listener = listener
         self._selector = selectors.DefaultSelector()
@@ -742,3 +784,231 @@ class SocketSource:
     def _count_dropped_line(self) -> None:
         self.stats.samples_in += 1
         self.stats.malformed += 1
+
+
+# -- serve's reader process ---------------------------------------------------
+#
+# serve runs SocketSource in a process of its own, which sends the main
+# process one message per read over a pipe; a read that holds no line but
+# moves a counter (malformed lines only, a dropped over-long line, a
+# closed connection's tail) sends its counters alone. A message is
+# _HEADER, then the read's rows as raw columns: t_ms (int64), acc
+# (float64, ax ay az per row) and a uint32 index per row into the read's
+# device ids, then those ids (each once, newline-joined, UTF-8),
+# zero-padded to a multiple of 8 bytes. The numbers come first, so each
+# column of a message read back to back with others stays aligned. Byte
+# order and widths are the machine's own; no message is pickled.
+_HEADER = struct.Struct("=3q3I4x")
+# The header's fields: the reader's cumulative samples_in, malformed and
+# timestamp_regressions; the message's rows; the bytes of its id list; 1 on
+# the reader's final message, else 0.
+_ROW_BYTES = 8 + 24 + 4  # t_ms, acc and index of one row
+# Longest wait of the reader for a ready socket: it looks at its control
+# pipe between waits, so it sees a stop, or the end of the main process,
+# within this time.
+READER_WAIT_S = 0.05
+# Bytes asked of one read of the data pipe: a Linux pipe's default capacity
+PIPE_READ_BYTES = 65536
+# Seconds close gives a stopped reader to exit before killing it
+READER_STOP_S = 5.0
+
+
+@dataclass
+class ReadCounts:
+    """The reader's counters, cumulative, as each message carries them."""
+
+    samples_in: int = 0
+    malformed: int = 0
+    timestamp_regressions: int = 0
+
+
+def _message(counts: ReadCounts, batch: SampleBatch | None = None,
+             final: bool = False) -> bytes:
+    """One pipe message: the counters, and the rows of ``batch`` if any."""
+    if batch is None:
+        return _HEADER.pack(counts.samples_in, counts.malformed,
+                            counts.timestamp_regressions, 0, 0, final)
+    ids, index = batch.device_groups()
+    id_bytes = "\n".join(ids).encode()
+    return b"".join((
+        _HEADER.pack(counts.samples_in, counts.malformed,
+                     counts.timestamp_regressions, len(batch), len(id_bytes),
+                     final),
+        batch.t_ms.astype(np.int64, copy=False).tobytes(),
+        batch.acc.astype(np.float64, copy=False).tobytes(),
+        index.astype(np.uint32).tobytes(),
+        id_bytes,
+        bytes(-len(id_bytes) % 8),
+    ))
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def serve_reader(listener: socket.socket, data_fd: int,
+                 control_fd: int) -> None:
+    """The reader process's loop: SocketSource passes over ``listener`` and
+    its connections, one message to ``data_fd`` per read that holds a line
+    or moves a counter, until ``control_fd`` turns readable (the main
+    process closed it, or ended). Then it closes every connection, counting
+    each unterminated line, and sends the final message. A write to a
+    data pipe nobody reads any more raises BrokenPipeError."""
+    counts = ReadCounts()
+    sent = (0, 0, 0)
+
+    def send(batch: SampleBatch | None = None, final: bool = False) -> None:
+        nonlocal sent
+        _write_all(data_fd, _message(counts, batch, final))
+        sent = (counts.samples_in, counts.malformed,
+                counts.timestamp_regressions)
+
+    source = SocketSource(*listener.getsockname()[:2], emit=send,
+                          stats=counts)
+    source.start(listener)
+    control = select.poll()
+    control.register(control_fd, select.POLLIN)
+    try:
+        while not control.poll(0):
+            source.poll(READER_WAIT_S)
+            if sent != (counts.samples_in, counts.malformed,
+                        counts.timestamp_regressions):
+                send()  # a read with no line, a dropped line, a close
+    finally:
+        source.close()
+    send(final=True)
+
+
+class ReaderPipe:
+    """The main process's end of the reader's data pipe. ``take`` turns the
+    next message back into a batch whose columns are views of the bytes
+    read, and copies the message's counters into ``stats``; ``done`` is
+    true once the final message is taken."""
+
+    def __init__(self, data_fd: int, stats):
+        self.stats = stats
+        self.done = False
+        self._data = open(data_fd, "rb", buffering=0)
+        self._buf = b""  # bytes read from the pipe, from _at on untaken
+        self._at = 0
+
+    def take(self, timeout: float) -> SampleBatch | None:
+        """The rows of the next message, waiting up to ``timeout`` seconds
+        for its bytes; None when no whole message is there. Raises OSError
+        when the reader ends without its final message."""
+        batch = self._decode()
+        if batch is None and select.select([self._data], [], [], timeout)[0]:
+            chunk = self._data.read(PIPE_READ_BYTES)
+            if not chunk:
+                raise OSError("the reader process ended before its final "
+                              "message")
+            self._buf = self._buf[self._at:] + chunk
+            self._at = 0
+            batch = self._decode()
+        return batch
+
+    def _decode(self) -> SampleBatch | None:
+        buf, at = self._buf, self._at
+        if len(buf) - at < _HEADER.size:
+            return None
+        (samples_in, malformed, regressions, n, id_bytes,
+         final) = _HEADER.unpack_from(buf, at)
+        at += _HEADER.size
+        ids_at = at + _ROW_BYTES * n
+        end = ids_at + id_bytes + -id_bytes % 8
+        if len(buf) < end:
+            return None
+        self._at = end
+        stats = self.stats
+        stats.samples_in = samples_in
+        stats.malformed = malformed
+        stats.timestamp_regressions = regressions
+        self.done = bool(final)
+        if not n:
+            return SampleBatch([], np.empty(0, np.int64), np.empty((0, 3)))
+        return SampleBatch(
+            buf[ids_at:ids_at + id_bytes].decode().split("\n"),
+            np.frombuffer(buf, np.int64, n, at),
+            np.frombuffer(buf, np.float64, 3 * n, at + 8 * n).reshape(n, 3),
+            device_index=np.frombuffer(buf, np.uint32, n, at + 32 * n),
+        )
+
+    def close(self) -> None:
+        self._data.close()
+
+
+class ReaderProcess(ReaderPipe):
+    """serve's reader process, and its pipes.
+
+    The listener is bound here, so a bind failure is fatal at once and
+    clients can connect before the reader runs; then ``python -m
+    fallstream.ingest`` starts with the listener and two pipes: data
+    (reader to main) and control (main to reader, never written). ``stop``
+    closes the control pipe: the reader closes its connections and sends
+    its final message. ``close`` reaps the reader; one still running is
+    stopped first, and one blocked writing to the data pipe gets EPIPE.
+    """
+
+    def __init__(self, host: str, port: int, stats):
+        listener = bind_listener(host, port)
+        self.host, self.port = host, listener.getsockname()[1]
+        import subprocess  # only serve pays for this import, once it listens
+
+        package_root = str(Path(__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        fds: list[int] = []
+        try:
+            data_r, data_w = os.pipe()
+            fds += (data_r, data_w)
+            control_r, control_w = os.pipe()
+            fds += (control_r, control_w)
+            self._proc = subprocess.Popen(
+                [sys.executable, "-m", "fallstream.ingest",
+                 str(listener.fileno()), str(data_w), str(control_r)],
+                pass_fds=(listener.fileno(), data_w, control_r),
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                start_new_session=True, env=env)
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        finally:
+            listener.close()
+        # the reader holds the only copies of these now: its exit closes them
+        os.close(data_w)
+        os.close(control_r)
+        super().__init__(data_r, stats)
+        self._control = open(control_w, "wb", buffering=0)
+
+    def stop(self) -> None:
+        """Ask the reader to close its connections and finish."""
+        self._control.close()
+
+    def close(self) -> None:
+        import subprocess
+
+        self.stop()
+        super().close()
+        try:
+            self._proc.wait(timeout=READER_STOP_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+
+
+if __name__ == "__main__":
+    # the reader process: python -m fallstream.ingest LISTENER DATA CONTROL.
+    # Its life is bound to the control pipe, not to signals: a signal sent
+    # to every process of a service reaches the main process, which stops
+    # the reader and takes its last counts.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    listener_fd, data_fd, control_fd = map(int, sys.argv[1:4])
+    try:
+        serve_reader(socket.socket(fileno=listener_fd), data_fd, control_fd)
+    except BrokenPipeError:
+        pass  # the main process has ended: no one takes the counts

@@ -6,17 +6,27 @@ window list and prints the stats line when it is due. Replay reads the
 rows due so far, at most REPLAY_CHUNK (12,800 rows, 64 default windows)
 per turn, so a max-speed turn reads a full chunk and classifies its
 windows with one call each; it sleeps until a row is due when none is.
-Serve makes selector passes over the listener and every connection,
-waiting only while nothing is queued. Either pushes what it reads into
-one WindowAssembler and puts the windows a push completes on one queue,
-bounded in samples. A window list is classified with one feature, one
-scaling and one forward call, and its detections go to every sink in
-per-device order. Overflow policy ``block`` reads nothing while the queue
-is full, so backpressure reaches clients through TCP; ``drop_oldest``
-(live default) keeps reading and sheds the oldest queued window lists
-whole, counting their samples, so a shed never touches a partial window
-and every window is contiguous. A replay puts at most one list per turn
-and gets one, so it never overflows.
+Serve reads its sockets in a second process (``ingest.ReaderProcess``):
+the reader turns each socket read into one message on a pipe, and the
+loop takes messages, waiting only while nothing is queued, so reading and
+parsing run beside windowing and classification. Either pushes what it
+reads into one WindowAssembler and puts the windows a push completes on
+one queue, bounded in samples. A window list is classified with one
+feature, one scaling and one forward call, and its detections go to every
+sink in per-device order, with one write per list to stdout and file
+sinks. Overflow policy ``block`` takes no message while the queue is
+full: the pipe fills, the reader blocks writing to it and stops reading,
+so backpressure reaches clients through TCP. ``drop_oldest`` (live
+default) keeps taking and sheds the oldest queued window lists whole,
+counting their samples, so a shed never touches a partial window and
+every window is contiguous. A replay puts at most one list per turn and
+gets one, so it never overflows.
+
+Serve stops in this order on SIGINT or SIGTERM: the loop closes the
+reader's control pipe; the reader closes every connection, counting each
+unterminated line, sends its final counters and exits; the loop takes
+every message up to that one, classifies everything read and reaps the
+reader. A reader that ends without its final message is fatal.
 
 Detections serialize to one JSON line with a fixed key order:
 ``device_id, t_start_ms, t_end_ms, p_fall, class, seq, model_digest``.
@@ -40,9 +50,9 @@ from .errors import ConfigError
 from .features import apply_scaler, extract_features
 from .ingest import (
     BinaryClass,
+    ReaderProcess,
     Sample,
     SampleBatch,
-    SocketSource,
     as_batch,
 )
 from .model import ModelArtifact, forward, load_artifact
@@ -166,13 +176,13 @@ class PipelineConfig:
 class BoundedQueue:
     """Queue of window lists, bounded in samples: an item counts the samples
     of its windows. Under ``block`` a put always enters and the queue is
-    ``full`` once it holds its capacity, so the loop reads nothing until a
-    get makes room; as ``full`` is checked between selector passes, the
-    pass that fills the queue can take it past its capacity by up to one
-    read per ready connection. Under ``drop_oldest`` a put sheds the oldest
-    items whole and counts their samples until the new one fits, and the
-    queue is never full. An item larger than the capacity still enters an
-    empty queue."""
+    ``full`` once it holds its capacity, so the loop takes no message until
+    a get makes room; ``full`` is checked before each message, so the
+    message that fills the queue can take it past its capacity by up to
+    one read's lines. Under ``drop_oldest`` a put sheds the oldest items
+    whole and counts their samples until the new one fits, and the queue is
+    never full. An item larger than the capacity still enters an empty
+    queue."""
 
     def __init__(self, capacity: int, policy: str, stats: PipelineStats):
         self._capacity = capacity
@@ -208,11 +218,15 @@ class BoundedQueue:
 
 
 class StdoutSink:
+    batched = True  # takes a window list's lines in one emit
+
     def __init__(self, stream=None):
         self._stream = stream if stream is not None else sys.stdout
 
-    def emit(self, line: str) -> None:
-        self._stream.write(line + "\n")
+    def emit(self, text: str) -> None:
+        """Write newline-joined detection lines with one write and one
+        flush."""
+        self._stream.write(text + "\n")
         self._stream.flush()
 
     def close(self) -> None:
@@ -220,11 +234,13 @@ class StdoutSink:
 
 
 class FileSink:
+    batched = True
+
     def __init__(self, path: str | Path):
         self._fh = open(path, "a", encoding="utf-8")
 
-    def emit(self, line: str) -> None:
-        self._fh.write(line + "\n")
+    def emit(self, text: str) -> None:
+        self._fh.write(text + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -332,31 +348,39 @@ def _replay_chunks(batch: SampleBatch, spec: ReplaySpec,
         yield chunk
 
 
-def _deliver(line: str, sinks: list, stats: PipelineStats) -> None:
+def _deliver(lines: list[str], sinks: list, stats: PipelineStats) -> None:
+    """Hand one window list's detection lines to every sink: all of them
+    in one emit to a ``batched`` sink, one emit per line to any other (a
+    webhook POSTs each detection). A failed emit is retried once; if it
+    fails again, each of its lines counts as a sink failure."""
+    text = "\n".join(lines)
     for sink in sinks:
-        try:
-            sink.emit(line)
-        except Exception:
+        parts = ([(text, len(lines))] if getattr(sink, "batched", False)
+                 else [(line, 1) for line in lines])
+        for part, n in parts:
             try:
-                sink.emit(line)
+                sink.emit(part)
             except Exception:
-                stats.sink_failures += 1
+                try:
+                    sink.emit(part)
+                except Exception:
+                    stats.sink_failures += n
 
 
 def run_pipeline(
     config: PipelineConfig, shutdown: threading.Event | None = None
 ) -> PipelineStats:
     """Run on the calling thread until the source ends or the shutdown
-    event fires; drains what is already queued before returning. Artifact,
-    sink, and bind problems are fatal at startup; everything after that
-    only moves counters."""
+    event fires, then classify everything read. Artifact, sink, and bind
+    problems are fatal at startup, and so is a reader process that ends
+    without its final message; everything else only moves counters."""
     artifact = load_artifact(config.artifact_path)
     stats = PipelineStats()
     queue = BoundedQueue(config.queue_capacity, config.overflow, stats)
     assembler = WindowAssembler(config.window)
     seqs: dict[str, int] = {}
     sinks = []
-    socket_source = chunks = None
+    reader = chunks = None
 
     def assemble(batch: SampleBatch) -> None:
         windows = assembler.push(batch)
@@ -365,9 +389,9 @@ def run_pipeline(
 
     def classify(windows: list[Window]) -> None:
         stats.windows += len(windows)
-        for detection in classify_windows(artifact, windows, seqs):
-            stats.detections += 1
-            _deliver(detection_line(detection), sinks, stats)
+        detections = classify_windows(artifact, windows, seqs)
+        stats.detections += len(detections)
+        _deliver([detection_line(d) for d in detections], sinks, stats)
 
     interval = config.stats_interval_s
     next_stats = time.monotonic() + interval if interval else math.inf
@@ -378,34 +402,37 @@ def run_pipeline(
             chunks = _replay_chunks(as_batch(config.source.samples),
                                     config.source, stats)
         else:
-            source = SocketSource(config.source.host, config.source.port,
-                                  emit=assemble, stats=stats)
-            source.start()
-            socket_source = source
-            print(f"listening on {source.host}:{source.port}",
+            reader = ReaderProcess(config.source.host, config.source.port,
+                                   stats)
+            print(f"listening on {reader.host}:{reader.port}",
                   file=sys.stderr, flush=True)
-        while shutdown is None or not shutdown.is_set():
+        while True:
+            stopping = shutdown is not None and shutdown.is_set()
             if chunks is not None:
                 # one chunk and one get per turn: replay never queues up
-                chunk = next(chunks, None)
+                chunk = None if stopping else next(chunks, None)
                 if chunk is None:
-                    break  # every row is read
+                    break  # every row is read, or a stop
                 if len(chunk):
                     assemble(chunk)
-            elif not queue.full:
-                # selector passes until one reads no line, the queue is full
-                # or a queue's worth of lines is read: reading more before a
-                # get would only shed what this turn read. A pass can find a
-                # socket ready and read no line (an accept that keeps failing,
-                # a client inside an over-long line), so only lines go on
-                wait = 0.0 if queue else min(
-                    WAIT_S, max(next_stats - time.monotonic(), 0.0))
-                before = stats.samples_in
-                lines = before + config.queue_capacity
-                while (socket_source.poll(wait) and stats.samples_in > before
-                       and not queue.full and stats.samples_in < lines):
-                    before = stats.samples_in
-                    wait = 0.0
+            else:
+                if stopping:
+                    reader.stop()  # it closes its sockets, then sends its last
+                if reader.done:
+                    break
+                if not queue.full:
+                    # messages until none waits, the queue is full or a
+                    # queue's worth of lines is taken: taking more before a
+                    # get would only shed what this turn took
+                    wait = 0.0 if queue else min(
+                        WAIT_S, max(next_stats - time.monotonic(), 0.0))
+                    lines = stats.samples_in + config.queue_capacity
+                    while (not reader.done and not queue.full
+                           and stats.samples_in < lines
+                           and (batch := reader.take(wait)) is not None):
+                        wait = 0.0
+                        if len(batch):
+                            assemble(batch)
             windows = queue.get()
             if windows is not None:
                 classify(windows)
@@ -415,8 +442,8 @@ def run_pipeline(
         while (windows := queue.get()) is not None:
             classify(windows)
     finally:
-        if socket_source is not None:
-            socket_source.close()
+        if reader is not None:
+            reader.close()
         stats.partial_window_drops += assembler.finish()
         for sink in sinks:
             try:

@@ -102,10 +102,11 @@ class WindowAssembler:
     """Per-device pending samples; emits a Window every time one fills.
 
     A one-device batch (a trial) is cut into windows by array slices. A
-    mixed batch (a live chunk, often one row per device) is walked row by
-    row into each device's pending columns, with no per-device numpy
-    call; a window's arrays are built when it fills. An idle partial
-    device costs memory in proportion to its pending samples.
+    mixed batch (a live read, often a few dozen rows per device) is
+    grouped by device with one stable sort, and each device's rows are
+    appended to its pending columns with one copy; a window's arrays are
+    copied out when it fills. An idle partial device costs memory in
+    proportion to its pending samples.
     """
 
     def __init__(self, config: WindowConfig):
@@ -119,41 +120,54 @@ class WindowAssembler:
             return []
         if isinstance(batch.device_id, str):
             return self._push_run(batch)
-        return self._push_rows(batch)
+        return self._push_groups(batch)
 
-    def _push_rows(self, batch: SampleBatch) -> list[Window]:
-        size = self.config.size
+    def _push_groups(self, batch: SampleBatch) -> list[Window]:
+        config = self.config
+        size, stride = config.size, config.stride
         pending = self._pending
-        out = []
-        # each row's 3 doubles are copied as bytes: no float objects
-        raw = memoryview(np.ascontiguousarray(batch.acc, np.float64)).cast("B")
-        at = 0
-        for device_id, t in zip(batch.device_id, batch.t_ms.tolist()):
+        ids, index = batch.device_groups()
+        # rows grouped by device, each group in arrival order
+        order = np.argsort(index, kind="stable")
+        ends = np.bincount(index, minlength=len(ids)).cumsum().tolist()
+        t_raw = memoryview(
+            np.ascontiguousarray(batch.t_ms[order], np.int64)).cast("B")
+        acc_raw = memoryview(
+            np.ascontiguousarray(batch.acc[order], np.float64)).cast("B")
+        done = []  # (batch row of the window's last sample, window)
+        start = 0
+        for device_id, end in zip(ids, ends):
+            if end == start:
+                continue
             held = pending.get(device_id)
             if held is None:
                 held = pending[device_id] = _Pending()
-            held.t_ms.append(t)
-            held.acc.frombytes(raw[at:at + 24])
-            at += 24
-            if len(held.t_ms) == size:
-                out.append(self._take(device_id, held))
-        return out
-
-    def _take(self, device_id: str, held: _Pending) -> Window:
-        """The window of a device whose pending samples just filled one;
-        keeps its last size - stride samples pending."""
-        stride = self.config.stride
-        window = Window(
-            device_id,
-            np.frombuffer(held.t_ms, dtype=np.int64).copy(),
-            np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3).copy(),
-        )
-        if stride == self.config.size:
-            del self._pending[device_id]
-        else:
-            del held.t_ms[:stride]
-            del held.acc[:3 * stride]
-        return window
+            held.t_ms.frombytes(t_raw[8 * start:8 * end])
+            held.acc.frombytes(acc_raw[24 * start:24 * end])
+            n = len(held.t_ms)
+            if n >= size:
+                # the group's rows are the last end - start pending ones,
+                # so the window at pending row s ends at sorted row
+                # end - n + s + size - 1
+                last = end - n + size - 1
+                t_ms = np.frombuffer(held.t_ms, dtype=np.int64)
+                acc = np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3)
+                starts = window_starts(n, config)
+                done += [(int(order[last + s]),
+                          Window(device_id, t_ms[s:s + size].copy(),
+                                 acc[s:s + size].copy()))
+                         for s in starts]
+                del t_ms, acc  # the arrays can be resized once unviewed
+                rest = len(starts) * stride
+                if rest == n:
+                    del pending[device_id]
+                else:
+                    del held.t_ms[:rest]
+                    del held.acc[:3 * rest]
+            start = end
+        if len(done) > 1:
+            done.sort(key=lambda item: item[0])
+        return [window for _row, window in done]
 
     def _push_run(self, batch: SampleBatch) -> list[Window]:
         size, stride = self.config.size, self.config.stride

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +399,31 @@ class TestReplay:
         assert len(expected) == 5
         assert "stats samples_in=1000 malformed=0 " in captured.err
 
+    def test_stdout_to_a_closed_pipe_counts_each_detection(
+            self, tmp_path, mapping_path, artifact_path):
+        # the three windows are classified together and written with one
+        # write, which fails twice: each detection counts as a failure, and
+        # the file sink still gets them all
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("fall", 600, seed=28), trial)
+        out = tmp_path / "out.jsonl"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fallstream", "replay", str(trial),
+                 "--mapping", str(mapping_path),
+                 "--artifact", str(artifact_path), "--speed", "max",
+                 "--sink", "stdout", "--sink", f"file:{out}"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 3
+        assert "detections=3 sink_failures=3 " in proc.stderr
+        assert "Error" not in proc.stderr
+
     def test_malformed_rows_count_in_samples_in(self, tmp_path, mapping_path,
                                                 artifact_path, capsys):
         # every row read is in samples_in, as serve counts every line, so
@@ -666,6 +692,13 @@ def _flood(port, stop: threading.Event, sent: list, devices=4):
             pass  # the server closed the connection mid-flood
 
 
+def _wait_for_detections(out, n, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not (out.exists() and out.read_text().count("\n") >= n):
+        assert time.monotonic() < deadline, "no detection"
+        time.sleep(0.05)
+
+
 def _stats(line: str) -> dict:
     return {k: int(v) for k, v in
             (kv.split("=", 1) for kv in line.split()[1:])}
@@ -678,6 +711,47 @@ def _serve(port, artifact_path, out, *flags):
          "--sink", f"file:{out}", *flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+
+
+def _state(pid) -> str | None:
+    """The /proc state letter of ``pid``; None when there is no such
+    process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def _running(pid) -> bool:
+    return _state(pid) not in (None, "Z")  # a zombie has exited
+
+
+def _reader_of(proc, timeout=10.0) -> int:
+    """The pid of serve's reader process, once serve has started it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue
+            fields = stat.rsplit(")", 1)[1].split()
+            if int(fields[1]) == proc.pid and fields[0] != "Z":
+                return int(entry)
+        time.sleep(0.02)
+    raise AssertionError("serve started no reader process")
+
+
+def _wait_ended(pid, timeout) -> bool:
+    deadline = time.monotonic() + timeout
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 STATS_KEYS = ["samples_in", "malformed", "timestamp_regressions", "windows",
@@ -729,10 +803,8 @@ class TestServe:
         try:
             assert _wait_for_port(port)
             flood.start()
-            deadline = time.monotonic() + 10
-            while not (out.exists() and out.read_text().count("\n") >= 5):
-                assert time.monotonic() < deadline, "no detection"
-                time.sleep(0.05)
+            reader = _reader_of(proc)
+            _wait_for_detections(out, 5)
             assert flood.is_alive()  # the client is still sending
             t0 = time.monotonic()
             proc.send_signal(signal.SIGINT)
@@ -740,11 +812,13 @@ class TestServe:
             elapsed = time.monotonic() - t0
         finally:
             stop.set()
-            flood.join(timeout=30)
+            if flood.ident is not None:
+                flood.join(timeout=30)
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 0
+        assert not _running(reader)  # serve reaped it before exiting
         assert not flood.is_alive()
         assert elapsed < 2.0
         final = _stats([ln for ln in stderr.splitlines()
@@ -757,6 +831,64 @@ class TestServe:
                                        + final["partial_window_drops"])
         assert final["windows"] == final["detections"] == \
             out.read_text().count("\n")
+
+    def test_reader_ends_within_a_second_of_a_killed_serve(
+            self, tmp_path, artifact_path):
+        # SIGKILL gives serve no chance to stop its reader: the reader sees
+        # its control pipe close, or its data pipe break, and ends itself
+        port = _free_port()
+        out = tmp_path / "live.jsonl"
+        proc = _serve(port, artifact_path, out, "--overflow", "block",
+                      "--stats-interval", "3600")
+        stop, sent = threading.Event(), []
+        flood = threading.Thread(target=_flood, args=(port, stop, sent))
+        try:
+            assert _wait_for_port(port)
+            flood.start()
+            reader = _reader_of(proc)
+            _wait_for_detections(out, 5)
+            proc.kill()
+            proc.communicate(timeout=15)
+            assert _wait_ended(reader, 1.0)
+        finally:
+            stop.set()
+            if flood.ident is not None:
+                flood.join(timeout=30)
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert not flood.is_alive()
+
+    @pytest.mark.parametrize("policy", ["block", "drop_oldest"])
+    def test_killed_reader_ends_serve_with_an_error(
+            self, tmp_path, artifact_path, policy):
+        port = _free_port()
+        out = tmp_path / "live.jsonl"
+        proc = _serve(port, artifact_path, out, "--overflow", policy,
+                      "--stats-interval", "3600")
+        stop, sent = threading.Event(), []
+        flood = threading.Thread(target=_flood, args=(port, stop, sent))
+        try:
+            assert _wait_for_port(port)
+            flood.start()
+            reader = _reader_of(proc)
+            _wait_for_detections(out, 5)
+            t0 = time.monotonic()
+            os.kill(reader, signal.SIGKILL)
+            assert _wait_ended(proc.pid, 1.0)
+            elapsed = time.monotonic() - t0
+            _, stderr = proc.communicate(timeout=15)
+        finally:
+            stop.set()
+            if flood.ident is not None:
+                flood.join(timeout=30)
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert elapsed < 1.0
+        assert proc.returncode != 0
+        assert "error: the reader process ended" in stderr
+        assert not _running(reader)
 
     def test_serve_classifies_and_shuts_down_on_sigint(self, tmp_path,
                                                        artifact_path):

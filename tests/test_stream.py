@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import math
+import os
 import re
 import socket
 import struct
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -41,7 +43,7 @@ from fallstream.stream import (
     run_pipeline,
 )
 from fallstream.synth import make_trial
-from fallstream.windowing import Window
+from fallstream.windowing import Window, WindowAssembler, WindowConfig
 
 
 class TestDetectionLine:
@@ -200,7 +202,7 @@ class TestDelivery:
         good, bad = FlakySink(), FlakySink(fail_always=True)
         stats = PipelineStats()
         for i in range(5):
-            _deliver(f"line{i}", [bad, good], stats)
+            _deliver([f"line{i}"], [bad, good], stats)
         assert good.lines == [f"line{i}" for i in range(5)]
         assert stats.sink_failures == 5
         assert bad.attempts == 10  # one retry per delivery
@@ -217,8 +219,51 @@ class TestDelivery:
 
         sink = OnceFlaky()
         stats = PipelineStats()
-        _deliver("x", [sink], stats)
+        _deliver(["x"], [sink], stats)
         assert sink.lines == ["x"]
+        assert stats.sink_failures == 0
+
+    def test_a_batched_sink_gets_a_window_list_in_one_emit(self):
+        # one write per list: a failed one is retried whole, and a list
+        # that fails twice counts each of its detections
+        from fallstream.stream import _deliver
+
+        class Batched(FlakySink):
+            batched = True
+
+        class OnceFlaky(Batched):
+            def emit(self, text):
+                self.attempts += 1
+                if self.attempts == 1:
+                    raise OSError("hiccup")
+                self.lines.append(text)
+
+        flaky, bad, per_line = OnceFlaky(), Batched(fail_always=True), \
+            FlakySink()
+        stats = PipelineStats()
+        _deliver(["a", "b", "c"], [flaky, bad, per_line], stats)
+        assert flaky.lines == ["a\nb\nc"] and flaky.attempts == 2
+        assert bad.attempts == 2
+        assert per_line.lines == ["a", "b", "c"]
+        assert stats.sink_failures == 3
+
+    def test_stdout_and_file_sinks_write_a_list_once(self, tmp_path):
+        writes = []
+
+        class Stream:
+            def write(self, text):
+                writes.append(text)
+
+            def flush(self):
+                writes.append(None)
+
+        stats = PipelineStats()
+        sink = stream.FileSink(tmp_path / "out.jsonl")
+        stream._deliver(["a", "b"], [stream.StdoutSink(Stream()), sink],
+                        stats)
+        sink.close()
+        assert writes == ["a\nb\n", None]
+        assert (tmp_path / "out.jsonl").read_text() == "a\nb\n"
         assert stats.sink_failures == 0
 
 
@@ -429,8 +474,6 @@ class TestReplayPipeline:
         with pytest.raises(ArtifactError):
             run_pipeline(config)
 
-    # recorded, not raised: pytest reports a warning raised in a finalizer
-    # as another warning, and the test would pass
     @pytest.mark.parametrize("busy_port,sinks,error", [
         (True, ("file:out.jsonl",), OSError),
         (False, ("file:x", "bogus"), ConfigError),
@@ -445,16 +488,40 @@ class TestReplayPipeline:
         source = (SocketSpec(port=holder.getsockname()[1]) if busy_port
                   else ReplaySpec(samples=[]))
         try:
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always", ResourceWarning)
-                with pytest.raises(error):
-                    run_pipeline(PipelineConfig(source, artifact_path,
-                                                sinks=sinks))
-                gc.collect()
+            with _no_resource_warnings(), pytest.raises(error):
+                run_pipeline(PipelineConfig(source, artifact_path,
+                                            sinks=sinks))
         finally:
             holder.close()
-        assert [str(w.message) for w in seen
-                if issubclass(w.category, ResourceWarning)] == []
+
+    def test_startup_failure_after_the_reader_started_reaps_it(
+            self, artifact_path, tmp_path, monkeypatch):
+        # the listening line is printed once the reader runs; a stderr that
+        # refuses it fails the start, and the reader must not outlive that
+        import subprocess
+
+        started = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        class ClosedStderr:
+            def write(self, text):
+                raise ValueError("I/O operation on closed file")
+
+            flush = write
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        monkeypatch.setattr(sys, "stderr", ClosedStderr())
+        with _no_resource_warnings(), pytest.raises(ValueError):
+            run_pipeline(PipelineConfig(
+                SocketSpec(), artifact_path,
+                sinks=(f"file:{tmp_path / 'out.jsonl'}",)))
+        assert len(started) == 1
+        assert started[0].returncode is not None  # reaped
+        assert not Path(f"/proc/{started[0].pid}").exists()
 
     def test_config_invariants(self, artifact_path):
         with pytest.raises(ConfigError):
@@ -466,6 +533,50 @@ class TestReplayPipeline:
         with pytest.raises(ConfigError):
             PipelineConfig(source=ReplaySpec(samples=[]),
                            artifact_path=artifact_path, overflow="panic")
+
+
+@contextmanager
+def _no_resource_warnings():
+    """Fail on a ResourceWarning raised inside the block or by what it left
+    for the collector: an unclosed socket, pipe or file, or a reader
+    process never reaped ("subprocess N is still running"). Recorded, not
+    raised: pytest reports a warning raised in a finalizer as another
+    warning, and the test would pass."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in seen
+            if issubclass(w.category, ResourceWarning)] == []
+
+
+@contextmanager
+def _reader_on_a_thread():
+    """serve's reader loop on a thread of this process, which patches here
+    reach (serve runs it in another process). Yields its port, the
+    ReaderPipe that takes its messages as serve does, and ``stop``, which
+    closes its control pipe."""
+    listener = ingest.bind_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    data_r, data_w = os.pipe()
+    control_r, control_w = os.pipe()
+    control = open(control_w, "wb", buffering=0)
+    pipe = ingest.ReaderPipe(data_r, PipelineStats())
+    loop = threading.Thread(target=ingest.serve_reader,
+                            args=(listener, data_w, control_r))
+    loop.start()
+    try:
+        yield port, pipe, control.close
+    finally:
+        control.close()
+        deadline = time.monotonic() + 5
+        while loop.is_alive() and time.monotonic() < deadline:
+            pipe.take(0.05)  # a full pipe would block its last write
+        loop.join(timeout=1)
+        os.close(data_w)
+        os.close(control_r)
+        pipe.close()
+    assert not loop.is_alive()
 
 
 def _send_lines(port, lines):
@@ -506,21 +617,24 @@ def _run_socket_pipeline(artifact_path, out, port, send, settle=1.0,
         result["stats"] = run_pipeline(config, shutdown=shutdown)
 
     thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 5
-    while time.monotonic() < deadline:
+    with _no_resource_warnings():
+        thread.start()
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            try:
+                _send_lines(port, [])
+                break
+            except OSError:
+                time.sleep(0.05)
         try:
-            _send_lines(port, [])
-            break
-        except OSError:
-            time.sleep(0.05)
-    send(port)
-    time.sleep(settle)
-    shutdown.set()
-    stopping = time.monotonic()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    result["stop_s"] = time.monotonic() - stopping
+            send(port)
+            time.sleep(settle)
+        finally:
+            shutdown.set()
+            stopping = time.monotonic()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        result["stop_s"] = time.monotonic() - stopping
     return result["stats"]
 
 
@@ -599,8 +713,8 @@ class TestSocketPipeline:
 
     def test_serving_runs_on_one_thread(self, artifact_path, tmp_path,
                                         monkeypatch, capsys):
-        # reading, classifying and the periodic stats line share the
-        # thread that called run_pipeline
+        # taking the reader's messages, classifying and the periodic stats
+        # line share the thread that called run_pipeline
         seen = []
         real_build = stream.build_sink
 
@@ -662,31 +776,47 @@ class TestColumnarReads:
             blocks.append(batch is not None)
             return batch
 
+        # serve's reader is another process, which a patch here never
+        # reaches: this drives its SocketSource on this thread instead, and
+        # windows and classifies what it emits as the serving loop does
         monkeypatch.setattr(ingest, "parse_wire_block", counting)
-        out = tmp_path / "live.jsonl"
-        n_detections = sum(map(len, expected.values()))
+        assembler = WindowAssembler(WindowConfig())
+        seqs, got = {}, []
 
-        def send(port):
-            _send_in_pieces(port, payload, 8192, pause=0.01)
-            _wait_for_lines(out, n_detections)
+        def emit(batch):
+            windows = assembler.push(batch)
+            if windows:
+                got.extend(stream.classify_windows(artifact, windows, seqs))
 
-        stats = _run_socket_pipeline(artifact_path, out, _free_port(), send,
-                                     settle=0.3, overflow="block")
+        source = ingest.SocketSource("127.0.0.1", 0, emit=emit,
+                                     stats=PipelineStats())
+        source.start()
+        sender = threading.Thread(target=_send_in_pieces,
+                                  args=(source.port, payload, 8192, 0.01))
+        sender.start()
+        deadline = time.monotonic() + 30
+        while (sender.is_alive()
+               or source.stats.samples_in < 4800 + n_bad):
+            assert time.monotonic() < deadline, "payload not read"
+            source.poll(0.01)
+        source.close()
+        sender.join(timeout=10)
         assert True in blocks and False in blocks
-        docs = [json.loads(l) for l in out.read_text().splitlines()]
         for dev, want in expected.items():
-            mine = [d for d in docs if d["device_id"] == dev]
-            assert [d["p_fall"] for d in mine] == [e.p_fall for e in want]
-            assert [d["t_end_ms"] for d in mine] == [e.t_end_ms for e in want]
-        assert stats.detections == n_detections
+            mine = [d for d in got if d.device_id == dev]
+            assert [d.p_fall for d in mine] == [e.p_fall for e in want]
+            assert [d.t_end_ms for d in mine] == [e.t_end_ms for e in want]
+        stats = source.stats
         assert stats.malformed == n_bad == 15
         assert stats.samples_in == 4800 + n_bad
-        assert _conserved(stats)
+        assert stats.samples_in == (stats.malformed + 200 * len(got)
+                                    + assembler.pending())
 
 
 class TestReaderFaults:
-    """One thread reads every connection: a stalled or broken client holds
-    up no other, and its unterminated line is counted once."""
+    """One loop in the reader process reads every connection: a stalled or
+    broken client holds up no other, and its unterminated line is counted
+    once."""
 
     def test_half_line_client_does_not_delay_another_detection(
             self, artifact_path, tmp_path):
@@ -749,22 +879,23 @@ class TestReaderFaults:
 
 
     def test_accept_that_keeps_failing_does_not_stall_the_loop(
-            self, artifact_path, tmp_path, monkeypatch):
+            self, monkeypatch):
         # a connection waits in the backlog that no accept can take: the
-        # listener stays ready, yet the loop classifies, and shutdown ends it.
-        # The queue drains well within the settle, so the loop then idles
-        # beside the waiting connection
+        # listener stays ready, yet the reader's loop reads the other
+        # client, sends its rows, and stops promptly. serve runs that loop
+        # in another process, which the patches here never reach, so the
+        # loop runs on a thread here and its messages are taken as serve
+        # takes them
         real_accept = socket.socket.accept
         accepted = []
 
         def accept(sock):
-            if len(accepted) == 2:  # the helper's probe and the first client
+            if len(accepted) == 1:  # the first client
                 raise OSError(errno.EMFILE, "Too many open files")
             accepted.append(sock)
             return real_accept(sock)
 
         monkeypatch.setattr(socket.socket, "accept", accept)
-        _slow_classification(monkeypatch, 0.1)
         real_poll = ingest.SocketSource.poll
         polls = []
 
@@ -775,36 +906,54 @@ class TestReaderFaults:
         # after a failed accept the listener sits out a pause instead of
         # making every select return at once
         monkeypatch.setattr(ingest.SocketSource, "poll", poll)
-        out = tmp_path / "live.jsonl"
+        assembler = WindowAssembler(WindowConfig())
+        rows, windows = [], []
         waiting = []
 
-        def send(port):
-            _send_lines(port, _wire_lines(1000))
-            waiting.append(socket.create_connection(("127.0.0.1", port),
-                                                    timeout=5))
-            waiting[0].sendall("".join(_wire_lines(200, "late")).encode())
+        def take(timeout):
+            batch = pipe.take(timeout)
+            if batch is not None:
+                rows.append(len(batch))
+                windows.extend(assembler.push(batch))
 
-        result = {}
         try:
-            stats = _run_socket_pipeline(artifact_path, out, _free_port(),
-                                         send, settle=0.8, overflow="block",
-                                         result=result)
+            with _reader_on_a_thread() as (port, pipe, stop):
+                _send_lines(port, _wire_lines(1000))
+                waiting.append(socket.create_connection(("127.0.0.1", port),
+                                                        timeout=5))
+                waiting[0].sendall(
+                    "".join(_wire_lines(200, "late")).encode())
+                deadline = time.monotonic() + 0.8
+                while time.monotonic() < deadline:
+                    take(0.05)
+                stopping = time.monotonic()
+                stop()
+                while not pipe.done:
+                    take(1.0)
+                assert time.monotonic() - stopping < 1.0
         finally:
             for conn in waiting:
                 conn.close()
-        assert result["stop_s"] < 1.0
-        assert stats.windows == stats.detections == 5
-        assert out.read_text().count("\n") == 5
-        assert stats.samples_in == 1000
-        assert _conserved(stats)
+        assert sum(rows) == pipe.stats.samples_in == 1000
+        assert len(windows) == 5 and assembler.pending() == 0
+        assert pipe.stats.malformed == 0
         assert len(polls) <= 50
 
+    def test_a_read_with_no_valid_line_still_sends_its_counts(self):
+        with _reader_on_a_thread() as (port, pipe, _stop):
+            _send_lines(port, ["garbage line\n", "live1,notanint,1,2,3\n"])
+            deadline = time.monotonic() + 5
+            while pipe.stats.samples_in < 2:  # no stop: seen while serving
+                assert time.monotonic() < deadline, "counts not sent"
+                batch = pipe.take(0.1)
+                assert batch is None or len(batch) == 0
+            assert pipe.stats.malformed == 2 and not pipe.done
+
     def test_endless_line_does_not_stall_the_loop(
-            self, artifact_path, tmp_path, monkeypatch):
+            self, artifact_path, tmp_path):
         # one client streams a line that never ends while another sends two
-        # windows; reads of 64 bytes keep the streamer's socket ready on
-        # every pass. Both windows are classified and shutdown ends the loop
-        monkeypatch.setattr(ingest, "READ_BYTES", 64)
+        # windows; the streamer's socket is ready on every pass of the
+        # reader. Both windows are classified and shutdown ends the loop
         out = tmp_path / "live.jsonl"
         streaming = threading.Event()
         done = threading.Event()
