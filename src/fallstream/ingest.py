@@ -150,9 +150,7 @@ class SampleBatch:
             return [ids], np.zeros(len(self), np.intp)
         if self.device_index is not None:
             return ids, self.device_index
-        codes = dict.fromkeys(ids)
-        for code, device_id in enumerate(codes):
-            codes[device_id] = code
+        codes = {d: i for i, d in enumerate(dict.fromkeys(ids))}
         return list(codes), np.fromiter(map(codes.__getitem__, ids), np.intp,
                                         len(ids))
 
@@ -791,10 +789,10 @@ class SocketSource:
 # serve runs SocketSource in a process of its own, which sends the main
 # process one message per read over a pipe; a read that holds no line but
 # moves a counter (malformed lines only, a dropped over-long line, a
-# closed connection's tail) sends its counters alone. A message is
-# _HEADER, then the read's rows as raw columns: t_ms (int64), acc
-# (float64, ax ay az per row) and a uint32 index per row into the read's
-# device ids, then those ids (each once, newline-joined, UTF-8),
+# closed connection's tail) has its counters sent alone after the pass. A
+# message is _HEADER, then the read's rows as raw columns: t_ms (int64),
+# acc (float64, ax ay az per row) and a uint32 index per row into the
+# read's device ids, then those ids (each once, newline-joined, UTF-8),
 # zero-padded to a multiple of 8 bytes. The numbers come first, so each
 # column of a message read back to back with others stays aligned. Byte
 # order and widths are the machine's own; no message is pickled.
@@ -821,19 +819,19 @@ class ReadCounts:
     malformed: int = 0
     timestamp_regressions: int = 0
 
+    def totals(self) -> tuple[int, int, int]:
+        return self.samples_in, self.malformed, self.timestamp_regressions
+
 
 def _message(counts: ReadCounts, batch: SampleBatch | None = None,
              final: bool = False) -> bytes:
     """One pipe message: the counters, and the rows of ``batch`` if any."""
     if batch is None:
-        return _HEADER.pack(counts.samples_in, counts.malformed,
-                            counts.timestamp_regressions, 0, 0, final)
+        return _HEADER.pack(*counts.totals(), 0, 0, final)
     ids, index = batch.device_groups()
     id_bytes = "\n".join(ids).encode()
     return b"".join((
-        _HEADER.pack(counts.samples_in, counts.malformed,
-                     counts.timestamp_regressions, len(batch), len(id_bytes),
-                     final),
+        _HEADER.pack(*counts.totals(), len(batch), len(id_bytes), final),
         batch.t_ms.astype(np.int64, copy=False).tobytes(),
         batch.acc.astype(np.float64, copy=False).tobytes(),
         index.astype(np.uint32).tobytes(),
@@ -852,18 +850,19 @@ def serve_reader(listener: socket.socket, data_fd: int,
                  control_fd: int) -> None:
     """The reader process's loop: SocketSource passes over ``listener`` and
     its connections, one message to ``data_fd`` per read that holds a line
-    or moves a counter, until ``control_fd`` turns readable (the main
-    process closed it, or ended). Then it closes every connection, counting
-    each unterminated line, and sends the final message. A write to a
-    data pipe nobody reads any more raises BrokenPipeError."""
+    and one after a pass that moved a counter otherwise (malformed lines
+    only, a dropped line, a closed tail), until ``control_fd`` turns
+    readable (the main process closed it, or ended). Then it closes every
+    connection, counting each unterminated line, and sends the final
+    message. A write to a data pipe nobody reads any more raises
+    BrokenPipeError."""
     counts = ReadCounts()
     sent = (0, 0, 0)
 
     def send(batch: SampleBatch | None = None, final: bool = False) -> None:
         nonlocal sent
         _write_all(data_fd, _message(counts, batch, final))
-        sent = (counts.samples_in, counts.malformed,
-                counts.timestamp_regressions)
+        sent = counts.totals()
 
     source = SocketSource(*listener.getsockname()[:2], emit=send,
                           stats=counts)
@@ -873,8 +872,7 @@ def serve_reader(listener: socket.socket, data_fd: int,
     try:
         while not control.poll(0):
             source.poll(READER_WAIT_S)
-            if sent != (counts.samples_in, counts.malformed,
-                        counts.timestamp_regressions):
+            if sent != counts.totals():
                 send()  # a read with no line, a dropped line, a close
     finally:
         source.close()
@@ -956,6 +954,8 @@ class ReaderProcess(ReaderPipe):
         self.host, self.port = host, listener.getsockname()[1]
         import subprocess  # only serve pays for this import, once it listens
 
+        # the reader imports this very package, whatever put it on sys.path,
+        # so both ends agree on the message format
         package_root = str(Path(__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

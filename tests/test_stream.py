@@ -6,6 +6,7 @@ import os
 import re
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -498,8 +499,6 @@ class TestReplayPipeline:
             self, artifact_path, tmp_path, monkeypatch):
         # the listening line is printed once the reader runs; a stderr that
         # refuses it fails the start, and the reader must not outlive that
-        import subprocess
-
         started = []
 
         class Recorded(subprocess.Popen):
