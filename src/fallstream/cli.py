@@ -156,8 +156,8 @@ def cmd_prepare(args) -> int:
                   for s in window_starts(len(batch), window)]
         partial += assembler.finish()
         if len(windows) >= STACK_BLOCK:
-            # a window is a view of its trial's columns: extract as the
-            # windows come, so memory holds one trial and one block
+            # a window is a copy of its rows: extract as the windows come,
+            # so memory holds one trial's windows and at most a block more
             blocks.append(extract_features(windows))
             windows = []
     blocks.append(extract_features(windows))

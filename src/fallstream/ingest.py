@@ -16,8 +16,10 @@ decimal floats. A line longer than MAX_LINE_BYTES is malformed.
 to READ_BYTES, 16 KiB) is parsed as columns by ``parse_wire_block``, one
 conversion per column; a read holding a line it rejects is parsed line by
 line instead, so each malformed line is still counted. A read's lines are
-handed on as one batch, and the pipeline cuts them into windows before its
-queue, so a ``drop_oldest`` shed drops whole windows, never part of one.
+handed on as one batch that names each device once (in order of first
+appearance) and gives each row an index into those names, and the
+pipeline cuts them into windows before its queue, so a ``drop_oldest``
+shed drops whole windows, never part of one.
 
 serve reads its sockets in a process of its own: ``ReaderProcess`` binds
 the listener and starts ``python -m fallstream.ingest``, whose
@@ -114,58 +116,64 @@ class Sample:
 class SampleBatch:
     """Samples as columns, one row per sample in arrival order.
 
-    ``device_id`` is the one device of every row, or a list with one id
-    per row (a live chunk mixes devices). With ``device_index`` (a decoded
-    reader message) the list names each device once instead, and row i
-    belongs to ``device_id[device_index[i]]``. ``labels`` holds one
-    activity code (or None) per row, or is None when no row is labeled.
+    ``device_id`` is the one device of every row (a trial), or a list
+    naming each device once, in order of first appearance (a live read
+    mixes devices); then row i belongs to
+    ``device_id[device_index[i]]``. ``labels`` holds one activity code (or
+    None) per row, or is None when no row is labeled.
     """
 
     device_id: str | list[str]
     t_ms: np.ndarray  # (n,) int64
     acc: np.ndarray  # (n, 3) float64: ax, ay, az in m/s^2
     labels: list[str | None] | None = None
-    device_index: np.ndarray | None = None  # (n,) ints into device_id
+    device_index: np.ndarray | None = None  # (n,) uint32 into device_id
 
     def __len__(self) -> int:
         return len(self.t_ms)
 
     def rows(self, start: int, stop: int) -> "SampleBatch":
         """Rows start..stop-1; the columns are views of this batch's."""
-        ids, index = self.device_id, self.device_index
+        index = self.device_index
         return SampleBatch(
-            ids if isinstance(ids, str) or index is not None
-            else ids[start:stop],
+            self.device_id,
             self.t_ms[start:stop],
             self.acc[start:stop],
             None if self.labels is None else self.labels[start:stop],
             None if index is None else index[start:stop],
         )
 
-    def device_groups(self) -> tuple[list[str], np.ndarray]:
-        """Each device once, in order of first appearance, and the position
-        of each row's device in that list."""
-        ids = self.device_id
-        if isinstance(ids, str):
-            return [ids], np.zeros(len(self), np.intp)
-        if self.device_index is not None:
-            return ids, self.device_index
-        codes = {d: i for i, d in enumerate(dict.fromkeys(ids))}
-        return list(codes), np.fromiter(map(codes.__getitem__, ids), np.intp,
-                                        len(ids))
+    def by_device(self) -> tuple[list[str], np.ndarray | None, list[int]]:
+        """The rows grouped by device, each group in arrival order: the
+        devices, the row order that groups them (None for one device: the
+        rows as they are) and the end of each device's group in it."""
+        if self.device_index is None:
+            return [self.device_id], None, [len(self)]
+        ids, index = self.device_id, self.device_index
+        return (ids, np.argsort(index, kind="stable"),
+                np.bincount(index, minlength=len(ids)).cumsum().tolist())
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> "SampleBatch":
         samples = list(samples)
-        ids = [s.device_id for s in samples]
+        ids, index = _device_index([s.device_id for s in samples])
         labels = [s.label for s in samples]
         return cls(
-            ids[0] if ids and ids.count(ids[0]) == len(ids) else ids,
+            ids[0] if len(ids) == 1 else ids,
             np.array([s.t_ms for s in samples], dtype=np.int64),
             np.array([(s.ax, s.ay, s.az) for s in samples],
                      dtype=np.float64).reshape(-1, 3),
             labels if any(c is not None for c in labels) else None,
+            None if len(ids) == 1 else index,
         )
+
+
+def _device_index(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """Each device of a per-row id list once, in order of first
+    appearance, and each row's position in that list."""
+    codes = {d: i for i, d in enumerate(dict.fromkeys(ids))}
+    return list(codes), np.fromiter(map(codes.__getitem__, ids), np.uint32,
+                                    len(ids))
 
 
 def as_batch(samples: SampleBatch | Iterable[Sample]) -> SampleBatch:
@@ -581,17 +589,13 @@ def parse_wire_block(block: bytes) -> SampleBatch | None:
     # line i runs from ends[i - 1] + 1 to ends[i], the last one to the end
     if (np.diff(ends, prepend=-1, append=len(block)) > MAX_LINE_BYTES + 1).any():
         return None
-    ids = fields[0::5]
-    devices = {d: d for d in set(ids)}
-    if not all(map(WIRE_DEVICE_RE.match, devices)):
+    ids, index = _device_index(fields[0::5])
+    if not all(map(WIRE_DEVICE_RE.match, ids)):
         return None
-    # one str object per device: the field strings die with this call, and
-    # the assembler's per-device lookups hit a cached hash
-    ids = list(map(devices.__getitem__, ids))
     try:
         # a t_ms outside int64 raises OverflowError here
         t_ms = np.array(list(map(int, fields[1::5])), dtype=np.int64)
-        acc = np.empty((len(ids), 3))
+        acc = np.empty((len(index), 3))
         acc[:, 0] = list(map(float, fields[2::5]))
         acc[:, 1] = list(map(float, fields[3::5]))
         acc[:, 2] = list(map(float, fields[4::5]))
@@ -599,18 +603,25 @@ def parse_wire_block(block: bytes) -> SampleBatch | None:
         return None
     if not np.isfinite(acc).all():
         return None
-    return SampleBatch(ids, t_ms, acc)
+    return SampleBatch(ids, t_ms, acc, device_index=index)
 
 
-def _count_regressions(ids: Iterable[str], t_ms: Iterable[int],
-                       last_t: dict[str, int]) -> int:
+def _count_regressions(batch: SampleBatch, last_t: dict[str, int]) -> int:
     """Samples older than their device's previous one; advances last_t."""
-    regressions = 0
-    for device_id, t in zip(ids, t_ms):
-        prev = last_t.get(device_id)
-        if prev is not None and t < prev:
-            regressions += 1
-        last_t[device_id] = t
+    ids, order, ends = batch.by_device()
+    t_ms = batch.t_ms if order is None else batch.t_ms[order]
+    back = t_ms[1:] < t_ms[:-1]
+    # a step from one device's group to the next is no step back
+    back[[end - 1 for end in ends if 0 < end < len(t_ms)]] = False
+    regressions = int(back.sum())
+    start = 0
+    for device_id, end in zip(ids, ends):
+        if end > start:
+            prev = last_t.get(device_id)
+            if prev is not None and int(t_ms[start]) < prev:
+                regressions += 1
+            last_t[device_id] = int(t_ms[end - 1])
+        start = end
     return regressions
 
 
@@ -635,7 +646,8 @@ class _Connection:  # what the source keeps of one open connection
 
 
 class SocketSource:
-    """TCP listener turning protocol lines into a single sample stream.
+    """A listening TCP socket (from ``bind_listener``) turning protocol
+    lines into a single sample stream; ``close`` closes it.
 
     It starts no thread: the caller's loop (serve's reader process, see
     ``serve_reader``) calls ``poll``, which makes one selector pass over the
@@ -644,7 +656,8 @@ class SocketSource:
     connection once (up to READ_BYTES), so lines are never reordered
     within a connection and one stalled client holds up no other. A read's
     complete lines are parsed as columns (line by line only when one of
-    them is malformed) and handed on as one ``emit(SampleBatch)`` call.
+    them is malformed) and handed on as one ``emit(SampleBatch)`` call,
+    each of its devices named once and indexed per row.
     What the caller does not read stays in the kernel, so a caller that
     stops polling (the reader, while its write to a full pipe blocks) gives
     clients TCP backpressure.
@@ -654,25 +667,14 @@ class SocketSource:
     connection's state goes when it closes.
     """
 
-    def __init__(self, host: str, port: int, emit: Callable, stats):
-        self.host = host
-        self.port = port
+    def __init__(self, listener: socket.socket, emit: Callable, stats):
+        listener.setblocking(False)
+        self._listener = listener
         self._emit = emit
         self.stats = stats
-        self._selector: selectors.BaseSelector | None = None
-        self._listener: socket.socket | None = None
-        self._accept_at: float | None = None  # when a paused listener resumes
-
-    def start(self, listener: socket.socket | None = None) -> None:
-        """Serve ``listener``, or bind and listen on host:port; bind
-        failures propagate (fatal)."""
-        if listener is None:
-            listener = bind_listener(self.host, self.port)
-        listener.setblocking(False)
-        self.port = listener.getsockname()[1]
-        self._listener = listener
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ)
+        self._accept_at: float | None = None  # when a paused listener resumes
 
     def poll(self, timeout: float) -> bool:
         """One selector pass, waiting up to ``timeout`` seconds for a ready
@@ -764,18 +766,19 @@ class SocketSource:
                     continue
                 if row is not None:
                     rows.append(row)
+            ids, index = _device_index([r[0] for r in rows])
             batch = SampleBatch(
-                [r[0] for r in rows],
+                ids,
                 np.array([r[1] for r in rows], dtype=np.int64),
                 np.array([r[2:] for r in rows], dtype=np.float64),
+                device_index=index,
             )
             read = len(lines)
         else:
             read = len(batch)
         self.stats.samples_in += read
         self.stats.malformed += read - len(batch)
-        self.stats.timestamp_regressions += _count_regressions(
-            batch.device_id, batch.t_ms.tolist(), last_t)
+        self.stats.timestamp_regressions += _count_regressions(batch, last_t)
         if len(batch):
             self._emit(batch)
 
@@ -828,13 +831,12 @@ def _message(counts: ReadCounts, batch: SampleBatch | None = None,
     """One pipe message: the counters, and the rows of ``batch`` if any."""
     if batch is None:
         return _HEADER.pack(*counts.totals(), 0, 0, final)
-    ids, index = batch.device_groups()
-    id_bytes = "\n".join(ids).encode()
+    id_bytes = "\n".join(batch.device_id).encode()
     return b"".join((
         _HEADER.pack(*counts.totals(), len(batch), len(id_bytes), final),
         batch.t_ms.astype(np.int64, copy=False).tobytes(),
         batch.acc.astype(np.float64, copy=False).tobytes(),
-        index.astype(np.uint32).tobytes(),
+        batch.device_index.tobytes(),
         id_bytes,
         bytes(-len(id_bytes) % 8),
     ))
@@ -864,9 +866,7 @@ def serve_reader(listener: socket.socket, data_fd: int,
         _write_all(data_fd, _message(counts, batch, final))
         sent = counts.totals()
 
-    source = SocketSource(*listener.getsockname()[:2], emit=send,
-                          stats=counts)
-    source.start(listener)
+    source = SocketSource(listener, emit=send, stats=counts)
     control = select.poll()
     control.register(control_fd, select.POLLIN)
     try:
@@ -925,7 +925,8 @@ class ReaderPipe:
         stats.timestamp_regressions = regressions
         self.done = bool(final)
         if not n:
-            return SampleBatch([], np.empty(0, np.int64), np.empty((0, 3)))
+            return SampleBatch([], np.empty(0, np.int64), np.empty((0, 3)),
+                               device_index=np.empty(0, np.uint32))
         return SampleBatch(
             buf[ids_at:ids_at + id_bytes].decode().split("\n"),
             np.frombuffer(buf, np.int64, n, at),

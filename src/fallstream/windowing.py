@@ -5,11 +5,12 @@ default is tumbling 200-sample blocks. Grouping is by count, never by
 wall clock, so timestamp gaps do not split windows. Trailing partial
 groups are dropped and counted.
 
-Samples arrive as SampleBatch columns and windows are array slices: a
-window's ``t_ms`` and ``acc`` are (n,) and (n, 3) arrays, never rows of
-Sample objects. A window carries no label: ``window_starts`` is the one
-rule for where windows begin in a run, and ``prepare`` applies it to a
-trial's label column with ``majority_label`` to get each window's code.
+Samples arrive as SampleBatch columns and each window holds copies of
+its rows: a window's ``t_ms`` and ``acc`` are (n,) and (n, 3) arrays of
+its own, never rows of Sample objects or views of a batch. A window
+carries no label: ``window_starts`` is the one rule for where windows
+begin in a run, and ``prepare`` applies it to a trial's label column with
+``majority_label`` to get each window's code.
 """
 
 from __future__ import annotations
@@ -101,12 +102,11 @@ class _Pending:
 class WindowAssembler:
     """Per-device pending samples; emits a Window every time one fills.
 
-    A one-device batch (a trial) is cut into windows by array slices. A
-    mixed batch (a live read, often a few dozen rows per device) is
-    grouped by device with one stable sort, and each device's rows are
-    appended to its pending columns with one copy; a window's arrays are
-    copied out when it fills. An idle partial device costs memory in
-    proportion to its pending samples.
+    A batch's rows are grouped by device (``SampleBatch.by_device``: one
+    stable sort for a mixed batch such as a live read, none for a trial),
+    each device's rows are appended to its pending columns with one copy,
+    and a window's arrays are copied out when it fills. An idle partial
+    device costs memory in proportion to its pending samples.
     """
 
     def __init__(self, config: WindowConfig):
@@ -117,24 +117,17 @@ class WindowAssembler:
         """Windows completed by this batch, in the order their last
         samples arrived."""
         if not len(batch):
-            return []
-        if isinstance(batch.device_id, str):
-            return self._push_run(batch)
-        return self._push_groups(batch)
-
-    def _push_groups(self, batch: SampleBatch) -> list[Window]:
+            return []  # nor could an empty (0, 3) array be cast to bytes
         config = self.config
         size, stride = config.size, config.stride
         pending = self._pending
-        ids, index = batch.device_groups()
-        # rows grouped by device, each group in arrival order
-        order = np.argsort(index, kind="stable")
-        ends = np.bincount(index, minlength=len(ids)).cumsum().tolist()
-        t_raw = memoryview(
-            np.ascontiguousarray(batch.t_ms[order], np.int64)).cast("B")
-        acc_raw = memoryview(
-            np.ascontiguousarray(batch.acc[order], np.float64)).cast("B")
-        done = []  # (batch row of the window's last sample, window)
+        ids, order, ends = batch.by_device()
+        t_ms, acc = batch.t_ms, batch.acc
+        if order is not None:
+            t_ms, acc = t_ms[order], acc[order]
+        t_raw = memoryview(np.ascontiguousarray(t_ms, np.int64)).cast("B")
+        acc_raw = memoryview(np.ascontiguousarray(acc, np.float64)).cast("B")
+        done = []  # (grouped row of the window's last sample, window)
         start = 0
         for device_id, end in zip(ids, ends):
             if end == start:
@@ -147,15 +140,14 @@ class WindowAssembler:
             n = len(held.t_ms)
             if n >= size:
                 # the group's rows are the last end - start pending ones,
-                # so the window at pending row s ends at sorted row
+                # so the window at pending row s ends at grouped row
                 # end - n + s + size - 1
                 last = end - n + size - 1
                 t_ms = np.frombuffer(held.t_ms, dtype=np.int64)
                 acc = np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3)
                 starts = window_starts(n, config)
-                done += [(int(order[last + s]),
-                          Window(device_id, t_ms[s:s + size].copy(),
-                                 acc[s:s + size].copy()))
+                done += [(last + s, Window(device_id, t_ms[s:s + size].copy(),
+                                           acc[s:s + size].copy()))
                          for s in starts]
                 del t_ms, acc  # the arrays can be resized once unviewed
                 rest = len(starts) * stride
@@ -165,29 +157,9 @@ class WindowAssembler:
                     del held.t_ms[:rest]
                     del held.acc[:3 * rest]
             start = end
-        if len(done) > 1:
-            done.sort(key=lambda item: item[0])
+        if order is not None and len(done) > 1:
+            done.sort(key=lambda item: order[item[0]])
         return [window for _row, window in done]
-
-    def _push_run(self, batch: SampleBatch) -> list[Window]:
-        size, stride = self.config.size, self.config.stride
-        device_id, t_ms, acc = batch.device_id, batch.t_ms, batch.acc
-        held = self._pending.pop(device_id, None)
-        if held is not None:
-            t_ms = np.concatenate((np.frombuffer(held.t_ms, dtype=np.int64),
-                                   t_ms))
-            acc = np.concatenate(
-                (np.frombuffer(held.acc, dtype=np.float64).reshape(-1, 3), acc))
-        starts = window_starts(len(t_ms), self.config)
-        out = [Window(device_id, t_ms[s:s + size], acc[s:s + size])
-               for s in starts]
-        rest = len(starts) * stride
-        if rest < len(t_ms):
-            # copied out, so a few pending rows never pin a large batch
-            tail = self._pending[device_id] = _Pending()
-            tail.t_ms.frombytes(t_ms[rest:].tobytes())
-            tail.acc.frombytes(acc[rest:].tobytes())
-        return out
 
     def pending(self) -> int:
         """Samples sitting in partial windows right now."""

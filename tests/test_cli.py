@@ -64,8 +64,8 @@ class TestPrepare:
 
     def test_features_extracted_a_block_at_a_time(self, tmp_path,
                                                   mapping_path, monkeypatch):
-        # windows are views of their trial's columns, so prepare extracts
-        # as they come rather than holding every trial to the end
+        # windows are copies of their rows, so prepare extracts a block at
+        # a time rather than holding every trial's windows to the end
         data = tmp_path / "data"
         data.mkdir()
         for i in range(40):

@@ -43,7 +43,8 @@ BASIC = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4)
 def _rows(batch: SampleBatch) -> list[Sample]:
     """A batch as Sample rows, for comparing with expected rows."""
     ids = batch.device_id
-    ids = [ids] * len(batch) if isinstance(ids, str) else ids
+    ids = ([ids] * len(batch) if batch.device_index is None
+           else [ids[i] for i in batch.device_index])
     labels = batch.labels or [None] * len(batch)
     return [Sample(d, int(t), float(x), float(y), float(z), c)
             for d, t, (x, y, z), c in zip(ids, batch.t_ms, batch.acc, labels)]
@@ -440,6 +441,7 @@ class TestSampleBatch:
                 Sample("b", 5, 4.0, 5.0, 6.0, None)]
         batch = SampleBatch.from_samples(rows)
         assert batch.device_id == ["a", "b"]
+        assert batch.device_index.tolist() == [0, 1]
         assert _rows(batch) == rows
 
     def test_one_device_collapses_to_one_id(self):
@@ -617,14 +619,30 @@ def _through(handler: str, block: bytes):
     the columnar parse or, with parse_wire_block refusing every block, the
     per-line one, on fresh counters."""
     got, last_t = [], {}
-    source = SocketSource("127.0.0.1", 0, emit=got.append,
-                          stats=PipelineStats())
-    if handler == "block":
-        source._handle_block(block, last_t)
-    else:
-        with mock.patch.object(ingest, "parse_wire_block", lambda block: None):
+    source = SocketSource(ingest.bind_listener("127.0.0.1", 0),
+                          emit=got.append, stats=PipelineStats())
+    try:
+        if handler == "block":
             source._handle_block(block, last_t)
+        else:
+            with mock.patch.object(ingest, "parse_wire_block",
+                                   lambda block: None):
+                source._handle_block(block, last_t)
+    finally:
+        source.close()
     return got, source.stats, last_t
+
+
+def _regressions_row_by_row(ids, t_ms, last_t):
+    """Timestamp regressions counted one row at a time: the reference for
+    the per-device count of a read."""
+    regressions = 0
+    for device_id, t in zip(ids, t_ms):
+        prev = last_t.get(device_id)
+        if prev is not None and t < prev:
+            regressions += 1
+        last_t[device_id] = t
+    return regressions
 
 
 class TestWireBlock:
@@ -649,7 +667,11 @@ class TestWireBlock:
         assert stats == want_stats and last_t == want_last_t
         assert len(got) == len(want) <= 1
         for batch, ref in zip(got, want):
+            # the same ids in order of first appearance, the same index
             assert batch.device_id == ref.device_id
+            assert batch.device_index.dtype == ref.device_index.dtype \
+                == np.uint32
+            assert batch.device_index.tobytes() == ref.device_index.tobytes()
             assert batch.t_ms.dtype == ref.t_ms.dtype == np.int64
             assert batch.t_ms.tobytes() == ref.t_ms.tobytes()
             assert batch.acc.shape == ref.acc.shape
@@ -661,7 +683,8 @@ class TestWireBlock:
         lines = [f"d{i % 3},{i * 50},{i / 7!r},9.8,-0.5" for i in range(480)]
         batch = parse_wire_block("\n".join(lines).encode())
         assert batch is not None and len(batch) == 480
-        assert batch.device_id == [f"d{i % 3}" for i in range(480)]
+        assert batch.device_id == ["d0", "d1", "d2"]
+        assert batch.device_index.tolist() == [i % 3 for i in range(480)]
         assert batch.t_ms.tolist() == [i * 50 for i in range(480)]
         assert batch.acc[:, 0].tolist() == [i / 7 for i in range(480)]
 
@@ -670,6 +693,26 @@ class TestWireBlock:
         block = b"\n".join(b"d,%d,1,2,3" % t for t in (5, 5, 9, 4, 4, 9))
         _, stats, last_t = _through(handler, block)
         assert stats.timestamp_regressions == 1 and last_t == {"d": 9}
+
+    @given(rows=st.lists(st.tuples(st.sampled_from("abcd"),
+                                   st.integers(0, 6)), max_size=80),
+           cuts=st.lists(st.integers(0, 80), max_size=5))
+    def test_grouped_regression_count_equals_a_row_loop(self, rows, cuts):
+        # small clocks give steps back and equal timestamps; the reads
+        # share one connection's last_t, and a read of one device is a
+        # one-id batch
+        bounds = sorted({0, len(rows), *(c for c in cuts if c < len(rows))})
+        got = want = 0
+        got_last, want_last = {}, {}
+        for a, b in zip(bounds, bounds[1:]):
+            read = rows[a:b]
+            batch = SampleBatch.from_samples(
+                [Sample(d, t, 1.0, 2.0, 3.0) for d, t in read])
+            got += ingest._count_regressions(batch, got_last)
+            want += _regressions_row_by_row([d for d, _ in read],
+                                            [t for _, t in read], want_last)
+        assert got == want
+        assert got_last == want_last
 
     def test_one_bad_line_rejects_the_block(self):
         lines = [f"d,{i},1,2,3" for i in range(100)]
@@ -686,13 +729,14 @@ def _connect_and_send(port, payload: bytes):
 
 
 def _collecting_source():
-    """A started SocketSource whose batches land in the returned list."""
+    """A SocketSource on a free port, the list its batches land in and the
+    port."""
     got = []
-    source = SocketSource("127.0.0.1", 0,
+    listener = ingest.bind_listener("127.0.0.1", 0)
+    source = SocketSource(listener,
                           emit=lambda batch: got.extend(_rows(batch)),
                           stats=PipelineStats())
-    source.start()
-    return source, got
+    return source, got, listener.getsockname()[1]
 
 
 def _poll_until(source, condition, timeout=10.0):
@@ -723,11 +767,11 @@ def _lines(device, times) -> bytes:
 
 class TestSocketSource:
     def test_lines_become_samples_in_order(self):
-        source, got = _collecting_source()
+        source, got, port = _collecting_source()
         payload = b"".join(
             f"dev1,{i * 50},0.1,9.8,0.0\n".encode() for i in range(10)
         )
-        _connect_and_send(source.port, payload)
+        _connect_and_send(port, payload)
         _poll_until(source, lambda: len(got) == 10)
         source.close()
         assert [s.t_ms for s in got] == [i * 50 for i in range(10)]
@@ -735,9 +779,9 @@ class TestSocketSource:
         assert source.stats.malformed == 0
 
     def test_malformed_lines_counted_and_dropped(self):
-        source, got = _collecting_source()
+        source, got, port = _collecting_source()
         _connect_and_send(
-            source.port, b"dev1,abc,0.1,9.8,0.0\ndev1,100,0.1,9.8,0.0\n")
+            port, b"dev1,abc,0.1,9.8,0.0\ndev1,100,0.1,9.8,0.0\n")
         _poll_until(source, lambda: source.stats.samples_in == 2)
         source.close()
         assert len(got) == 1
@@ -745,11 +789,11 @@ class TestSocketSource:
         assert source.stats.samples_in == 2
 
     def test_two_devices_keep_their_own_order(self):
-        source, got = _collecting_source()
+        source, got, port = _collecting_source()
         a = b"".join(f"a,{i},1,2,3\n".encode() for i in range(20))
         b = b"".join(f"b,{i},1,2,3\n".encode() for i in range(20))
-        _connect_and_send(source.port, a)
-        _connect_and_send(source.port, b)
+        _connect_and_send(port, a)
+        _connect_and_send(port, b)
         _poll_until(source, lambda: len(got) == 40)
         source.close()
         for dev in ("a", "b"):
@@ -758,8 +802,8 @@ class TestSocketSource:
 
     def test_close_counts_open_tails_and_starts_no_thread(self):
         before = threading.active_count()
-        source, got = _collecting_source()
-        with socket.create_connection(("127.0.0.1", source.port),
+        source, got, port = _collecting_source()
+        with socket.create_connection(("127.0.0.1", port),
                                       timeout=5) as conn:
             conn.sendall(b"d,1,1,2,3\nd,2,1,")
             _poll_until(source, lambda: len(got) == 1)
@@ -774,11 +818,11 @@ class TestSocketSource:
         # so is the listener: its port can be bound again
         with socket.socket() as again:
             again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            again.bind(("127.0.0.1", source.port))
+            again.bind(("127.0.0.1", port))
 
     def test_unterminated_line_dropped_once_it_passes_the_cap(self):
-        source, got = _collecting_source()
-        with socket.create_connection(("127.0.0.1", source.port),
+        source, got, port = _collecting_source()
+        with socket.create_connection(("127.0.0.1", port),
                                       timeout=5) as conn:
             _send_polling(source, conn, b"7" * 100_000)
             _poll_until(source, lambda: source.stats.malformed > 0, 5)
@@ -793,12 +837,12 @@ class TestSocketSource:
         assert source.stats.samples_in == 2
 
     def test_line_longer_than_cap_is_malformed(self):
-        source, got = _collecting_source()
+        source, got, port = _collecting_source()
         padded = b"d,1,1,2," + b" " * MAX_LINE_BYTES + b"3\n"
         assert parse_wire_line(padded.decode()) is not None  # only too long
         # whole within one recv, then split so the cap cuts it while buffered
-        _connect_and_send(source.port, padded + b"d,2,1,2,3\n")
-        with socket.create_connection(("127.0.0.1", source.port),
+        _connect_and_send(port, padded + b"d,2,1,2,3\n")
+        with socket.create_connection(("127.0.0.1", port),
                                       timeout=5) as conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.sendall(padded[:-20])
@@ -813,18 +857,18 @@ class TestSocketSource:
 
     def test_closed_connections_are_forgotten(self):
         before = set(threading.enumerate())
-        source, got = _collecting_source()
+        source, got, port = _collecting_source()
         registered = source._selector.get_map()
         try:
             for i in range(200):
-                _connect_and_send(source.port, f"d,{i},1,2,3\n".encode())
+                _connect_and_send(port, f"d,{i},1,2,3\n".encode())
                 source.poll(0)  # keeps the listen backlog short
             # a connection may still wait in the listen backlog
             _poll_until(source, lambda: (len(registered) == 1
                                          and source.stats.samples_in == 200))
             # only the listener is left
             assert [key.fileobj.getsockname()[1]
-                    for key in registered.values()] == [source.port]
+                    for key in registered.values()] == [port]
             # and no thread was started
             assert set(threading.enumerate()) == before
             assert source.stats.samples_in == len(got) == 200
@@ -832,26 +876,26 @@ class TestSocketSource:
             source.close()
 
     def test_one_backwards_step_counts_one_regression(self):
-        source, got = _collecting_source()
-        _connect_and_send(source.port, _lines("d", [100, 200, 150, 300]))
+        source, got, port = _collecting_source()
+        _connect_and_send(port, _lines("d", [100, 200, 150, 300]))
         _poll_until(source, lambda: len(got) == 4)
         source.close()
         assert source.stats.timestamp_regressions == 1
 
     def test_reconnect_with_restarted_clock_is_no_regression(self):
-        source, got = _collecting_source()
-        _connect_and_send(source.port, _lines("d", range(0, 1000, 50)))
+        source, got, port = _collecting_source()
+        _connect_and_send(port, _lines("d", range(0, 1000, 50)))
         _poll_until(source, lambda: len(got) == 20)
-        _connect_and_send(source.port, _lines("d", range(0, 500, 50)))
+        _connect_and_send(port, _lines("d", range(0, 500, 50)))
         _poll_until(source, lambda: len(got) == 30)
         source.close()
         assert source.stats.timestamp_regressions == 0
 
     def test_connections_sharing_an_id_count_only_their_own_regressions(self):
-        source, got = _collecting_source()
-        with socket.create_connection(("127.0.0.1", source.port),
+        source, got, port = _collecting_source()
+        with socket.create_connection(("127.0.0.1", port),
                                       timeout=5) as a, \
-                socket.create_connection(("127.0.0.1", source.port),
+                socket.create_connection(("127.0.0.1", port),
                                          timeout=5) as b:
             # the two clocks interleave; only b steps back on its own
             a.sendall(_lines("d", range(10)))
@@ -874,10 +918,10 @@ class TestSocketSource:
             return real_accept(sock)
 
         monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
-        source, got = _collecting_source()
+        source, got, port = _collecting_source()
         try:
-            _connect_and_send(source.port, _lines("a", [1]))
-            _connect_and_send(source.port, _lines("b", [2]))
+            _connect_and_send(port, _lines("a", [1]))
+            _connect_and_send(port, _lines("b", [2]))
             _poll_until(source, lambda: len(got) == 2, timeout=5)
         finally:
             source.close()
@@ -886,12 +930,12 @@ class TestSocketSource:
 
     def test_thread_count_does_not_grow_with_connections(self):
         before = threading.active_count()
-        source, got = _collecting_source()
+        source, got, port = _collecting_source()
         conns, counts = [], []
         try:
             for k in range(50):
                 conns.append(socket.create_connection(
-                    ("127.0.0.1", source.port), timeout=5))
+                    ("127.0.0.1", port), timeout=5))
                 conns[-1].sendall(_lines(f"d{k}", [k]))
                 _poll_until(source, lambda: len(got) == k + 1)
                 counts.append(threading.active_count())
@@ -907,10 +951,8 @@ class TestSocketSource:
         holder.bind(("127.0.0.1", 0))
         holder.listen()
         port = holder.getsockname()[1]
-        blocked = SocketSource("127.0.0.1", port, emit=list().extend,
-                               stats=PipelineStats())
         try:
             with pytest.raises(OSError):
-                blocked.start()
+                ingest.bind_listener("127.0.0.1", port)
         finally:
             holder.close()

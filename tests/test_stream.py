@@ -787,11 +787,12 @@ class TestColumnarReads:
             if windows:
                 got.extend(stream.classify_windows(artifact, windows, seqs))
 
-        source = ingest.SocketSource("127.0.0.1", 0, emit=emit,
+        listener = ingest.bind_listener("127.0.0.1", 0)
+        source = ingest.SocketSource(listener, emit=emit,
                                      stats=PipelineStats())
-        source.start()
-        sender = threading.Thread(target=_send_in_pieces,
-                                  args=(source.port, payload, 8192, 0.01))
+        sender = threading.Thread(
+            target=_send_in_pieces,
+            args=(listener.getsockname()[1], payload, 8192, 0.01))
         sender.start()
         deadline = time.monotonic() + 30
         while (sender.is_alive()

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fallstream.errors import ConfigError, MissingLabel
@@ -102,18 +102,41 @@ def _window_key(w):
     return (w.device_id, w.t_ms.tolist(), w.acc.tolist())
 
 
-def _one_at_a_time(samples, cfg):
+def _pushed(samples, cfg, cut):
+    """Window keys and pending count after pushing the samples ``cut`` at a
+    time; a batch of one device carries one id, any other an index."""
     assembler = WindowAssembler(cfg)
     out = []
-    for s in samples:
-        out += assembler.push(SampleBatch.from_samples([s]))
-    return out, assembler
+    for i in range(0, len(samples), cut):
+        out += assembler.push(SampleBatch.from_samples(samples[i:i + cut]))
+    return [_window_key(w) for w in out], assembler.pending()
+
+
+def _reference(samples, cfg):
+    """Window keys and pending count by brute force: each device's rows in
+    arrival order cut with window_starts, the windows ordered by the
+    arrival of their last samples."""
+    arrivals = {}
+    for i, s in enumerate(samples):
+        arrivals.setdefault(s.device_id, []).append(i)
+    windows, pending = [], 0
+    for device, mine in arrivals.items():
+        starts = window_starts(len(mine), cfg)
+        for start in starts:
+            run = [samples[i] for i in mine[start:start + cfg.size]]
+            windows.append((mine[start + cfg.size - 1],
+                            (device, [r.t_ms for r in run],
+                             [[r.ax, r.ay, r.az] for r in run])))
+        pending += len(mine) - len(starts) * cfg.stride
+    return [key for _last, key in sorted(windows)], pending
 
 
 class TestBatchedAssembly:
     @given(n=st.integers(0, 120), devices=st.integers(1, 4),
            size=st.integers(1, 12), stride_frac=st.integers(1, 12),
            cut=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(n=120, devices=1, size=7, stride_frac=3, cut=40, seed=0)
+    @example(n=120, devices=3, size=7, stride_frac=3, cut=120, seed=0)
     def test_batches_equal_one_sample_at_a_time(self, n, devices, size,
                                                 stride_frac, cut, seed):
         rng = np.random.default_rng(seed)
@@ -121,16 +144,11 @@ class TestBatchedAssembly:
         owner = rng.integers(0, devices, n)
         samples = [Sample(f"d{owner[i]}", i, float(rng.normal()), 0.0, 1.0)
                    for i in range(n)]
-        expected, single = _one_at_a_time(samples, cfg)
-        batched = WindowAssembler(cfg)
-        got = []
-        for i in range(0, n, cut):
-            got += batched.push(SampleBatch.from_samples(samples[i:i + cut]))
-        # same windows, in the order their last samples arrived
-        assert [_window_key(w) for w in got] == \
-            [_window_key(w) for w in expected]
-        assert batched.pending() == single.pending()
-        assert len(got) == len(expected)
+        # same windows, in the order their last samples arrived, and the
+        # same samples left pending, however the rows are cut into batches
+        expected = _reference(samples, cfg)
+        assert _pushed(samples, cfg, cut) == expected
+        assert _pushed(samples, cfg, 1) == expected
 
     def test_one_row_per_device_per_batch(self):
         # a live chunk from many wearables: each batch carries about one
@@ -144,7 +162,8 @@ class TestBatchedAssembly:
                 devices, np.full(len(devices), i * 50, dtype=np.int64),
                 np.column_stack((np.arange(len(devices), dtype=float),
                                  np.full(len(devices), float(i)),
-                                 np.zeros(len(devices))))))
+                                 np.zeros(len(devices)))),
+                device_index=np.arange(len(devices), dtype=np.uint32)))
         # windows end at rows 8, 12, 16 and 20 of every device, in order
         assert len(got) == 4 * len(devices)
         for k, w in enumerate(got):
@@ -162,6 +181,7 @@ class TestBatchedAssembly:
             [f"dev{i:05d}" for i in range(n)],
             np.arange(n, dtype=np.int64),
             np.ones((n, 3)),
+            device_index=np.arange(n, dtype=np.uint32),
         )
         assembler = WindowAssembler(WindowConfig())
         tracemalloc.start()
