@@ -14,12 +14,12 @@ line: ``device_id,t_ms,ax,ay,az`` (no label). device_id must match
 decimal floats. A line longer than MAX_LINE_BYTES is malformed.
 ``parse_wire_line`` is the definition of a valid line. A socket read (up
 to READ_BYTES, 16 KiB) is parsed as columns by ``parse_wire_block``, one
-conversion per column; a read holding a line it rejects is parsed line by
-line instead, so each malformed line is still counted. A read's lines are
-handed on as one batch that names each device once (in order of first
-appearance) and gives each row an index into those names, and the
-pipeline cuts them into windows before its queue, so a ``drop_oldest``
-shed drops whole windows, never part of one.
+conversion per column; the lines it rejects are masked out and counted, so
+a malformed line costs only itself. A read's lines are handed on as one
+batch that names each device once (in order of first appearance) and
+gives each row an index into those names, and the pipeline cuts them into
+windows before its queue, so a ``drop_oldest`` shed drops whole windows,
+never part of one.
 
 serve reads its sockets in a process of its own: ``ReaderProcess`` binds
 the listener and starts ``python -m fallstream.ingest``, whose
@@ -45,6 +45,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -448,7 +449,7 @@ def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
     split = _split_fields(body, delimiter)
     if split is None:
         return None
-    fields, width, _ends = split
+    fields, width = split
     if not all(-width <= c < width for c in cols if c is not None):
         return None  # fields[c] raises IndexError on every line
     t_col, x_col, y_col, z_col, label_col = (
@@ -472,12 +473,11 @@ def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
     return t, x, y, z, labels
 
 
-def _split_fields(body: bytes, sep: str, width: int | None = None):
-    """The fields of newline-joined lines as one flat list, the fields per
-    line and the offsets of the newlines; None when a line holds another
-    number of ``sep`` (one ASCII character) than the others, when the lines
-    hold none, when a line has other than ``width`` fields (if given) or
-    when the body is not UTF-8.
+def _split_fields(body: bytes, sep: str):
+    """The fields of newline-joined lines as one flat list and the fields
+    per line; None when a line holds another number of ``sep`` (one ASCII
+    character) than the others, when the lines hold none or when the body
+    is not UTF-8.
 
     The separators are counted on the bytes: UTF-8 never puts an ASCII byte
     inside a multibyte character."""
@@ -486,8 +486,7 @@ def _split_fields(body: bytes, sep: str, width: int | None = None):
     n = len(ends) + 1
     seps = np.flatnonzero(octets == ord(sep))
     per_line = len(seps) // n
-    if (per_line == 0 or len(seps) != per_line * n
-            or width is not None and per_line != width - 1):
+    if per_line == 0 or len(seps) != per_line * n:
         return None
     seps = seps.reshape(n, per_line)
     # per_line * n separators in order, line i's first and last inside line
@@ -498,7 +497,7 @@ def _split_fields(body: bytes, sep: str, width: int | None = None):
         text = body.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    return text.replace("\n", sep).split(sep), per_line + 1, ends
+    return text.replace("\n", sep).split(sep), per_line + 1
 
 
 def _block_rows(lines: list[str], delimiter: str, cols: tuple, number,
@@ -557,7 +556,8 @@ def parse_trial_path(
 
 def parse_wire_line(line: str) -> tuple[str, int, float, float, float] | None:
     """One protocol line to (device_id, t_ms, ax, ay, az), or None when
-    malformed."""
+    malformed: the rule ``parse_wire_block`` is held to, line by line, and
+    the name the traced benchmark launcher wraps."""
     fields = line.rstrip("\r").split(",")
     if len(fields) != 5:
         return None
@@ -576,34 +576,59 @@ def parse_wire_line(line: str) -> tuple[str, int, float, float, float] | None:
     return device_id, t_ms, ax, ay, az
 
 
-def parse_wire_block(block: bytes) -> SampleBatch | None:
-    """Complete protocol lines joined by newlines, as one batch converted a
-    column at a time; None when any line is one ``parse_wire_line`` rejects.
+def parse_wire_block(block: bytes) -> tuple[SampleBatch, int]:
+    """Newline-joined complete protocol lines as one batch, converted a
+    column at a time, and how many lines were left out: those that
+    ``parse_wire_line`` rejects, so the rows are its rows, bit for bit.
 
-    The conversions are parse_wire_line's, so an accepted block gives the
-    same rows, bit for bit, as parsing it line by line."""
-    split = _split_fields(block, ",", 5)
-    if split is None:
-        return None
-    fields, _width, ends = split
-    # line i runs from ends[i - 1] + 1 to ends[i], the last one to the end
-    if (np.diff(ends, prepend=-1, append=len(block)) > MAX_LINE_BYTES + 1).any():
-        return None
+    A line with other than 4 commas or over MAX_LINE_BYTES goes before the
+    split. The text is decoded with errors="replace", which keeps every
+    comma and newline (UTF-8 never puts an ASCII byte inside a multibyte
+    character), and no field's conversion accepts U+FFFD."""
+    octets = np.frombuffer(block, np.uint8)
+    # line i runs from edges[i] + 1 to edges[i + 1], each edge a newline or
+    # the block's end
+    edges = np.concatenate(
+        ([-1], np.flatnonzero(octets == _NEWLINE), [len(block)]))
+    commas = np.flatnonzero(octets == ord(",")).searchsorted(edges)
+    shaped = (np.diff(commas) == 4) & (np.diff(edges) <= MAX_LINE_BYTES + 1)
+    if not shaped.all():
+        block = b"\n".join(compress(block.split(b"\n"), shaped.tolist()))
+    fields = (block.decode("utf-8", "replace").replace("\n", ",").split(",")
+              if shaped.any() else [])
     ids, index = _device_index(fields[0::5])
-    if not all(map(WIRE_DEVICE_RE.match, ids)):
-        return None
+    keep = np.array([bool(WIRE_DEVICE_RE.match(d)) for d in ids], bool)[index]
+    t = _convert_each(int, fields[1::5], _T_LIMIT)  # refused: past int64
     try:
-        # a t_ms outside int64 raises OverflowError here
-        t_ms = np.array(list(map(int, fields[1::5])), dtype=np.int64)
-        acc = np.empty((len(index), 3))
-        acc[:, 0] = list(map(float, fields[2::5]))
-        acc[:, 1] = list(map(float, fields[3::5]))
-        acc[:, 2] = list(map(float, fields[4::5]))
-    except (ValueError, OverflowError):
-        return None
-    if not np.isfinite(acc).all():
-        return None
-    return SampleBatch(ids, t_ms, acc, device_index=index)
+        t_ms = np.array(t, np.int64)
+    except OverflowError:  # a t_ms outside int64, or a refused one
+        fits = [-_T_LIMIT <= v < _T_LIMIT for v in t]
+        keep &= fits
+        t_ms = np.array([v if ok else 0 for v, ok in zip(t, fits)], np.int64)
+    acc = np.empty((len(t), 3))
+    for axis in range(3):
+        acc[:, axis] = _convert_each(float, fields[2 + axis::5], math.nan)
+        keep &= np.isfinite(acc[:, axis])
+    if not keep.all():
+        ids, index = _device_index([ids[i] for i in index[keep].tolist()])
+        t_ms, acc = t_ms[keep], acc[keep]
+    return (SampleBatch(ids, t_ms, acc, device_index=index),
+            len(shaped) - len(t_ms))
+
+
+def _convert_each(convert: Callable, fields: list[str], refused) -> list:
+    """``convert`` mapped over the fields; only when it raises ValueError
+    are they converted one at a time, ``refused`` for each that raises."""
+    try:
+        return list(map(convert, fields))
+    except ValueError:
+        out = []
+        for f in fields:
+            try:
+                out.append(convert(f))
+            except ValueError:
+                out.append(refused)
+        return out
 
 
 def _count_regressions(batch: SampleBatch, last_t: dict[str, int]) -> int:
@@ -655,9 +680,9 @@ class SocketSource:
     accept the listener sits out ACCEPT_RETRY_S) and reading each ready
     connection once (up to READ_BYTES), so lines are never reordered
     within a connection and one stalled client holds up no other. A read's
-    complete lines are parsed as columns (line by line only when one of
-    them is malformed) and handed on as one ``emit(SampleBatch)`` call,
-    each of its devices named once and indexed per row.
+    complete lines are parsed as columns, its malformed lines left out and
+    counted, and handed on as one ``emit(SampleBatch)`` call, each of its
+    devices named once and indexed per row.
     What the caller does not read stays in the kernel, so a caller that
     stops polling (the reader, while its write to a full pipe blocks) gives
     clients TCP backpressure.
@@ -742,42 +767,17 @@ class SocketSource:
             state.skipping = True
 
     def _close(self, key: selectors.SelectorKey) -> None:
-        # an unterminated tail at disconnect is an incomplete record
-        if key.data is not None and key.data.tail.strip():
+        # an unterminated tail at disconnect, blank or not, is a lost line
+        if key.data is not None and key.data.tail:
             self._count_dropped_line()
         self._selector.unregister(key.fileobj)
         key.fileobj.close()
 
     def _handle_block(self, block: bytes, last_t: dict[str, int]) -> None:
-        """Parse, count and emit a read's complete lines (newline-joined):
-        as columns, or line by line when one is malformed. Both parsers are
-        looked up as module globals, so wrappers see calls."""
-        batch = parse_wire_block(block)
-        if batch is None:
-            parse = parse_wire_line
-            lines = block.split(b"\n")
-            rows = []
-            for raw in lines:
-                if len(raw) > MAX_LINE_BYTES:
-                    continue
-                try:
-                    row = parse(raw.decode("utf-8"))
-                except UnicodeDecodeError:
-                    continue
-                if row is not None:
-                    rows.append(row)
-            ids, index = _device_index([r[0] for r in rows])
-            batch = SampleBatch(
-                ids,
-                np.array([r[1] for r in rows], dtype=np.int64),
-                np.array([r[2:] for r in rows], dtype=np.float64),
-                device_index=index,
-            )
-            read = len(lines)
-        else:
-            read = len(batch)
-        self.stats.samples_in += read
-        self.stats.malformed += read - len(batch)
+        """Parse, count and emit a read's complete lines (newline-joined)."""
+        batch, rejected = parse_wire_block(block)
+        self.stats.samples_in += len(batch) + rejected
+        self.stats.malformed += rejected
         self.stats.timestamp_regressions += _count_regressions(batch, last_t)
         if len(batch):
             self._emit(batch)

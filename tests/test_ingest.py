@@ -615,19 +615,37 @@ _wire_malformed = st.sampled_from([
 
 
 def _through(handler: str, block: bytes):
-    """(emitted batches, stats, last_t) of one read's lines sent through
-    the columnar parse or, with parse_wire_block refusing every block, the
-    per-line one, on fresh counters."""
+    """(emitted batches, stats, last_t) of one read's lines on fresh
+    counters: sent through SocketSource's column parse ("block"), or the
+    reference ("lines"): each line parsed alone by parse_wire_line, the
+    rows it accepts emitted as one batch, regressions counted row by row."""
     got, last_t = [], {}
+    if handler == "lines":
+        stats, rows = PipelineStats(), []
+        for raw in block.split(b"\n"):
+            try:
+                row = parse_wire_line(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                row = None
+            if row is None or len(raw) > MAX_LINE_BYTES:
+                stats.malformed += 1
+            else:
+                rows.append(row)
+        stats.samples_in = block.count(b"\n") + 1
+        stats.timestamp_regressions = _regressions_row_by_row(
+            [r[0] for r in rows], [r[1] for r in rows], last_t)
+        if rows:
+            ids = list(dict.fromkeys(r[0] for r in rows))
+            got.append(SampleBatch(
+                ids, np.array([r[1] for r in rows], dtype=np.int64),
+                np.array([r[2:] for r in rows], dtype=np.float64),
+                device_index=np.array([ids.index(r[0]) for r in rows],
+                                      dtype=np.uint32)))
+        return got, stats, last_t
     source = SocketSource(ingest.bind_listener("127.0.0.1", 0),
                           emit=got.append, stats=PipelineStats())
     try:
-        if handler == "block":
-            source._handle_block(block, last_t)
-        else:
-            with mock.patch.object(ingest, "parse_wire_block",
-                                   lambda block: None):
-                source._handle_block(block, last_t)
+        source._handle_block(block, last_t)
     finally:
         source.close()
     return got, source.stats, last_t
@@ -654,6 +672,18 @@ class TestWireBlock:
     @example([b"a,1,2,3," + b" " * n + b"4"
               for n in (MAX_LINE_BYTES - 10, MAX_LINE_BYTES - 9)])
     @example([b"a,1,2,3," + b" " * (MAX_LINE_BYTES - 8) + b"4"])
+    # device z sends only malformed lines: it is not named
+    @example([b"a,1,2,3,4", b"z,x,1,2,3", b"b,2,2,3,4", b"z,1,inf,2,3"])
+    # only malformed lines: nothing is emitted, the counters still move
+    @example([b"a,1,2,3", b"bad dev,1,2,3,4", b""])
+    @example([b"a,1,2,3,4", f"a,{2**63},1,2,3".encode(), b"a,2,2,3,4"])
+    # invalid UTF-8 in the id, in t_ms and in an axis
+    @example([b"a,1,2,3,4", b"\xffa,2,2,3,4", b"a,\xff3,2,3,4",
+              b"a,4,2,\xff,4", b"a,5,2,3,4"])
+    @example([b"a,1,2,3,4", b"a,2,2,3," + b" " * (MAX_LINE_BYTES - 8) + b"4",
+              b"a,3,2,3,4"])
+    # a refused t_ms and a refused axis on one line: one malformed line
+    @example([b"a,1,2,3,4", b"a,x,2,y,4", b"a,3,2,3,4"])
     @given(st.one_of(
         st.lists(st.one_of(_wire_valid, _wire_accepted), min_size=1,
                  max_size=30),
@@ -676,13 +706,12 @@ class TestWireBlock:
             assert batch.t_ms.tobytes() == ref.t_ms.tobytes()
             assert batch.acc.shape == ref.acc.shape
             assert batch.acc.tobytes() == ref.acc.tobytes()
-        # the columnar parse takes every block that has no malformed line
-        assert (parse_wire_block(block) is None) == (want_stats.malformed > 0)
+        assert parse_wire_block(block)[1] == want_stats.malformed
 
     def test_all_valid_block_is_one_batch(self):
         lines = [f"d{i % 3},{i * 50},{i / 7!r},9.8,-0.5" for i in range(480)]
-        batch = parse_wire_block("\n".join(lines).encode())
-        assert batch is not None and len(batch) == 480
+        batch, rejected = parse_wire_block("\n".join(lines).encode())
+        assert rejected == 0 and len(batch) == 480
         assert batch.device_id == ["d0", "d1", "d2"]
         assert batch.device_index.tolist() == [i % 3 for i in range(480)]
         assert batch.t_ms.tolist() == [i * 50 for i in range(480)]
@@ -714,10 +743,12 @@ class TestWireBlock:
         assert got == want
         assert got_last == want_last
 
-    def test_one_bad_line_rejects_the_block(self):
+    def test_one_bad_line_is_left_out_alone(self):
         lines = [f"d,{i},1,2,3" for i in range(100)]
         lines[57] = "d,57,1,2"
-        assert parse_wire_block("\n".join(lines).encode()) is None
+        batch, rejected = parse_wire_block("\n".join(lines).encode())
+        assert len(batch) == 99 and rejected == 1
+        assert batch.t_ms.tolist() == [i for i in range(100) if i != 57]
         got, stats, _ = _through("block", "\n".join(lines).encode())
         assert stats.samples_in == 100 and stats.malformed == 1
         assert len(got[0]) == 99
@@ -819,6 +850,19 @@ class TestSocketSource:
         with socket.socket() as again:
             again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             again.bind(("127.0.0.1", port))
+
+    # a blank last line counts the same with and without its newline
+    @pytest.mark.parametrize("payload", [
+        b"d,1,1,2,3\n \n", b"d,1,1,2,3\n ", b"d,1,1,2,3\n\r\n",
+        b"d,1,1,2,3\n\r"])
+    def test_blank_tail_at_disconnect_is_malformed(self, payload):
+        source, got, port = _collecting_source()
+        _connect_and_send(port, payload)
+        _poll_until(source, lambda: source.stats.samples_in == 2)
+        _poll_for(source, 0.1)
+        source.close()
+        assert [s.t_ms for s in got] == [1]
+        assert (source.stats.samples_in, source.stats.malformed) == (2, 1)
 
     def test_unterminated_line_dropped_once_it_passes_the_cap(self):
         source, got, port = _collecting_source()

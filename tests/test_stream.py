@@ -750,7 +750,7 @@ class TestColumnarReads:
     def test_reads_with_and_without_malformed_lines_equal_batch(
             self, artifact, artifact_path, tmp_path, monkeypatch):
         # two devices interleaved on one connection, a malformed line after
-        # every 300: some reads parse as columns, the rest line by line
+        # every 300: some reads hold one, the rest none
         trials = {dev: [replace(s, label=None)
                         for s in make_trial("fall", 2400, seed=seed,
                                             device_id=dev)]
@@ -771,9 +771,9 @@ class TestColumnarReads:
         real = ingest.parse_wire_block
 
         def counting(block):
-            batch = real(block)
-            blocks.append(batch is not None)
-            return batch
+            batch, rejected = real(block)
+            blocks.append(rejected == 0)
+            return batch, rejected
 
         # serve's reader is another process, which a patch here never
         # reaches: this drives its SocketSource on this thread instead, and
