@@ -72,8 +72,9 @@ assert len(SCHEMA_V1.names) == 58
 
 
 # windows per stacked kernel call: bounds the temporaries, each about
-# STACK_BLOCK * 8 * n doubles, whatever the number of windows asked for
-STACK_BLOCK = 64
+# STACK_BLOCK * 8 * n doubles, whatever the number of windows asked for;
+# at 16 one for 200-sample windows is 205 KB, well inside a 2 MiB L2
+STACK_BLOCK = 16
 _SERIES = 8  # x, y, z, |x|, |y|, |z|, tilt, magnitude
 
 

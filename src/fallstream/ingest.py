@@ -32,6 +32,7 @@ write end.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -45,9 +46,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -324,33 +325,50 @@ def parse_trial_file(
 
     A row is malformed when a field it needs is missing or unparseable,
     an acceleration is not finite, its timestamp does not fit int64 or its
-    label is empty. Raises ParseError when the input is unreadable or more
+    label is empty. Raises ParseError when the input is not UTF-8 or more
     than half of the data rows are malformed (which signals a wrong mapping).
 
-    Lines are those of ``str.splitlines``. The text is parsed in blocks of
-    about TRIAL_BLOCK_BYTES cut after a newline, each as columns by
-    ``_block_columns``; a block it rejects is parsed row by row by
-    ``_block_rows``, so malformed counts stay exact. Both write into arrays
-    allocated up front, and memory holds one block's strings at a time.
+    Lines are those of ``str.splitlines``. The text is read in blocks of
+    about TRIAL_BLOCK_BYTES cut after a newline, twice: once to check it
+    is UTF-8 and count its newlines, once to parse it. Each block is parsed
+    as columns by ``_block_columns``; a block it rejects is parsed row by
+    row by ``_block_rows``, so malformed counts stay exact. Its kept rows go
+    straight into the final columns, allocated up front from the newline
+    count, so memory holds one block and 32 B per line, plus the label list.
     """
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"trial file is not UTF-8 text: {exc}") from exc
+    return _parse_trial(io.BytesIO(data), mapping, device_id)
 
+
+def parse_trial_path(
+    path: str | Path, mapping: ColumnMapping, device_id: str | None = None
+) -> tuple[SampleBatch, ParseReport]:
+    """``parse_trial_file`` of a file, read a block at a time."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as stream:
+            if not stream.seekable():  # a pipe can be read only once
+                stream = io.BytesIO(stream.read())
+            return _parse_trial(stream, mapping, device_id or path.stem)
+    except OSError as exc:
+        raise ParseError(f"cannot read trial file {path}: {exc}") from exc
+
+
+def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
+                 device_id: str) -> tuple[SampleBatch, ParseReport]:
+    size = _count_rows(stream)
+    blocks = _blocks(stream)
     delimiter = mapping.delimiter
     header_fields = None
-    start = 0
     if mapping.header:
-        if not data:
+        block = next(blocks, b"")
+        if not block:
             return SampleBatch(device_id, np.empty(0, dtype=np.int64),
                                np.empty((0, 3))), ParseReport()
-        head = data[:data.find(b"\n") + 1 or len(data)].decode("utf-8")
+        head = block[:block.find(b"\n") + 1 or len(block)].decode("utf-8")
         first = head.splitlines(keepends=True)[0]
         header_fields = [f.strip()
                          for f in first.splitlines()[0].split(delimiter)]
-        start = len(first.encode("utf-8"))
+        blocks = chain([block[len(first.encode("utf-8")):]], blocks)
 
     cols = _resolve_columns(mapping, header_fields)
     t_col, label_col = cols[0], cols[4]
@@ -363,22 +381,19 @@ def parse_trial_file(
             convert_adc_to_g(1, mapping.adc_range_g, mapping.adc_resolution_bits)
             * STANDARD_GRAVITY_MS2
         )
+    time_factor = _TIME_UNITS[mapping.time_unit]
     # converter counts must be integers; float() and int() both ignore
     # surrounding whitespace, so only the label field is stripped
     number = _count_as_float if mapping.unit == "adc_bits" else float
 
-    # one row per "\n" and one more; a row-parsed block can split lines at
-    # other breaks too, and then the arrays grow
-    size = data.count(b"\n", start) + 1
-    ts = np.empty(size) if t_col is not None else None
+    # a row-parsed block can split lines at breaks other than "\n" too,
+    # and then the columns grow
+    t_ms = np.empty(size, dtype=np.int64)
     acc = np.empty((size, 3))
-    labels: list[str] = []
+    labels: list[str] | None = None if label_col is None else []
     codes: dict[str, str] = {}  # raw label field -> code, one object per code
-    n = rows = 0  # rows parsed; lines that are not blank
-    while start < len(data):
-        stop = data.find(b"\n", start + TRIAL_BLOCK_BYTES - 1) + 1 or len(data)
-        block = data[start:stop]
-        start = stop
+    n = rows = regressions = 0  # rows kept; lines that are not blank
+    for block in blocks:
         parsed = _block_columns(block, delimiter, cols, number, codes)
         if parsed is None:
             block_lines = block.decode("utf-8").splitlines()
@@ -391,42 +406,73 @@ def parse_trial_file(
         k = len(x)
         if n + k > len(acc):  # rows past n are overwritten or cut
             acc = np.resize(acc, (2 * (n + k), 3))
-            ts = None if ts is None else np.resize(ts, 2 * (n + k))
-        acc[n:n + k, 0], acc[n:n + k, 1], acc[n:n + k, 2] = x, y, z
-        if ts is not None:
-            ts[n:n + k] = t
+            t_ms = np.resize(t_ms, 2 * (n + k))
+        new = acc[n:n + k]
+        new[:, 0], new[:, 1], new[:, 2] = x, y, z
+        if accel_factor != 1.0:
+            new *= accel_factor
+        ok = np.isfinite(new).all(axis=1)
+        if t_col is not None:
+            t = np.rint(np.array(t, dtype=np.float64) * time_factor)
+            ok &= (t >= -_T_LIMIT) & (t < _T_LIMIT)  # False for nan
+        if not ok.all():
+            k = int(ok.sum())
+            acc[n:n + k] = new[ok]
+            if t_col is not None:
+                t = t[ok]
+            if label_col is not None:
+                block_labels = list(compress(block_labels, ok.tolist()))
+        if t_col is None:  # the same bits as np.arange over the whole file
+            t = np.rint(np.arange(n, n + k) * 1000.0 / mapping.synthetic_rate_hz)
+        t_ms[n:n + k] = t
         if label_col is not None:
             labels += block_labels
+        # from the previous block's last row, so a step back across the
+        # edge counts too
+        seen = t_ms[max(n - 1, 0):n + k]
+        regressions += int(np.count_nonzero(seen[1:] < seen[:-1]))
         n += k
 
-    acc = acc[:n]
-    if accel_factor != 1.0:
-        acc *= accel_factor
-    ok = np.isfinite(acc).all(axis=1)
-    if t_col is not None:
-        t_ms = np.rint(ts[:n] * _TIME_UNITS[mapping.time_unit])
-        ok &= (t_ms >= -_T_LIMIT) & (t_ms < _T_LIMIT)  # False for nan
-    if not ok.all():
-        acc = acc[ok]
-        if t_col is not None:
-            t_ms = t_ms[ok]
-        if label_col is not None:
-            labels = [c for c, keep in zip(labels, ok.tolist()) if keep]
-    if t_col is None:
-        t_ms = np.rint(np.arange(len(acc)) * 1000.0 / mapping.synthetic_rate_hz)
-    t_ms = t_ms.astype(np.int64)
-
-    report = ParseReport(
-        rows=rows,
-        malformed=rows - len(acc),
-        timestamp_regressions=int(np.count_nonzero(t_ms[1:] < t_ms[:-1])),
-    )
+    report = ParseReport(rows=rows, malformed=rows - n,
+                         timestamp_regressions=regressions)
     if report.rows and report.malformed * 2 > report.rows:
         raise ParseError(
             f"{report.malformed}/{report.rows} rows malformed; mapping is likely wrong"
         )
-    return SampleBatch(device_id, t_ms, acc,
-                       labels if label_col is not None else None), report
+    return SampleBatch(device_id, t_ms[:n], acc[:n], labels), report
+
+
+def _blocks(stream: BinaryIO):
+    """The stream's bytes from where it is, in blocks of TRIAL_BLOCK_BYTES
+    extended to the next newline (or the end)."""
+    while block := stream.read(TRIAL_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += stream.readline()
+        yield block
+
+
+def _count_rows(stream: BinaryIO) -> int:
+    """Rows to allocate for a whole stream, one per "\\n" and one more, and
+    back to its start; ParseError when it is not UTF-8, with the message
+    that decoding it whole gives (a block ends at a newline, so no
+    character spans two)."""
+    size, offset = 1, 0
+    for block in _blocks(stream):
+        if not block.isascii():
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                start, end = offset + exc.start, offset + exc.end
+                at = (f"byte 0x{block[exc.start]:02x} in position {start}"
+                      if end == start + 1
+                      else f"bytes in position {start}-{end - 1}")
+                raise ParseError(
+                    f"trial file is not UTF-8 text: 'utf-8' codec can't "
+                    f"decode {at}: {exc.reason}") from exc
+        size += np.count_nonzero(np.frombuffer(block, np.uint8) == _NEWLINE)
+        offset += len(block)
+    stream.seek(0)
+    return size
 
 
 def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
@@ -541,17 +587,6 @@ def _block_rows(lines: list[str], delimiter: str, cols: tuple, number,
 
 def _count_as_float(field: str) -> float:
     return float(int(field))
-
-
-def parse_trial_path(
-    path: str | Path, mapping: ColumnMapping, device_id: str | None = None
-) -> tuple[SampleBatch, ParseReport]:
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read trial file {path}: {exc}") from exc
-    return parse_trial_file(data, mapping, device_id or path.stem)
 
 
 def parse_wire_line(line: str) -> tuple[str, int, float, float, float] | None:

@@ -239,7 +239,8 @@ def stratified_split(
         raise InsufficientData("cannot split an empty label array")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
-    for value in np.unique(y):
+    # not np.unique, whose first call imports numpy.ma
+    for value in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == value)
         idx = idx[rng.permutation(idx.size)]
         n_test = int(round(test_fraction * idx.size))

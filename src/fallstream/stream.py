@@ -58,8 +58,8 @@ from .ingest import (
 from .model import ModelArtifact, forward, load_artifact
 from .windowing import Window, WindowAssembler, WindowConfig
 
-# rows a replay turn reads at most: at max speed a turn completes one
-# features.STACK_BLOCK stack of 64 default (200-sample) windows
+# rows a replay turn reads at most: at max speed a turn completes 64
+# default (200-sample) windows, stacked features.STACK_BLOCK at a time
 REPLAY_CHUNK = 12_800
 # longest wait for input, so a shutdown event is seen within it
 WAIT_S = 0.2

@@ -1,5 +1,6 @@
 import errno
 import math
+import os
 import socket
 import threading
 import time
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fallstream import ingest
+from fallstream.cli import main
 from fallstream.errors import ConfigError, ParseError, UnknownActivity
 from fallstream.ingest import (
     MAX_LINE_BYTES,
@@ -26,6 +28,7 @@ from fallstream.ingest import (
     convert_adc_to_g,
     map_activity_to_class,
     parse_trial_file,
+    parse_trial_path,
     parse_wire_block,
     parse_wire_line,
 )
@@ -354,9 +357,9 @@ def _block_trial(draw):
     return mapping, text.encode()
 
 
-def _outcome(data, mapping):
+def _outcome(data, mapping, parse=parse_trial_file):
     try:
-        batch, report = parse_trial_file(data, mapping)
+        batch, report = parse(data, mapping)
     except ParseError as exc:
         return "ParseError", str(exc)
     return batch.t_ms.tobytes(), batch.acc.tobytes(), batch.labels, report
@@ -365,6 +368,12 @@ def _outcome(data, mapping):
 def _row_loop_outcome(data, mapping):
     """The outcome with every block parsed row by row."""
     with mock.patch.object(ingest, "_block_columns", lambda *args: None):
+        return _outcome(data, mapping)
+
+
+def _one_block_outcome(data, mapping):
+    """The outcome with the whole text as one block."""
+    with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", len(data) + 1):
         return _outcome(data, mapping)
 
 
@@ -387,11 +396,15 @@ class TestBlockParse:
     @example((_BLOCK_MAPPINGS[5], b"0,1,2,3,WAL\n5,1,2,3,JOG\n"), 65536)
     @example((BASIC, "0,1,2,3,WAL\x1c5,1,2,3,WAL\n".encode()), 65536)
     @example((BASIC, "0,1,2,3,WAL\u20285,1,2,3,WAL\n".encode()), 65536)
-    def test_blocks_match_the_row_loop(self, trial, block_bytes):
+    def test_blocks_match_the_row_loop(self, tmp_path_factory, trial,
+                                       block_bytes):
         mapping, data = trial
+        path = tmp_path_factory.getbasetemp() / "block_trial.csv"
+        path.write_bytes(data)
         with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", block_bytes):
             got = _outcome(data, mapping)
-        assert got == _row_loop_outcome(data, mapping)
+            from_path = _outcome(path, mapping, parse_trial_path)
+        assert got == from_path == _row_loop_outcome(data, mapping)
 
     def test_valid_blocks_never_reach_the_row_loop(self):
         data = _trial_bytes(3000, lambda i: "WAL" if i % 7 else " jog ")
@@ -433,6 +446,161 @@ class TestBlockParse:
             tracemalloc.stop()
         assert report.rows == 100_000 and report.malformed == 0
         assert peak <= 2 * len(data)
+
+    def test_a_file_is_held_as_its_columns_and_a_few_blocks(self, tmp_path):
+        # replay's mapping reads no labels: the parse holds the final
+        # columns, 32 B a row, and one block's strings (about ten times
+        # the block's bytes), never the file, its lines or whole-file
+        # temporaries
+        path = tmp_path / "long.csv"
+        path.write_bytes(_trial_bytes(100_000))
+        mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3)
+        tracemalloc.start()
+        try:
+            batch, report = parse_trial_path(path, mapping)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rows == len(batch) == 100_000
+        assert path.stat().st_size > 64 * 100_000
+        assert peak <= 32 * 100_000 + 20 * ingest.TRIAL_BLOCK_BYTES
+
+
+def test_a_pipe_is_read_once_and_parsed_whole(tmp_path):
+    # a named pipe or a shell's <(...) cannot be read twice
+    fifo = tmp_path / "trial.csv"
+    os.mkfifo(fifo)
+    data = _trial_bytes(3000)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,),
+                              daemon=True)
+    writer.start()
+    with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", 4096):
+        got = _outcome(fifo, BASIC, parse_trial_path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _outcome(data, BASIC)
+
+
+def _fixed_lines(ts):
+    """Rows of equal length, so that a block size of k lines puts a block
+    edge exactly after every k-th."""
+    return [f"{t:08d},1.5,-2.0,9.75,WAL\n" for t in ts]
+
+
+class TestBlockEdges:
+    """What the whole text decides holds across block edges: a file parsed
+    in small blocks gives what it gives as one block."""
+
+    def _parse(self, tmp_path, lines, mapping=BASIC, block_lines=10):
+        """The path parse of ``lines`` in blocks of ``block_lines`` rows
+        (of the first line's length), checked against the text as one
+        block; the blocks parsed as columns are collected."""
+        data = "".join(lines).encode()
+        path = tmp_path / "trial.csv"
+        path.write_bytes(data)
+        blocks = []
+        real = ingest._block_columns
+
+        def columns(block, *args):
+            blocks.append(block)
+            return real(block, *args)
+
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES",
+                               block_lines * len(lines[0])), \
+                mock.patch.object(ingest, "_block_columns", columns):
+            got = _outcome(path, mapping, parse_trial_path)
+        assert got == _one_block_outcome(data, mapping)
+        return got, blocks
+
+    def test_synthetic_timestamps_run_on_across_blocks(self, tmp_path):
+        mapping = ColumnMapping(ax=0, ay=1, az=2, synthetic_rate_hz=30.0)
+        lines = [f"{i:04d},2.5,-1.0\n" if i % 37 else "bad,2.5,-1.0\n"
+                 for i in range(3000)]
+        (t_ms, _, _, report), blocks = self._parse(tmp_path, lines,
+                                                   mapping=mapping)
+        kept = 3000 - report.malformed
+        assert len(blocks) == 300 and report.malformed == 82
+        assert t_ms == np.rint(np.arange(kept) * 1000.0 / 30.0).astype(
+            np.int64).tobytes()
+
+    @pytest.mark.parametrize("last_row, regressions", [
+        ("00000450,1.5,-2.0,9.75,WAL\n", 1),  # 450 then 420: a step back
+        ("00000450,1.5,-2.0,nan1,WAL\n", 0),  # malformed: 400 then 420
+    ])
+    def test_a_step_back_on_a_block_edge(self, tmp_path, last_row,
+                                         regressions):
+        ts = [50 * i for i in range(30)]
+        ts[10] = 420
+        lines = _fixed_lines(ts)
+        lines[9] = last_row
+        (_, _, _, report), blocks = self._parse(tmp_path, lines)
+        assert blocks[0] == "".join(lines[:10]).encode()
+        assert blocks[1].startswith(lines[10].encode())
+        assert report.timestamp_regressions == regressions
+
+    def test_header_names_columns_of_every_block(self, tmp_path):
+        mapping = ColumnMapping(timestamp="t", ax="x", ay="y", az="z",
+                                label="label", header=True)
+        lines = ["label,z,y,x,t\n"] + [
+            f"wal,{i % 7}.0,{i % 5}.0,{i % 3}.0,{50 * i:06d}\n"
+            for i in range(200)]
+        (t_ms, acc, labels, report), blocks = self._parse(
+            tmp_path, lines, mapping=mapping, block_lines=3)
+        assert len(blocks) > 50 and report.rows == 200
+        assert np.frombuffer(t_ms, np.int64).tolist() == [
+            50 * i for i in range(200)]
+        assert np.frombuffer(acc).reshape(-1, 3).tolist() == [
+            [i % 3, i % 5, i % 7] for i in range(200)]
+        assert labels == ["WAL"] * 200
+
+    def test_a_mostly_malformed_first_block_is_not_fatal(self, tmp_path):
+        lines = ["garbage,row,that,is,bad\n"] * 30 + _fixed_lines(
+            range(0, 5000, 50))
+        (_, _, labels, report), blocks = self._parse(tmp_path, lines,
+                                                     block_lines=40)
+        assert blocks[0].count(b"garbage") == 30
+        assert report.malformed == 30 and len(labels) == 100
+
+    def test_a_mostly_malformed_rest_is_fatal(self, tmp_path, mapping_path,
+                                              artifact_path, capsys):
+        lines = _fixed_lines(range(0, 2000, 50)) + [
+            "garbage,row,that,is,bad\n"] * 50
+        got, blocks = self._parse(tmp_path, lines, block_lines=40)
+        assert got == ("ParseError",
+                       "50/90 rows malformed; mapping is likely wrong")
+        assert b"garbage" not in blocks[0]
+        assert _replay_of(tmp_path / "trial.csv", mapping_path,
+                          artifact_path, capsys, 40 * len(lines[0])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "50/90 rows malformed" in captured.err
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82"])
+    def test_not_utf8_in_a_late_block(self, tmp_path, mapping_path,
+                                      artifact_path, capsys, bad):
+        lines = _fixed_lines(range(0, 50_000, 50))
+        data = "".join(lines).encode()
+        at = data.index(b"\n", len(data) - 100)
+        data = data[:at] + bad + data[at:]
+        path = tmp_path / "trial.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        message = f"trial file is not UTF-8 text: {whole.value}"
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", 4096):
+            got = _outcome(path, BASIC, parse_trial_path)
+        assert got == ("ParseError", message)
+        assert _replay_of(path, mapping_path, artifact_path, capsys,
+                          4096) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def _replay_of(path, mapping_path, artifact_path, capsys, block_bytes):
+    """replay of a trial read in blocks of ``block_bytes``: its exit code."""
+    capsys.readouterr()
+    with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", block_bytes):
+        return main(["replay", str(path), "--mapping", str(mapping_path),
+                     "--artifact", str(artifact_path), "--speed", "max"])
 
 
 class TestSampleBatch:

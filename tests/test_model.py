@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,6 +235,16 @@ class TestStratifiedSplit:
         assert sorted(np.concatenate([train_idx, test_idx]).tolist()) == list(range(100))
         assert int(np.sum(y[test_idx])) == 5  # 25% of the 20 positives
         assert len(test_idx) == 25
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma, which train and evaluate never need
+        code = ("import sys, numpy as np; "
+                "from fallstream.model import stratified_split; "
+                "stratified_split(np.array([0.0, 1.0] * 10), 0.2, seed=1); "
+                "sys.exit('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEvaluate:
