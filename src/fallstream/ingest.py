@@ -35,7 +35,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
 import os
+import pickle
 import re
 import select
 import selectors
@@ -43,10 +45,11 @@ import signal
 import socket
 import struct
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable
 
@@ -73,6 +76,13 @@ ACCEPT_RETRY_S = 0.1
 # Bytes of trial text parsed as one block of columns; a block ends after a
 # newline, so it holds whole lines.
 TRIAL_BLOCK_BYTES = 65536
+# Fewest blocks a trial file spans for its parse to be split between two
+# processes (see _parse_halves): a fork, its pinning and its reaping cost
+# ~3-6 ms, one block ~2.3 ms.
+SPLIT_MIN_BLOCKS = 4
+# Rows of synthetic timestamps made at once after a split parse (~200 KB of
+# temporaries)
+_FILL_ROWS = 8192
 # Line breaks of str.splitlines besides "\n" that UTF-8 writes in more than
 # one byte; the one-byte ones are \v \f \r (11-13) and \x1c-\x1e (28-30).
 _WIDE_BREAKS = ("\x85".encode(), "\u2028".encode(), "\u2029".encode())
@@ -330,11 +340,18 @@ def parse_trial_file(
 
     Lines are those of ``str.splitlines``. The text is read in blocks of
     about TRIAL_BLOCK_BYTES cut after a newline, twice: once to check it
-    is UTF-8 and count its newlines, once to parse it. Each block is parsed
-    as columns by ``_block_columns``; a block it rejects is parsed row by
-    row by ``_block_rows``, so malformed counts stay exact. Its kept rows go
-    straight into the final columns, allocated up front from the newline
-    count, so memory holds one block and 32 B per line, plus the label list.
+    is UTF-8, count its newlines and note where each block starts, once to
+    parse it. Each block is parsed as columns by ``_block_columns``; a
+    block it rejects is parsed row by row by ``_block_rows``, so malformed
+    counts stay exact. Its kept rows go straight into the final columns,
+    allocated up front from the newline count.
+
+    Text of SPLIT_MIN_BLOCKS blocks or more is parsed on two CPUs when the
+    process may run on two (``_parse_halves``): a forked child parses the
+    second half of the blocks into columns it shares with this process.
+    The result, errors included, is the one-process result. Fewer blocks,
+    or one CPU, take one process. Either way memory holds one block per
+    process and 32 B per line, plus the label list.
     """
     return _parse_trial(io.BytesIO(data), mapping, device_id)
 
@@ -355,20 +372,22 @@ def parse_trial_path(
 
 def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
                  device_id: str) -> tuple[SampleBatch, ParseReport]:
-    size = _count_rows(stream)
-    blocks = _blocks(stream)
+    edges, newlines = _count_rows(stream)
+    read = _reader(stream)
+    spans = list(zip(edges, edges[1:]))
     delimiter = mapping.delimiter
     header_fields = None
     if mapping.header:
-        block = next(blocks, b"")
-        if not block:
+        if not spans:
             return SampleBatch(device_id, np.empty(0, dtype=np.int64),
                                np.empty((0, 3))), ParseReport()
+        start, end = spans[0]
+        block = read(start, end)
         head = block[:block.find(b"\n") + 1 or len(block)].decode("utf-8")
         first = head.splitlines(keepends=True)[0]
         header_fields = [f.strip()
                          for f in first.splitlines()[0].split(delimiter)]
-        blocks = chain([block[len(first.encode("utf-8")):]], blocks)
+        spans[0] = (start + len(first.encode("utf-8")), end)
 
     cols = _resolve_columns(mapping, header_fields)
     t_col, label_col = cols[0], cols[4]
@@ -385,54 +404,72 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
     # converter counts must be integers; float() and int() both ignore
     # surrounding whitespace, so only the label field is stripped
     number = _count_as_float if mapping.unit == "adc_bits" else float
+    # raw label field -> code, interned: one object per code
+    codes: dict[str, str] = {}
 
-    # a row-parsed block can split lines at breaks other than "\n" too,
-    # and then the columns grow
-    t_ms = np.empty(size, dtype=np.int64)
-    acc = np.empty((size, 3))
-    labels: list[str] | None = None if label_col is None else []
-    codes: dict[str, str] = {}  # raw label field -> code, one object per code
-    n = rows = regressions = 0  # rows kept; lines that are not blank
-    for block in blocks:
-        parsed = _block_columns(block, delimiter, cols, number, codes)
-        if parsed is None:
-            block_lines = block.decode("utf-8").splitlines()
-            parsed, blank = _block_rows(block_lines, delimiter, cols, number,
-                                        codes)
-            rows += len(block_lines) - blank
-        else:
-            rows += len(parsed[1])
-        t, x, y, z, block_labels = parsed
-        k = len(x)
-        if n + k > len(acc):  # rows past n are overwritten or cut
-            acc = np.resize(acc, (2 * (n + k), 3))
-            t_ms = np.resize(t_ms, 2 * (n + k))
-        new = acc[n:n + k]
-        new[:, 0], new[:, 1], new[:, 2] = x, y, z
-        if accel_factor != 1.0:
-            new *= accel_factor
-        ok = np.isfinite(new).all(axis=1)
-        if t_col is not None:
-            t = np.rint(np.array(t, dtype=np.float64) * time_factor)
-            ok &= (t >= -_T_LIMIT) & (t < _T_LIMIT)  # False for nan
-        if not ok.all():
-            k = int(ok.sum())
-            acc[n:n + k] = new[ok]
+    def parse(lo: int, hi: int, t_ms: np.ndarray, acc: np.ndarray, n: int,
+              stop: int) -> tuple:
+        """Blocks lo..hi-1 into the columns from row n on: the columns (new
+        arrays once the rows pass ``stop``), the row after the last kept
+        one, the blocks' rows (lines that are not blank), the timestamp
+        regressions among their kept rows and the rows' labels."""
+        first = n
+        rows = regressions = 0
+        labels: list[str] | None = None if label_col is None else []
+        for start, end in spans[lo:hi]:
+            block = read(start, end)
+            parsed = _block_columns(block, delimiter, cols, number, codes)
+            if parsed is None:
+                block_lines = block.decode("utf-8").splitlines()
+                parsed, blank = _block_rows(block_lines, delimiter, cols,
+                                            number, codes)
+                rows += len(block_lines) - blank
+            else:
+                rows += len(parsed[1])
+            t, x, y, z, block_labels = parsed
+            k = len(x)
+            # a row-parsed block can split lines at breaks other than "\n"
+            # too, and then the columns grow; rows past n are overwritten
+            # or cut
+            if n + k > stop:
+                acc = np.resize(acc, (2 * (n + k), 3))
+                t_ms = np.resize(t_ms, 2 * (n + k))
+                stop = len(acc)
+            new = acc[n:n + k]
+            new[:, 0], new[:, 1], new[:, 2] = x, y, z
+            if accel_factor != 1.0:
+                new *= accel_factor
+            ok = np.isfinite(new).all(axis=1)
             if t_col is not None:
-                t = t[ok]
+                t = np.rint(np.array(t, dtype=np.float64) * time_factor)
+                ok &= (t >= -_T_LIMIT) & (t < _T_LIMIT)  # False for nan
+            if not ok.all():
+                k = int(ok.sum())
+                acc[n:n + k] = new[ok]
+                if t_col is not None:
+                    t = t[ok]
+                if label_col is not None:
+                    block_labels = list(compress(block_labels, ok.tolist()))
+            if t_col is None:
+                t = _synthetic_ms(n, n + k, mapping.synthetic_rate_hz)
+            t_ms[n:n + k] = t
             if label_col is not None:
-                block_labels = list(compress(block_labels, ok.tolist()))
-        if t_col is None:  # the same bits as np.arange over the whole file
-            t = np.rint(np.arange(n, n + k) * 1000.0 / mapping.synthetic_rate_hz)
-        t_ms[n:n + k] = t
-        if label_col is not None:
-            labels += block_labels
-        # from the previous block's last row, so a step back across the
-        # edge counts too
-        seen = t_ms[max(n - 1, 0):n + k]
-        regressions += int(np.count_nonzero(seen[1:] < seen[:-1]))
-        n += k
+                labels += block_labels
+            # from the previous block's last row, so a step back across the
+            # edge counts too
+            seen = t_ms[max(n - 1, first):n + k]
+            regressions += int(np.count_nonzero(seen[1:] < seen[:-1]))
+            n += k
+        return t_ms, acc, n, rows, regressions, labels
 
+    size = newlines[-1] + 1  # rows to allocate: one per "\n" and one more
+    if len(spans) >= SPLIT_MIN_BLOCKS and len(cpus := _split_cpus()) >= 2:
+        rate_hz = mapping.synthetic_rate_hz if t_col is None else None
+        parsed = _parse_halves(parse, newlines, cpus, rate_hz)
+    else:
+        parsed = parse(0, len(spans), np.empty(size, dtype=np.int64),
+                       np.empty((size, 3)), 0, size)
+    t_ms, acc, n, rows, regressions, labels = parsed
     report = ParseReport(rows=rows, malformed=rows - n,
                          timestamp_regressions=regressions)
     if report.rows and report.malformed * 2 > report.rows:
@@ -440,6 +477,105 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
             f"{report.malformed}/{report.rows} rows malformed; mapping is likely wrong"
         )
     return SampleBatch(device_id, t_ms[:n], acc[:n], labels), report
+
+
+def _synthetic_ms(start: int, stop: int, rate_hz: float) -> np.ndarray:
+    """Rows start..stop-1 of a synthetic clock at ``rate_hz``, in ms: made
+    a range at a time, the same bits as one np.arange over the file."""
+    return np.rint(np.arange(start, stop) * 1000.0 / rate_hz)
+
+
+def _split_cpus() -> list[int]:
+    """The CPUs this process may run on, when a split parse may fork it:
+    none where the system does not say, or while another thread runs (a
+    lock that thread holds would stay held in the child for good)."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _parse_halves(parse: Callable, newlines: list[int], cpus: list[int],
+                  rate_hz: float | None) -> tuple:
+    """What ``parse`` gives for every block, parsed by this process and a
+    forked child, each pinned to a CPU of its own (a forked child left
+    unpinned stays on its parent's CPU).
+
+    The child parses the blocks from the one nearest half the rows on,
+    writes its rows into columns shared with this process, at its own
+    offset (the newlines before its first block: no more rows than that
+    come before), sends its counts and labels over a pipe and ends through
+    ``os._exit``; it reads its blocks by offset, as this process does, so
+    neither moves the file position they share. This process parses the
+    blocks before, then moves the child's rows down behind its own and
+    merges the rest as the block loop would: the timestamp step across the
+    split, the synthetic clock (``rate_hz``, whose row numbers only it
+    knows) and the label codes, one object per code. When the child sends
+    nothing (it failed, or was killed), or when this process's rows
+    outgrew the child's offset, this process parses the child's blocks
+    too. The child is reaped on every path."""
+    blocks = len(newlines) - 1
+    half = min(range(1, blocks),
+               key=lambda i: abs(2 * newlines[i] - newlines[-1]))
+    size, at = newlines[-1] + 1, newlines[half]
+    shared = mmap.mmap(-1, 32 * size, flags=mmap.MAP_SHARED)
+    t_ms = np.frombuffer(shared, np.int64, size)
+    acc = np.frombuffer(shared, np.float64, 3 * size, 8 * size).reshape(-1, 3)
+    readable, writable = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: parse it all here
+        os.close(readable)
+        os.close(writable)
+        return parse(0, blocks, t_ms, acc, 0, size)
+    if pid == 0:  # the child: the parse, its report, and nothing else
+        code = 1
+        try:
+            os.sched_setaffinity(0, {cpus[1]})
+            got, _, end, rows, regressions, labels = parse(
+                half, blocks, t_ms, acc, at, size)
+            if got is t_ms:  # its rows are all in the shared columns
+                _write_all(writable, pickle.dumps(
+                    (end - at, rows, regressions, labels)))
+                code = 0
+        finally:
+            os._exit(code)  # flushes no stdio buffer it shares with its parent
+    os.close(writable)
+    try:
+        with open(readable, "rb") as pipe:
+            affinity = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {cpus[0]})
+            try:
+                mine = parse(0, half, t_ms, acc, 0, at)
+            finally:
+                os.sched_setaffinity(0, affinity)
+            report = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    out_t, out_acc, n, rows, regressions, labels = mine
+    if status == 0 and out_t is t_ms:
+        k, theirs, their_regressions, their_labels = pickle.loads(report)
+        # 1-D copies run front to back, so an overlap needs no temporary
+        t_ms[n:n + k] = t_ms[at:at + k]
+        flat = acc.reshape(-1)
+        flat[3 * n:3 * (n + k)] = flat[3 * at:3 * (at + k)]
+        if rate_hz:
+            for i in range(n, n + k, _FILL_ROWS):
+                j = min(i + _FILL_ROWS, n + k)
+                t_ms[i:j] = _synthetic_ms(i, j, rate_hz)
+        if their_labels is not None:
+            their_labels = list(map(sys.intern, their_labels))
+    else:
+        out_t, out_acc, end, theirs, their_regressions, their_labels = parse(
+            half, blocks, out_t, out_acc, n, len(out_t))
+        k = end - n
+    if n and k:  # the step from this process's last row to the child's first
+        regressions += int(out_t[n] < out_t[n - 1])
+    return (out_t, out_acc, n + k, rows + theirs,
+            regressions + their_regressions,
+            None if labels is None else labels + their_labels)
 
 
 def _blocks(stream: BinaryIO):
@@ -451,13 +587,14 @@ def _blocks(stream: BinaryIO):
         yield block
 
 
-def _count_rows(stream: BinaryIO) -> int:
-    """Rows to allocate for a whole stream, one per "\\n" and one more, and
-    back to its start; ParseError when it is not UTF-8, with the message
-    that decoding it whole gives (a block ends at a newline, so no
-    character spans two)."""
-    size, offset = 1, 0
+def _count_rows(stream: BinaryIO) -> tuple[list[int], list[int]]:
+    """Where each block of a whole stream starts and how many "\\n" come
+    before it, each list closed by the stream's total; ParseError when it
+    is not UTF-8, with the message that decoding it whole gives (a block
+    ends at a newline, so no character spans two)."""
+    edges, newlines = [0], [0]
     for block in _blocks(stream):
+        offset = edges[-1]
         if not block.isascii():
             try:
                 block.decode("utf-8")
@@ -469,10 +606,21 @@ def _count_rows(stream: BinaryIO) -> int:
                 raise ParseError(
                     f"trial file is not UTF-8 text: 'utf-8' codec can't "
                     f"decode {at}: {exc.reason}") from exc
-        size += np.count_nonzero(np.frombuffer(block, np.uint8) == _NEWLINE)
-        offset += len(block)
-    stream.seek(0)
-    return size
+        edges.append(offset + len(block))
+        newlines.append(newlines[-1] + int(np.count_nonzero(
+            np.frombuffer(block, np.uint8) == _NEWLINE)))
+    return edges, newlines
+
+
+def _reader(stream: BinaryIO) -> Callable[[int, int], bytes]:
+    """A function of (start, end) reading those bytes of the stream without
+    moving it: a forked child shares an open file's position with its
+    parent."""
+    if isinstance(stream, io.BytesIO):
+        view = stream.getbuffer()
+        return lambda start, end: bytes(view[start:end])
+    fd = stream.fileno()
+    return lambda start, end: os.pread(fd, end - start, start)
 
 
 def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
@@ -514,7 +662,7 @@ def _block_columns(block: bytes, delimiter: str, cols: tuple, number,
             code = field_.strip().upper()
             if not code:
                 return None
-            codes[field_] = code
+            codes[field_] = sys.intern(code)
         labels = list(map(codes.__getitem__, raw))
     return t, x, y, z, labels
 
@@ -571,7 +719,7 @@ def _block_rows(lines: list[str], delimiter: str, cols: tuple, number,
                     code = raw.strip().upper()
                     if not code:
                         raise ValueError("empty label field")
-                    codes[raw] = code
+                    code = codes[raw] = sys.intern(code)
                 labels.append(code)
         except (ValueError, IndexError, OverflowError):
             # a blank line always lands here; it is not a row

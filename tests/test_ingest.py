@@ -1,7 +1,12 @@
+import contextlib
 import errno
+import io
 import math
 import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -38,7 +43,7 @@ from fallstream.stream import (
     ReplaySpec,
     run_pipeline,
 )
-from fallstream.synth import make_trial
+from fallstream.synth import make_trial, write_trial_csv
 
 BASIC = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4)
 
@@ -493,8 +498,9 @@ class TestBlockEdges:
 
     def _parse(self, tmp_path, lines, mapping=BASIC, block_lines=10):
         """The path parse of ``lines`` in blocks of ``block_lines`` rows
-        (of the first line's length), checked against the text as one
-        block; the blocks parsed as columns are collected."""
+        (of the first line's length) by one process, checked against the
+        text as one block and against the parse split between two; the
+        blocks the one process parses as columns are collected."""
         data = "".join(lines).encode()
         path = tmp_path / "trial.csv"
         path.write_bytes(data)
@@ -506,9 +512,12 @@ class TestBlockEdges:
             return real(block, *args)
 
         with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES",
-                               block_lines * len(lines[0])), \
-                mock.patch.object(ingest, "_block_columns", columns):
-            got = _outcome(path, mapping, parse_trial_path)
+                               block_lines * len(lines[0])):
+            with _one_cpu(), \
+                    mock.patch.object(ingest, "_block_columns", columns):
+                got = _outcome(path, mapping, parse_trial_path)
+            with _halves():
+                assert _outcome(path, mapping, parse_trial_path) == got
         assert got == _one_block_outcome(data, mapping)
         return got, blocks
 
@@ -601,6 +610,370 @@ def _replay_of(path, mapping_path, artifact_path, capsys, block_bytes):
     with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", block_bytes):
         return main(["replay", str(path), "--mapping", str(mapping_path),
                      "--artifact", str(artifact_path), "--speed", "max"])
+
+
+def _cpu_pair() -> list[int]:
+    """Two CPUs this process may run on: the same one twice on a one-CPU
+    box, where the split still runs, only not in parallel."""
+    return (sorted(os.sched_getaffinity(0)) * 2)[:2]
+
+
+@contextlib.contextmanager
+def _halves(min_blocks=2):
+    """Trial parses split from ``min_blocks`` blocks on, whatever the
+    number of CPUs; yields the (pid, status) of each child reaped."""
+    reaped = []
+    real = os.waitpid
+
+    def waitpid(pid, options):
+        got = real(pid, options)
+        reaped.append(got)
+        return got
+
+    with mock.patch.object(ingest, "_split_cpus", _cpu_pair), \
+            mock.patch.object(ingest, "SPLIT_MIN_BLOCKS", min_blocks), \
+            mock.patch.object(ingest.os, "waitpid", waitpid):
+        yield reaped
+
+
+def _one_cpu():
+    return mock.patch.object(ingest.os, "sched_getaffinity", lambda pid: {0})
+
+
+class TestSplitParse:
+    """A file of SPLIT_MIN_BLOCKS blocks or more is parsed by two processes,
+    and gives what one process gives: rows, labels, report and errors."""
+
+    def _both(self, tmp_path, lines, mapping=BASIC, block_lines=10):
+        """The path parse of ``lines`` in blocks of ``block_lines`` rows
+        (of the first line's length), split and not; the split must have
+        used the child's rows."""
+        path = tmp_path / "trial.csv"
+        path.write_bytes("".join(lines).encode())
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES",
+                               block_lines * len(lines[0])):
+            with _one_cpu():
+                serial = _outcome(path, mapping, parse_trial_path)
+            with _halves() as reaped:
+                split = _outcome(path, mapping, parse_trial_path)
+        assert [status for _, status in reaped] == [0]
+        assert split == serial
+        return split
+
+    @settings(max_examples=100, deadline=None)
+    @given(_block_trial(), st.sampled_from([16, 64, 200]))
+    def test_split_equals_serial(self, tmp_path_factory, trial, block_bytes):
+        mapping, data = trial
+        path = tmp_path_factory.getbasetemp() / "split_trial.csv"
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", block_bytes):
+            with _one_cpu():
+                serial = _outcome(data, mapping)
+            with _halves():
+                assert _outcome(data, mapping) == serial
+                assert _outcome(path, mapping, parse_trial_path) == serial
+
+    def test_malformed_rows_on_both_sides(self, tmp_path):
+        lines = _fixed_lines(range(0, 2000, 50))
+        for i in (3, 19, 20, 33):
+            lines[i] = lines[i].replace("1.5", "x.5")
+        _, _, labels, report = self._both(tmp_path, lines)
+        assert report == ingest.ParseReport(rows=40, malformed=4)
+        assert len(labels) == 36
+
+    @pytest.mark.parametrize("last_row, regressions", [
+        ("00000950,1.5,-2.0,9.75,WAL\n", 1),  # 950 then 920: a step back
+        ("00000950,1.5,-2.0,nan1,WAL\n", 0),  # malformed: 900 then 920
+    ])
+    def test_a_step_back_at_the_split(self, tmp_path, last_row, regressions):
+        # 4 blocks of 10 rows: the split is after row 19
+        ts = [50 * i for i in range(40)]
+        ts[20] = 920
+        lines = _fixed_lines(ts)
+        lines[19] = last_row
+        _, _, _, report = self._both(tmp_path, lines)
+        assert report.timestamp_regressions == regressions
+
+    def test_named_header(self, tmp_path):
+        mapping = ColumnMapping(timestamp="t", ax="x", ay="y", az="z",
+                                label="label", header=True)
+        lines = ["label,z,y,x,t\n"] + [
+            f"wal,{i % 7}.0,{i % 5}.0,{i % 3}.0,{50 * i:06d}\n"
+            for i in range(200)]
+        t_ms, acc, labels, report = self._both(tmp_path, lines, mapping,
+                                               block_lines=3)
+        assert report.rows == 200
+        assert np.frombuffer(t_ms, np.int64).tolist() == [
+            50 * i for i in range(200)]
+        assert np.frombuffer(acc).reshape(-1, 3).tolist() == [
+            [i % 3, i % 5, i % 7] for i in range(200)]
+        assert labels == ["WAL"] * 200
+
+    def test_synthetic_timestamps(self, tmp_path):
+        mapping = ColumnMapping(ax=0, ay=1, az=2, synthetic_rate_hz=30.0)
+        lines = [f"{i:04d},2.5,-1.0\n" if i % 37 else "bad,2.5,-1.0\n"
+                 for i in range(3000)]
+        t_ms, _, _, report = self._both(tmp_path, lines, mapping)
+        kept = 3000 - report.malformed
+        assert report.malformed == 82 and report.timestamp_regressions == 0
+        assert t_ms == np.rint(np.arange(kept) * 1000.0 / 30.0).astype(
+            np.int64).tobytes()
+
+    def test_a_mostly_malformed_half_is_not_fatal(self, tmp_path):
+        # the child's rows are 15 of 20 malformed; the file's are 15 of 40
+        lines = _fixed_lines(range(0, 2000, 50))
+        lines[20:35] = [_BAD_LINE] * 15
+        _, _, labels, report = self._both(tmp_path, lines)
+        assert report.malformed == 15 and len(labels) == 25
+
+    def test_the_totals_decide_the_error(self, tmp_path):
+        # the parent's rows are 1 of 20 malformed; the file's are 21 of 40
+        lines = _fixed_lines(range(0, 2000, 50))
+        lines[3] = _BAD_LINE
+        lines[20:40] = [_BAD_LINE] * 20
+        got = self._both(tmp_path, lines)
+        assert got == ("ParseError",
+                       "21/40 rows malformed; mapping is likely wrong")
+
+    def test_label_codes_are_one_object_across_the_split(self, tmp_path):
+        # " wal" only before the split, "WAL" only after: one code
+        lines = _fixed_lines(range(0, 2000, 50))
+        lines[:20] = [line.replace(",WAL", ", wal") for line in lines[:20]]
+        _, _, labels, _ = self._both(tmp_path, lines)
+        assert labels == ["WAL"] * 40
+        assert all(label is labels[0] for label in labels)
+
+    def test_fewer_blocks_than_the_minimum_take_one_process(self):
+        lines = _fixed_lines(range(0, 2000, 50))
+        data = "".join(lines).encode()
+        blocks = ingest.SPLIT_MIN_BLOCKS - 1
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES",
+                               len(data) // blocks), \
+                _halves(ingest.SPLIT_MIN_BLOCKS) as reaped:
+            assert len(ingest._count_rows(io.BytesIO(data))[0]) == blocks + 1
+            parse_trial_file(data, BASIC)
+        assert reaped == []
+
+    def test_one_cpu_never_forks(self):
+        data = _trial_bytes(3000)
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", 4096), \
+                _one_cpu(), \
+                mock.patch.object(ingest.os, "fork",
+                                  side_effect=AssertionError("forked")):
+            batch, report = parse_trial_file(data, BASIC)
+        assert report == ingest.ParseReport(rows=3000) and len(batch) == 3000
+
+    def test_a_process_running_another_thread_never_forks(self):
+        data = _trial_bytes(3000)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, daemon=True)
+        other.start()
+        try:
+            with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", 4096), \
+                    mock.patch.object(ingest.os, "fork",
+                                      side_effect=AssertionError("forked")):
+                batch, report = parse_trial_file(data, BASIC)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert report == ingest.ParseReport(rows=3000) and len(batch) == 3000
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs")
+    def test_two_cpus_split_a_long_file_and_restore_the_affinity(self):
+        data = _trial_bytes(20_000)
+        cpus = sorted(os.sched_getaffinity(0))
+        with mock.patch.object(ingest.os, "waitpid",
+                               wraps=os.waitpid) as waitpid, \
+                mock.patch.object(ingest.os, "sched_setaffinity",
+                                  wraps=os.sched_setaffinity) as pin:
+            batch, report = parse_trial_file(data, BASIC)
+        assert len(data) > 4 * ingest.TRIAL_BLOCK_BYTES
+        assert report == ingest.ParseReport(rows=20_000)
+        assert waitpid.call_count == 1
+        assert pin.call_args_list == [mock.call(0, {cpus[0]}),
+                                      mock.call(0, set(cpus))]
+        assert os.sched_getaffinity(0) == set(cpus)
+        with _one_cpu():
+            assert _outcome(data, BASIC) == (
+                batch.t_ms.tobytes(), batch.acc.tobytes(), batch.labels,
+                report)
+
+
+_BAD_LINE = "garbage,row,that,is,badxxx\n"  # as long as a _fixed_lines row
+
+
+def _blocks_of_100():
+    """4 blocks of 100 rows, and the blocks size that cuts them."""
+    return ("".join(_fixed_lines(range(0, 20_000, 50))).encode(),
+            mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", 100 * 27))
+
+
+def _child_fault(action, block=2):
+    """``_block_columns`` that, in a forked child, runs ``action`` before
+    its ``block``-th block."""
+    parent, real = os.getpid(), ingest._block_columns
+    seen = [0]
+
+    def columns(*args):
+        if os.getpid() != parent:
+            seen[0] += 1
+            if seen[0] == block:
+                action()
+        return real(*args)
+
+    return mock.patch.object(ingest, "_block_columns", columns)
+
+
+def _raise():
+    raise RuntimeError("a fault in the child")
+
+
+class TestSplitFaults:
+    """The child is reaped on every path, and what it fails to parse the
+    parent parses itself."""
+
+    @pytest.mark.parametrize("fault, ended", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         lambda status: os.WTERMSIG(status) == signal.SIGKILL),
+        (_raise, lambda status: os.WEXITSTATUS(status) == 1),
+    ], ids=["killed", "raises"])
+    def test_a_failed_child_leaves_its_blocks_to_the_parent(self, fault,
+                                                            ended):
+        data, blocks = _blocks_of_100()
+        with blocks:
+            with _one_cpu():
+                serial = _outcome(data, BASIC)
+            with _halves() as reaped, _child_fault(fault):
+                split = _outcome(data, BASIC)
+        assert split == serial
+        [(_pid, status)] = reaped
+        assert ended(status)
+
+    def test_an_error_in_the_parent_reaps_the_child(self):
+        data, blocks = _blocks_of_100()
+        parent, real = os.getpid(), ingest._block_columns
+
+        def columns(*args):
+            if os.getpid() == parent:
+                raise ParseError("a fault in the parent")
+            return real(*args)
+
+        affinity = os.sched_getaffinity(0)
+        with blocks, _halves() as reaped, \
+                mock.patch.object(ingest, "_block_columns", columns):
+            with pytest.raises(ParseError, match="a fault in the parent"):
+                parse_trial_file(data, BASIC)
+        [(pid, _status)] = reaped
+        assert not os.path.exists(f"/proc/{pid}")
+        assert os.sched_getaffinity(0) == affinity
+
+
+# replay with the trial parse split over the given CPUs, whatever the box
+# has, each fork noted on stderr and the child slowed by slow_child_s a
+# block; "before the parse" is in stdout's buffer when the child is forked
+_REPLAY = """\
+import os, sys, time
+from fallstream import cli, ingest
+ingest._split_cpus = lambda: {cpus!r}
+parent, columns = os.getpid(), ingest._block_columns
+def slowed(*args):
+    if os.getpid() != parent:
+        time.sleep({slow_child_s!r})
+    return columns(*args)
+ingest._block_columns = slowed
+fork = os.fork
+def counted():
+    sys.stderr.write("fork\\n")
+    return fork()
+os.fork = counted
+sys.stdout.write("before the parse\\n")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _replay_argv(trial, mapping_path, artifact_path, cpus, slow_child_s=0.0):
+    return [sys.executable, "-c",
+            _REPLAY.format(cpus=cpus, slow_child_s=slow_child_s),
+            "replay", str(trial), "--mapping", str(mapping_path),
+            "--artifact", str(artifact_path), "--speed", "max",
+            "--sink", "stdout"]
+
+
+def _child_of(pid, timeout=20.0) -> int:
+    """The pid of a running child of ``pid``, once there is one."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for entry in os.listdir("/proc"):
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    stat = fh.read()
+            except OSError:
+                continue  # not a process, or one that has gone
+            state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+            if int(ppid) == pid and state != "Z":
+                return int(entry)
+        time.sleep(0.005)
+    raise AssertionError(f"process {pid} forked no child")
+
+
+class TestSplitReplay:
+    def test_each_detection_line_is_written_once(self, tmp_path,
+                                                 mapping_path,
+                                                 artifact_path):
+        trial = tmp_path / "long.csv"
+        write_trial_csv(make_trial("fall", 20_000, seed=41), trial)
+        assert trial.stat().st_size > 4 * ingest.TRIAL_BLOCK_BYTES
+        # stdout to a pipe is block-buffered unless this is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        runs = [subprocess.run(
+            _replay_argv(trial, mapping_path, artifact_path, cpus),
+            capture_output=True, text=True, timeout=120, env=env)
+            for cpus in (_cpu_pair(), _cpu_pair()[:1])]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+        split, serial = runs
+        assert split.stderr.count("fork\n") == 1
+        assert serial.stderr.count("fork\n") == 0
+        assert split.stdout == serial.stdout
+        lines = split.stdout.splitlines()
+        assert lines[0] == "before the parse" and len(lines) == 1 + 100
+        assert "before the parse" not in lines[1:]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="finds the child in /proc")
+    @pytest.mark.parametrize("group", [False, True],
+                             ids=["parent", "process-group"])
+    def test_sigint_mid_parse_leaves_no_process(self, tmp_path, mapping_path,
+                                                artifact_path, group):
+        trial = tmp_path / "long.csv"
+        trial.write_bytes("".join(_fixed_lines(range(0, 1_500_000, 50)))
+                          .encode())
+        # the child takes at least 6 s: a second for each of its blocks
+        proc = subprocess.Popen(
+            _replay_argv(trial, mapping_path, artifact_path, _cpu_pair(),
+                         slow_child_s=1.0),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            child = _child_of(proc.pid)
+            if group:  # as a terminal's ^C reaches both
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode != 0 and "KeyboardInterrupt" in stderr
+        assert time.monotonic() - sent < 3.0  # the child was not waited out
+        deadline = time.monotonic() + 10
+        while os.path.exists(f"/proc/{child}") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not os.path.exists(f"/proc/{child}")
 
 
 class TestSampleBatch:
