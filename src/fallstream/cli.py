@@ -13,9 +13,9 @@ paths. Exit code 0 means the command completed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import signal
@@ -55,11 +55,13 @@ from .model import (
     init_model,
     load_artifact,
     save_artifact,
+    sha256,
     stratified_split,
     train,
 )
 from .stream import (
     PipelineConfig,
+    PipelineStats,
     ReplaySpec,
     SocketSpec,
     run_pipeline,
@@ -215,7 +217,7 @@ def cmd_train(args) -> int:
         "shuffle_seed": config.shuffle_seed,
         "split_seed": config.split_seed,
         "test_fraction": config.test_fraction,
-        "dataset_digest": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        "dataset_digest": sha256(csv_path.read_bytes()).hexdigest(),
         "n_train": int(train_idx.size),
         "n_test": int(test_idx.size),
         "train_accuracy": train_metrics.accuracy,
@@ -240,7 +242,7 @@ def cmd_evaluate(args) -> int:
 
     if args.split != "all":
         meta = artifact.metadata
-        digest = hashlib.sha256(Path(args.features_csv).read_bytes()).hexdigest()
+        digest = sha256(Path(args.features_csv).read_bytes()).hexdigest()
         if digest != meta.get("dataset_digest"):
             _info("warning: CSV digest differs from the artifact's training "
                   "set; --split selects rows as if it were the same file")
@@ -364,32 +366,66 @@ def _pipeline_config(args, cfg: dict, source) -> PipelineConfig:
     return config
 
 
-def cmd_replay(args) -> int:
-    cfg = _load_config_file(args.config)
-    src_cfg = _section(cfg, "source")
-    mapping_path = _path(_pick(args.mapping, src_cfg, "mapping", None),
-                         "mapping")
-    if mapping_path is None:
-        raise ConfigError("replay needs --mapping (or source.mapping in --config)")
-    # detections need no labels: the label column is not parsed, so an
-    # empty or unknown label field neither drops a row nor stops a replay
-    mapping = dataclasses.replace(load_mapping(mapping_path), label=None)
-    batch, report = parse_trial_path(args.trial_file, mapping)
-    if report.malformed:
-        _info(f"note: {report.malformed} malformed rows skipped while parsing")
+@contextlib.contextmanager
+def _stop_signals(handle):
+    """SIGINT and SIGTERM call ``handle`` inside the block; the handlers
+    before it come back after, so an in-process caller keeps its own."""
+    stops = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(signum, handle) for signum in stops]
+    try:
+        yield
+    finally:
+        for signum, before in zip(stops, previous):
+            signal.signal(signum, before)
 
-    source = ReplaySpec(
-        samples=batch,
-        rate_hz=_number(float, _pick(args.rate_hz, src_cfg, "rate_hz", 20.0),
-                        "rate_hz"),
-        speed=_parse_speed(_pick(args.speed, src_cfg, "speed", math.inf)),
-    )
-    stats = run_pipeline(_pipeline_config(args, cfg, source))
-    # a malformed row was read too, as serve counts a malformed line
-    stats.samples_in += report.malformed
-    stats.malformed += report.malformed
-    stats.timestamp_regressions += report.timestamp_regressions
-    _info(stats.format_line())
+
+def cmd_replay(args) -> int:
+    shutdown = threading.Event()
+    parsing = True
+
+    def _handle(signum, frame):
+        shutdown.set()
+        if parsing:  # the parse looks for no event: stop it here
+            raise KeyboardInterrupt
+
+    with _stop_signals(_handle):
+        try:
+            cfg = _load_config_file(args.config)
+            src_cfg = _section(cfg, "source")
+            mapping_path = _path(_pick(args.mapping, src_cfg, "mapping", None),
+                                 "mapping")
+            if mapping_path is None:
+                raise ConfigError(
+                    "replay needs --mapping (or source.mapping in --config)")
+            # detections need no labels: the label column is not parsed, so
+            # an empty or unknown label field neither drops a row nor stops
+            # a replay
+            mapping = dataclasses.replace(load_mapping(mapping_path),
+                                          label=None)
+            batch, report = parse_trial_path(args.trial_file, mapping)
+            parsing = False
+        except KeyboardInterrupt:
+            # stopped before any row entered the pipeline: none is counted
+            _info(PipelineStats().format_line())
+            return 0
+        if report.malformed:
+            _info(f"note: {report.malformed} malformed rows skipped while "
+                  f"parsing")
+
+        source = ReplaySpec(
+            samples=batch,
+            rate_hz=_number(float,
+                            _pick(args.rate_hz, src_cfg, "rate_hz", 20.0),
+                            "rate_hz"),
+            speed=_parse_speed(_pick(args.speed, src_cfg, "speed", math.inf)),
+        )
+        stats = run_pipeline(_pipeline_config(args, cfg, source),
+                             shutdown=shutdown)
+        # a malformed row was read too, as serve counts a malformed line
+        stats.samples_in += report.malformed
+        stats.malformed += report.malformed
+        stats.timestamp_regressions += report.timestamp_regressions
+        _info(stats.format_line())
     return 0
 
 
@@ -401,14 +437,9 @@ def cmd_serve(args) -> int:
     config = _pipeline_config(args, cfg, SocketSpec(*_parse_listen(listen)))
 
     shutdown = threading.Event()
-
-    def _handle(signum, frame):
-        shutdown.set()
-
-    signal.signal(signal.SIGINT, _handle)
-    signal.signal(signal.SIGTERM, _handle)
-    stats = run_pipeline(config, shutdown=shutdown)
-    _info(stats.format_line())
+    with _stop_signals(lambda signum, frame: shutdown.set()):
+        stats = run_pipeline(config, shutdown=shutdown)
+        _info(stats.format_line())
     return 0
 
 

@@ -19,7 +19,6 @@ carry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +27,17 @@ import numpy as np
 
 from .errors import ArtifactError, ConfigError, InsufficientData, SchemaMismatch
 from .features import SCHEMA_V1, Scaler
+
+# the one SHA-256 of every model and dataset digest: CPython's own, as
+# random.py takes its sha512, since importing hashlib maps and initialises
+# OpenSSL's libcrypto (~3.5 MB of resident memory)
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 ARTIFACT_FORMAT = "fallstream-artifact/1"
 HIDDEN_ACTIVATION = "relu"
@@ -352,7 +362,7 @@ def artifact_to_bytes(artifact: ModelArtifact) -> bytes:
 def save_artifact(artifact: ModelArtifact, destination: str | Path) -> str:
     """Write the artifact; returns its sha256 digest."""
     payload = artifact_to_bytes(artifact)
-    digest = hashlib.sha256(payload).hexdigest()
+    digest = sha256(payload).hexdigest()
     Path(destination).write_bytes(payload)
     artifact.digest = digest
     return digest
@@ -414,7 +424,7 @@ def load_artifact(source: str | Path) -> ModelArtifact:
             model=MlpModel(layer_dims=dims, weights=weights, biases=biases),
             scaler=scaler,
             metadata=doc["metadata"],
-            digest=hashlib.sha256(payload).hexdigest(),
+            digest=sha256(payload).hexdigest(),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact {source} is malformed: {exc}") from exc

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -446,6 +447,63 @@ class TestReplay:
             stats["malformed"] + stats["overflow_drops"]
             + 200 * stats["windows"] + stats["partial_window_drops"])
 
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_a_paced_replay_stopped_mid_run_accounts_for_its_rows(
+            self, tmp_path, mapping_path, artifact, artifact_path, signum):
+        # 400 rows a second: a window every half second, 5 s for the file
+        samples = [dataclasses.replace(s, device_id="trial")
+                   for s in make_trial("fall", 2000, seed=29)]
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(samples, trial)
+        lines = trial.read_text().splitlines(keepends=True)
+        for i in (10, 1500, 1999):
+            lines[i] = "1,abc,9.8,0.0,FOL\n"
+        trial.write_text("".join(lines))
+        kept = [s for i, s in enumerate(samples) if i not in (10, 1500, 1999)]
+        out = tmp_path / "out.jsonl"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fallstream", "replay", str(trial),
+             "--mapping", str(mapping_path), "--artifact", str(artifact_path),
+             "--speed", "1", "--rate-hz", "400", "--sink", f"file:{out}"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            _wait_for_detections(out, 1)
+            proc.send_signal(signum)
+            sent = time.monotonic()
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, stderr
+        assert time.monotonic() - sent < 3.0  # not the rest of the file
+        assert "Traceback" not in stderr
+        stats = _stats(stderr.splitlines()[-1])
+        assert stats["malformed"] == 3  # the parse read the whole file
+        assert 3 < stats["samples_in"] < len(lines)
+        assert stats["samples_in"] == (
+            stats["malformed"] + stats["overflow_drops"]
+            + 200 * stats["windows"] + stats["partial_window_drops"])
+        # the windows classified before the stop are the batch's first ones
+        got = out.read_text().splitlines()
+        expected = [detection_line(d)
+                    for d in classify_samples(artifact, kept)]
+        assert 0 < stats["windows"] == stats["detections"] == len(got)
+        assert got == expected[:len(got)] and len(got) < len(expected)
+
+    def test_the_callers_signal_handlers_come_back(
+            self, tmp_path, mapping_path, artifact_path):
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("fall", 200, seed=30), trial)
+        before = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(artifact_path), "--speed", "max",
+                   "--sink", f"file:{tmp_path / 'out.jsonl'}"])
+        assert rc == 0
+        assert [signal.getsignal(s)
+                for s in (signal.SIGINT, signal.SIGTERM)] == before
+
 
 class TestWindowSizeOne:
     """The features need 2 samples per window: a 1-sample window is refused
@@ -593,6 +651,42 @@ def test_cli_import_leaves_urllib_request_unloaded():
          "sys.exit('urllib.request' in sys.modules)"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_replay_and_prepare_leave_hashlib_unloaded(tmp_path, mapping_path,
+                                                   artifact_path):
+    # the digests take CPython's built-in SHA-256: hashlib's OpenSSL
+    # binding maps libcrypto, ~3.5 MB of resident memory
+    data = tmp_path / "data"
+    data.mkdir()
+    write_trial_csv(make_trial("fall", 400, seed=31), data / "t.csv")
+    code = ("import sys; from fallstream.cli import main; "
+            "sys.exit(main(sys.argv[1:6]) or main(sys.argv[6:]) "
+            "or 10 * ('_hashlib' in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         "prepare", str(data), "--mapping", str(mapping_path),
+         f"--out={tmp_path / 'features.csv'}",
+         "replay", str(data / "t.csv"), "--mapping", str(mapping_path),
+         "--artifact", str(artifact_path), "--speed", "max",
+         "--sink", f"file:{tmp_path / 'out.jsonl'}"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 2
+
+
+def test_the_hashlib_fallback_gives_the_same_digest(artifact, artifact_path):
+    # a build without the built-in hash modules takes hashlib's sha256
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "from fallstream.model import load_artifact; "
+            "print(load_artifact(sys.argv[1]).digest, "
+            "'_hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(artifact_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [artifact.digest, "True"]
+    assert artifact.digest == hashlib.sha256(
+        artifact_path.read_bytes()).hexdigest()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -760,6 +854,28 @@ STATS_KEYS = ["samples_in", "malformed", "timestamp_regressions", "windows",
 
 
 class TestServe:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="reads /proc/PID/maps")
+    def test_listening_maps_no_libcrypto(self, artifact_path):
+        # neither the loop nor the reader imports hashlib; only a webhook
+        # sink brings OpenSSL in, through urllib.request
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fallstream", "serve",
+             "--listen", "127.0.0.1:0", "--artifact", str(artifact_path),
+             "--sink", "stdout"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stderr.readline().startswith("listening on ")
+            for pid in (proc.pid, _reader_of(proc)):
+                assert "libcrypto" not in Path(f"/proc/{pid}/maps").read_text()
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+
     def test_stats_lines_keep_their_deadline_during_a_flood(
             self, tmp_path, artifact_path):
         port = _free_port()

@@ -441,11 +441,12 @@ class TestBlockParse:
 
     def test_memory_stays_within_twice_the_file(self):
         # the parse holds one block's strings, not the file as lines and
-        # float objects
+        # float objects; in one process, which tracemalloc sees whole
         data = _trial_bytes(100_000)
         tracemalloc.start()
         try:
-            _batch, report = parse_trial_file(data, BASIC)
+            with _one_cpu():
+                _batch, report = parse_trial_file(data, BASIC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -462,13 +463,31 @@ class TestBlockParse:
         mapping = ColumnMapping(timestamp=0, ax=1, ay=2, az=3)
         tracemalloc.start()
         try:
-            batch, report = parse_trial_path(path, mapping)
+            with _one_cpu():
+                batch, report = parse_trial_path(path, mapping)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.rows == len(batch) == 100_000
         assert path.stat().st_size > 64 * 100_000
         assert peak <= 32 * 100_000 + 20 * ingest.TRIAL_BLOCK_BYTES
+
+    def test_a_split_parse_holds_a_few_blocks_in_each_process(self, tmp_path):
+        # the split's columns are a shared mapping, which tracemalloc does
+        # not see: what each process allocates past the fork is about one
+        # block's strings, in the child too, never the file
+        path = tmp_path / "long.csv"
+        path.write_bytes(_trial_bytes(100_000))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPLIT_PEAKS.format(cpus=_cpu_pair()),
+             str(path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "100000"]  # one fork, every row
+        grown = dict(line.split() for line in proc.stderr.splitlines())
+        assert sorted(grown) == ["child", "parent"]
+        for process, peak in grown.items():
+            assert int(peak) <= 20 * ingest.TRIAL_BLOCK_BYTES, process
 
 
 def test_a_pipe_is_read_once_and_parsed_whole(tmp_path):
@@ -893,6 +912,35 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+# a split parse of the trial at argv[1] over the given CPUs under
+# tracemalloc, which a forked child inherits: each process writes to
+# stderr the peak of what it traced past the fork, less what it held then
+_SPLIT_PEAKS = """\
+import os, sys, tracemalloc
+from fallstream import ingest
+from fallstream.ingest import ColumnMapping, parse_trial_path
+ingest._split_cpus = lambda: {cpus!r}
+fork, exit = os.fork, os._exit
+held = []
+def grown(process):
+    peak = tracemalloc.get_traced_memory()[1] - held[0]
+    os.write(2, f"{{process}} {{peak}}\\n".encode())
+def forked():
+    held.append(tracemalloc.get_traced_memory()[0])
+    tracemalloc.reset_peak()
+    return fork()
+def exited(code):
+    grown("child")
+    exit(code)
+os.fork, os._exit = forked, exited
+tracemalloc.start()
+batch, report = parse_trial_path(
+    sys.argv[1], ColumnMapping(timestamp=0, ax=1, ay=2, az=3))
+grown("parent")
+print(len(held), len(batch))
+"""
+
+
 def _replay_argv(trial, mapping_path, artifact_path, cpus, slow_child_s=0.0):
     return [sys.executable, "-c",
             _REPLAY.format(cpus=cpus, slow_child_s=slow_child_s),
@@ -968,7 +1016,10 @@ class TestSplitReplay:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-        assert proc.returncode != 0 and "KeyboardInterrupt" in stderr
+        # the replay stops: no row entered the pipeline, and none counts
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr and "KeyboardInterrupt" not in stderr
+        assert stderr.splitlines()[-1] == PipelineStats().format_line()
         assert time.monotonic() - sent < 3.0  # the child was not waited out
         deadline = time.monotonic() + 10
         while os.path.exists(f"/proc/{child}") and time.monotonic() < deadline:
