@@ -188,6 +188,8 @@ def cmd_train(args) -> int:
     y = _labels_to_targets(classes)
 
     seed = args.seed
+    if seed < 0:  # numpy seeds no generator from a negative number
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,
@@ -252,6 +254,12 @@ def cmd_evaluate(args) -> int:
             raise ArtifactError(
                 f"artifact {args.artifact} has no {exc} in its metadata, "
                 f"so --split {args.split} cannot be rebuilt") from None
+        if not (isinstance(test_fraction, (int, float))
+                and 0 < test_fraction < 1
+                and type(split_seed) is int and split_seed >= 0):  # no bool
+            raise ArtifactError(
+                f"artifact {args.artifact} has test_fraction {test_fraction!r}"
+                f" and split_seed {split_seed!r}, which --split cannot use")
         train_idx, test_idx = stratified_split(y, test_fraction, split_seed)
         idx = train_idx if args.split == "train" else test_idx
         X, y = X[idx], y[idx]

@@ -80,8 +80,8 @@ TRIAL_BLOCK_BYTES = 65536
 # processes (see _parse_halves): a fork, its pinning and its reaping cost
 # ~3-6 ms, one block ~2.3 ms.
 SPLIT_MIN_BLOCKS = 4
-# Rows of synthetic timestamps made at once after a split parse (~200 KB of
-# temporaries)
+# Rows of a parsed trial whose synthetic timestamps are made, and whose
+# timestamp steps are compared, at once (~200 KB of temporaries)
 _FILL_ROWS = 8192
 # Line breaks of str.splitlines besides "\n" that UTF-8 writes in more than
 # one byte; the one-byte ones are \v \f \r (11-13) and \x1c-\x1e (28-30).
@@ -271,11 +271,12 @@ class ColumnMapping:
             raise ConfigError(f"unit must be one of {_UNITS}, got {self.unit!r}")
         if self.time_unit not in _TIME_UNITS:
             raise ConfigError(f"time_unit must be one of {sorted(_TIME_UNITS)}")
-        if self.timestamp is None:
-            if not self.synthetic_rate_hz or self.synthetic_rate_hz <= 0:
-                raise ConfigError(
-                    "timestamp=None requires a positive synthetic_rate_hz"
-                )
+        if not 0 < self.adc_range_g < math.inf:
+            raise ConfigError("adc_range_g must be positive and finite")
+        if (self.timestamp is None
+                and not 0 < (self.synthetic_rate_hz or 0) < math.inf):
+            raise ConfigError("timestamp=None requires a positive, finite "
+                              "synthetic_rate_hz")
         if any(isinstance(c, str) for c in roles) and not self.header:
             raise ConfigError("name-based columns require header=true")
         if self.unit == "adc_bits" and not 8 <= self.adc_resolution_bits <= 16:
@@ -344,7 +345,9 @@ def parse_trial_file(
     parse it. Each block is parsed as columns by ``_block_columns``; a
     block it rejects is parsed row by row by ``_block_rows``, so malformed
     counts stay exact. Its kept rows go straight into the final columns,
-    allocated up front from the newline count.
+    allocated up front from the newline count. Then one pass over them,
+    _FILL_ROWS rows at a time, writes the synthetic clock (of a mapping
+    without a clock column) and counts the timestamp regressions.
 
     Text of SPLIT_MIN_BLOCKS blocks or more is parsed on two CPUs when the
     process may run on two (``_parse_halves``): a forked child parses the
@@ -411,10 +414,9 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
               stop: int) -> tuple:
         """Blocks lo..hi-1 into the columns from row n on: the columns (new
         arrays once the rows pass ``stop``), the row after the last kept
-        one, the blocks' rows (lines that are not blank), the timestamp
-        regressions among their kept rows and the rows' labels."""
-        first = n
-        rows = regressions = 0
+        one, the blocks' rows (lines that are not blank) and the kept rows'
+        labels. Without a clock column no timestamp is written."""
+        rows = 0
         labels: list[str] | None = None if label_col is None else []
         for start, end in spans[lo:hi]:
             block = read(start, end)
@@ -450,39 +452,34 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
                     t = t[ok]
                 if label_col is not None:
                     block_labels = list(compress(block_labels, ok.tolist()))
-            if t_col is None:
-                t = _synthetic_ms(n, n + k, mapping.synthetic_rate_hz)
-            t_ms[n:n + k] = t
+            if t_col is not None:
+                t_ms[n:n + k] = t
             if label_col is not None:
                 labels += block_labels
-            # from the previous block's last row, so a step back across the
-            # edge counts too
-            seen = t_ms[max(n - 1, first):n + k]
-            regressions += int(np.count_nonzero(seen[1:] < seen[:-1]))
             n += k
-        return t_ms, acc, n, rows, regressions, labels
+        return t_ms, acc, n, rows, labels
 
     size = newlines[-1] + 1  # rows to allocate: one per "\n" and one more
     if len(spans) >= SPLIT_MIN_BLOCKS and len(cpus := _split_cpus()) >= 2:
-        rate_hz = mapping.synthetic_rate_hz if t_col is None else None
-        parsed = _parse_halves(parse, newlines, cpus, rate_hz)
+        parsed = _parse_halves(parse, newlines, cpus)
     else:
         parsed = parse(0, len(spans), np.empty(size, dtype=np.int64),
                        np.empty((size, 3)), 0, size)
-    t_ms, acc, n, rows, regressions, labels = parsed
-    report = ParseReport(rows=rows, malformed=rows - n,
-                         timestamp_regressions=regressions)
-    if report.rows and report.malformed * 2 > report.rows:
+    t_ms, acc, n, rows, labels = parsed
+    if rows and (rows - n) * 2 > rows:
         raise ParseError(
-            f"{report.malformed}/{report.rows} rows malformed; mapping is likely wrong"
-        )
-    return SampleBatch(device_id, t_ms[:n], acc[:n], labels), report
-
-
-def _synthetic_ms(start: int, stop: int, rate_hz: float) -> np.ndarray:
-    """Rows start..stop-1 of a synthetic clock at ``rate_hz``, in ms: made
-    a range at a time, the same bits as one np.arange over the file."""
-    return np.rint(np.arange(start, stop) * 1000.0 / rate_hz)
+            f"{rows - n}/{rows} rows malformed; mapping is likely wrong")
+    regressions = 0
+    for i in range(0, n, _FILL_ROWS):
+        j = min(i + _FILL_ROWS, n)
+        if t_col is None:  # the same bits as one np.arange over the file
+            t_ms[i:j] = np.rint(
+                np.arange(i, j) * 1000.0 / mapping.synthetic_rate_hz)
+        # from the previous slice's last row: every adjacent step back
+        seen = t_ms[max(i - 1, 0):j]
+        regressions += int(np.count_nonzero(seen[1:] < seen[:-1]))
+    return SampleBatch(device_id, t_ms[:n], acc[:n], labels), ParseReport(
+        rows=rows, malformed=rows - n, timestamp_regressions=regressions)
 
 
 def _split_cpus() -> list[int]:
@@ -494,8 +491,8 @@ def _split_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _parse_halves(parse: Callable, newlines: list[int], cpus: list[int],
-                  rate_hz: float | None) -> tuple:
+def _parse_halves(parse: Callable, newlines: list[int],
+                  cpus: list[int]) -> tuple:
     """What ``parse`` gives for every block, parsed by this process and a
     forked child, each pinned to a CPU of its own (a forked child left
     unpinned stays on its parent's CPU).
@@ -503,16 +500,14 @@ def _parse_halves(parse: Callable, newlines: list[int], cpus: list[int],
     The child parses the blocks from the one nearest half the rows on,
     writes its rows into columns shared with this process, at its own
     offset (the newlines before its first block: no more rows than that
-    come before), sends its counts and labels over a pipe and ends through
-    ``os._exit``; it reads its blocks by offset, as this process does, so
-    neither moves the file position they share. This process parses the
-    blocks before, then moves the child's rows down behind its own and
-    merges the rest as the block loop would: the timestamp step across the
-    split, the synthetic clock (``rate_hz``, whose row numbers only it
-    knows) and the label codes, one object per code. When the child sends
-    nothing (it failed, or was killed), or when this process's rows
-    outgrew the child's offset, this process parses the child's blocks
-    too. The child is reaped on every path."""
+    come before), sends how many rows it kept and read, and their labels,
+    over a pipe and ends through ``os._exit``; it reads its blocks by
+    offset, as this process does, so neither moves the file position they
+    share. This process parses the blocks before, then moves the child's
+    rows down behind its own and takes its labels, one object per code.
+    When the child sends nothing (it failed, or was killed), or when this
+    process's rows outgrew the child's offset, this process parses the
+    child's blocks too. The child is reaped on every path."""
     blocks = len(newlines) - 1
     half = min(range(1, blocks),
                key=lambda i: abs(2 * newlines[i] - newlines[-1]))
@@ -531,11 +526,10 @@ def _parse_halves(parse: Callable, newlines: list[int], cpus: list[int],
         code = 1
         try:
             os.sched_setaffinity(0, {cpus[1]})
-            got, _, end, rows, regressions, labels = parse(
-                half, blocks, t_ms, acc, at, size)
+            got, _, end, rows, labels = parse(half, blocks, t_ms, acc, at,
+                                              size)
             if got is t_ms:  # its rows are all in the shared columns
-                _write_all(writable, pickle.dumps(
-                    (end - at, rows, regressions, labels)))
+                _write_all(writable, pickle.dumps((end - at, rows, labels)))
                 code = 0
         finally:
             os._exit(code)  # flushes no stdio buffer it shares with its parent
@@ -554,27 +548,20 @@ def _parse_halves(parse: Callable, newlines: list[int], cpus: list[int],
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
-    out_t, out_acc, n, rows, regressions, labels = mine
+    out_t, out_acc, n, rows, labels = mine
     if status == 0 and out_t is t_ms:
-        k, theirs, their_regressions, their_labels = pickle.loads(report)
+        k, theirs, their_labels = pickle.loads(report)
         # 1-D copies run front to back, so an overlap needs no temporary
         t_ms[n:n + k] = t_ms[at:at + k]
         flat = acc.reshape(-1)
         flat[3 * n:3 * (n + k)] = flat[3 * at:3 * (at + k)]
-        if rate_hz:
-            for i in range(n, n + k, _FILL_ROWS):
-                j = min(i + _FILL_ROWS, n + k)
-                t_ms[i:j] = _synthetic_ms(i, j, rate_hz)
         if their_labels is not None:
             their_labels = list(map(sys.intern, their_labels))
     else:
-        out_t, out_acc, end, theirs, their_regressions, their_labels = parse(
+        out_t, out_acc, end, theirs, their_labels = parse(
             half, blocks, out_t, out_acc, n, len(out_t))
         k = end - n
-    if n and k:  # the step from this process's last row to the child's first
-        regressions += int(out_t[n] < out_t[n - 1])
     return (out_t, out_acc, n + k, rows + theirs,
-            regressions + their_regressions,
             None if labels is None else labels + their_labels)
 
 

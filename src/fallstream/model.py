@@ -176,8 +176,8 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be positive and finite")
 
 
 @dataclass
@@ -420,6 +420,8 @@ def load_artifact(source: str | Path) -> ModelArtifact:
                 f"{SCHEMA_V1.version!r} ({len(SCHEMA_V1.names)} features)")
         if np.any(scaler.minimum > scaler.maximum):
             raise ArtifactError("scaler has min > max")
+        if not isinstance(doc["metadata"], dict):
+            raise ArtifactError(f"artifact {source} has non-object metadata")
         return ModelArtifact(
             model=MlpModel(layer_dims=dims, weights=weights, biases=biases),
             scaler=scaler,

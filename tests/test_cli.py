@@ -206,6 +206,23 @@ class TestTrain:
         rc = main(["train", str(bad), "--artifact", str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-3"], "--seed must be >= 0"),
+        (["--seed", "-1"], "--seed must be >= 0"),  # seeds init, not the split
+        (["--learning-rate", "nan"], "learning_rate must be positive"),
+        (["--learning-rate", "inf"], "learning_rate must be positive"),
+    ])
+    def test_unusable_values_write_no_artifact(self, tmp_path, capsys, flags,
+                                               message):
+        csv_path = _separable_csv(tmp_path / "f.csv", n=20)
+        artifact_path = tmp_path / "m.json"
+        capsys.readouterr()
+        rc = main(["train", str(csv_path), "--artifact", str(artifact_path),
+                   "--epochs", "1", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not artifact_path.exists()
+
 
 class TestEvaluate:
     def test_split_test_matches_train_report(self, tmp_path, capsys):
@@ -281,21 +298,41 @@ class TestEvaluate:
         assert err.startswith(f"error: {csv_path}, line 5: ")
         assert value in err
 
-    @pytest.mark.parametrize("key", ["test_fraction", "split_seed"])
-    def test_split_needs_split_metadata(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key,value", [
+        # None deletes the key
+        pytest.param("test_fraction", None, id="test_fraction"),
+        pytest.param("split_seed", None, id="split_seed"),
+        ("metadata", []),
+        ("metadata", "seed 1234"),
+        ("test_fraction", "x"),
+        ("test_fraction", 0),
+        ("test_fraction", 1.0),
+        ("test_fraction", True),
+        ("split_seed", -3),
+        ("split_seed", 2.5),
+        ("split_seed", "7"),
+        ("split_seed", True),
+    ])
+    def test_split_needs_split_metadata(self, tmp_path, capsys, key, value):
         csv_path = _separable_csv(tmp_path / "f.csv", n=20)
         artifact_path = tmp_path / "m.json"
         assert main(["train", str(csv_path), "--artifact", str(artifact_path),
                      "--epochs", "1"]) == 0
         doc = json.loads(artifact_path.read_text())
-        del doc["metadata"][key]
+        if key == "metadata":
+            doc["metadata"] = value
+        elif value is None:
+            del doc["metadata"][key]
+        else:
+            doc["metadata"][key] = value
         artifact_path.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["evaluate", str(csv_path), "--artifact", str(artifact_path),
                    "--split", "test"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"error: artifact {artifact_path} has no ")
+        prefix = "has no " if value is None else "has "
+        assert err.startswith(f"error: artifact {artifact_path} {prefix}")
         assert key in err
 
 
@@ -542,6 +579,14 @@ class TestBadMappingFile:
         {"delimiter": 5},
         {"unit": "adc_bits", "adc_range_g": "16"},
         {"header": "no"},
+        # numbers out of range: a NaN rate would give every detection a
+        # t_start_ms of the int64 minimum
+        {"timestamp": None, "synthetic_rate_hz": float("nan")},
+        {"timestamp": None, "synthetic_rate_hz": float("inf")},
+        {"timestamp": None, "synthetic_rate_hz": -200.0},
+        {"unit": "adc_bits", "adc_range_g": float("nan")},
+        {"unit": "adc_bits", "adc_range_g": float("inf")},
+        {"unit": "adc_bits", "adc_range_g": 0},
     ])
     def test_prepare_and_replay_exit_2(self, tmp_path, dataset_dir,
                                        artifact_path, capsys, fault):
