@@ -49,6 +49,8 @@ from .ingest import (
     parse_trial_path,
 )
 from .model import (
+    GENERATOR,
+    SEED_LIMIT,
     ModelArtifact,
     TrainConfig,
     evaluate,
@@ -188,8 +190,8 @@ def cmd_train(args) -> int:
     y = _labels_to_targets(classes)
 
     seed = args.seed
-    if seed < 0:  # numpy seeds no generator from a negative number
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if not 0 <= seed < SEED_LIMIT - 2:  # seed + 2 keys the split
+        raise ConfigError(f"--seed must be >= 0 and < 2**64 - 2, got {seed}")
     config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,
@@ -213,6 +215,7 @@ def cmd_train(args) -> int:
     test_metrics = evaluate(model, Xn[test_idx], y[test_idx])
     metadata = {
         "epochs": config.epochs,
+        "generator": GENERATOR,
         "learning_rate": config.learning_rate,
         "batch_size": config.batch_size,
         "seed": seed,
@@ -249,14 +252,22 @@ def cmd_evaluate(args) -> int:
             _info("warning: CSV digest differs from the artifact's training "
                   "set; --split selects rows as if it were the same file")
         try:
+            generator = meta["generator"]
             test_fraction, split_seed = meta["test_fraction"], meta["split_seed"]
         except KeyError as exc:
             raise ArtifactError(
                 f"artifact {args.artifact} has no {exc} in its metadata, "
-                f"so --split {args.split} cannot be rebuilt") from None
+                f"so --split {args.split} cannot be rebuilt; retrain it"
+            ) from None
+        if generator != GENERATOR:
+            raise ArtifactError(
+                f"artifact {args.artifact} has generator {generator!r}, and "
+                f"--split {args.split} rebuilds splits only under "
+                f"{GENERATOR!r}; retrain it")
         if not (isinstance(test_fraction, (int, float))
                 and 0 < test_fraction < 1
-                and type(split_seed) is int and split_seed >= 0):  # no bool
+                and type(split_seed) is int  # no bool
+                and 0 <= split_seed < SEED_LIMIT):
             raise ArtifactError(
                 f"artifact {args.artifact} has test_fraction {test_fraction!r}"
                 f" and split_seed {split_seed!r}, which --split cannot use")

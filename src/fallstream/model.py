@@ -11,6 +11,12 @@ and the streaming pipeline all call it. It multiplies each sample's row
 by the weights on its own, so a row's probability has the same bits
 whether it is classified alone or among a thousand others.
 
+Every draw (initial weights, epoch shuffles, the train/test split) comes
+from one counter-based generator here, SplitMix64 (Steele, Lea & Flood,
+OOPSLA 2014), in numpy uint64 array arithmetic: artifact bytes depend on
+no numpy release, and no command imports ``numpy.random``, whose import
+loads OpenSSL's libcrypto through ``secrets``.
+
 The artifact file is a single JSON document with a fixed field order (see
 docs/artifact_format.md); identical artifacts serialize to identical
 bytes, and the sha256 of those bytes is the model digest that detections
@@ -20,6 +26,7 @@ carry.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +51,45 @@ HIDDEN_ACTIVATION = "relu"
 OUTPUT_ACTIVATION = "sigmoid"
 BCE_EPS = 1e-12
 
+# the draw rule, recorded in each artifact's metadata: evaluate --split
+# rebuilds a split only under the rule that made it
+GENERATOR = "splitmix64/1"
+SEED_LIMIT = 2**64  # seeds are generator keys, integers in [0, 2**64)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function: a bijection of uint64 words.
+
+    Arrays only: numpy wraps an array product silently, while a scalar
+    product that overflows warns.
+    """
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _words(key: int, n: int) -> np.ndarray:
+    """The first n outputs of splitmix64.c from state ``key``: word i
+    mixes the counter key + (i + 1) * gamma."""
+    counters = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA
+    return _mix(counters + np.uint64(key))
+
+
+def _stream(seed: int, stream: int, n: int) -> np.ndarray:
+    """n words of stream ``stream`` under ``seed``; the stream's key is
+    output ``stream`` (from 0) of SplitMix64 from state ``seed``."""
+    seed = operator.index(seed)  # a float seed is a TypeError
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    key = _words(seed, stream + 1)[stream]
+    return _words(int(key), n)
+
+
+def _permutation(seed: int, stream: int, n: int) -> np.ndarray:
+    # the words are distinct (a bijection of distinct counters): no ties
+    return np.argsort(_stream(seed, stream, n))
+
 
 @dataclass
 class MlpModel:
@@ -67,13 +113,15 @@ def init_model(
     dims=(58, 64, 32, 1),
     seed: int = 0,
 ) -> MlpModel:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, seeded."""
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, seeded:
+    layer i draws stream i."""
     dims = _validate_dims(dims)
-    rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for d_in, d_out in zip(dims, dims[1:]):
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         limit = np.sqrt(6.0 / (d_in + d_out))
-        weights.append(rng.uniform(-limit, limit, size=(d_in, d_out)))
+        # 53 high bits of each word, a float in [0, 1)
+        u = (_stream(seed, i, d_in * d_out) >> np.uint64(11)) * 2.0**-53
+        weights.append(limit * (2.0 * u - 1.0).reshape(d_in, d_out))
         biases.append(np.zeros(d_out))
     return MlpModel(dims, weights, biases)
 
@@ -135,27 +183,40 @@ def loss_bce(p, target) -> float:
     return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
 
 
-def backward(model: MlpModel, X: np.ndarray, y: np.ndarray):
+def backward(model: MlpModel, X: np.ndarray, y: np.ndarray,
+             out: list[np.ndarray] | None = None):
     """Gradients of the mean batch BCE with respect to every parameter.
 
     Returns (weight_grads, bias_grads) with the same shapes as the model
-    parameters.
+    parameters, written into ``out`` (arrays of those shapes, the weights'
+    then the biases') if given.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     zs, acts = _layers(model, X)
     n = X.shape[0]
+    if out is None:
+        out = [np.empty_like(p) for p in model.weights + model.biases]
+    k = len(model.weights)
+    w_grads, b_grads = out[:k], out[k:]
 
     # sigmoid + BCE collapse to (p - t) at the output pre-activation
     delta = (acts[-1] - y) / n
-    w_grads = [None] * len(model.weights)
-    b_grads = [None] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        w_grads[i] = acts[i].T @ delta
-        b_grads[i] = delta.sum(axis=0)
+    for i in range(k - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=w_grads[i])
+        np.sum(delta, axis=0, out=b_grads[i])
         if i > 0:
             delta = (delta @ model.weights[i].T) * _hidden_grad(zs[i - 1])
     return w_grads, b_grads
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` shaped like each array in turn."""
+    views, end = [], 0
+    for p in like:
+        views.append(flat[end:end + p.size].reshape(p.shape))
+        end += p.size
+    return views
 
 
 @dataclass
@@ -192,6 +253,9 @@ def train(
 ) -> list[EpochStats]:
     """Adam mini-batch training for exactly config.epochs; mutates model.
 
+    Epoch e visits the rows in the order of stream e under
+    config.shuffle_seed.
+
     y holds 1.0 for FALL and 0.0 for ADL. History entries carry the
     full-training-set loss and accuracy at the end of each epoch.
     """
@@ -202,35 +266,46 @@ def train(
     if X.shape[0] != y.shape[0]:
         raise ConfigError("X and y row counts differ")
 
-    rng = np.random.default_rng(config.shuffle_seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # the weights and biases become views of one flat vector, so an Adam
-    # step is a few whole-vector operations, with the same bits as per array
+    # the weights and biases become views of one flat vector, and backward
+    # writes the gradient into views of another, so an Adam step is a few
+    # in-place whole-vector operations, with the same bits as per array
     params = model.weights + model.biases
     theta = np.concatenate([p.ravel() for p in params])
-    ends = np.cumsum([p.size for p in params]).tolist()
-    views = [theta[end - p.size:end].reshape(p.shape)
-             for p, end in zip(params, ends)]
+    views = _views(theta, params)
     k = len(model.weights)
     model.weights[:], model.biases[:] = views[:k], views[k:]
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    # gradient, moments and two work vectors
+    g, m, v, a, b = (np.zeros_like(theta) for _ in range(5))
+    g_views = _views(g, params)
     step = 0
     history: list[EpochStats] = []
     n = X.shape[0]
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
+        order = _permutation(config.shuffle_seed, epoch, n)
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            w_grads, b_grads = backward(model, X[idx], y[idx])
-            g = np.concatenate([d.ravel() for d in w_grads + b_grads])
+            backward(model, X[idx], y[idx], out=g_views)
             step += 1
             corr1 = 1.0 - beta1**step
             corr2 = 1.0 - beta2**step
-            m = beta1 * m + (1 - beta1) * g
-            v = beta2 * v + (1 - beta2) * g ** 2
-            theta -= config.learning_rate * (m / corr1) / (
-                np.sqrt(v / corr2) + eps)
+            # m = beta1 * m + (1 - beta1) * g
+            m *= beta1
+            np.multiply(1 - beta1, g, out=a)
+            m += a
+            # v = beta2 * v + (1 - beta2) * g ** 2
+            v *= beta2
+            np.square(g, out=a)
+            a *= 1 - beta2
+            v += a
+            # theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            np.divide(m, corr1, out=a)
+            a *= config.learning_rate
+            np.divide(v, corr2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            theta -= a
         probs = forward(model, X)
         history.append(EpochStats(
             epoch=epoch,
@@ -243,16 +318,16 @@ def train(
 def stratified_split(
     y: np.ndarray, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic stratified train/test index split."""
+    """Deterministic stratified train/test index split: the rows of the
+    i-th smallest label are shuffled by stream i under ``seed``."""
     y = np.asarray(y)
     if y.size == 0:
         raise InsufficientData("cannot split an empty label array")
-    rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     # not np.unique, whose first call imports numpy.ma
-    for value in sorted(set(y.tolist())):
+    for stream, value in enumerate(sorted(set(y.tolist()))):
         idx = np.flatnonzero(y == value)
-        idx = idx[rng.permutation(idx.size)]
+        idx = idx[_permutation(seed, stream, idx.size)]
         n_test = int(round(test_fraction * idx.size))
         n_test = min(idx.size - 1, max(n_test, 1)) if idx.size > 1 else 0
         test_idx.extend(idx[:n_test])

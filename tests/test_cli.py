@@ -211,6 +211,9 @@ class TestTrain:
         (["--seed", "-1"], "--seed must be >= 0"),  # seeds init, not the split
         (["--learning-rate", "nan"], "learning_rate must be positive"),
         (["--learning-rate", "inf"], "learning_rate must be positive"),
+        # seed + 2 keys the split, and keys are below 2**64
+        (["--seed", str(2**64 - 2)], "--seed must be >= 0 and < 2**64 - 2"),
+        (["--seed", str(2**64)], "--seed must be >= 0 and < 2**64 - 2"),
     ])
     def test_unusable_values_write_no_artifact(self, tmp_path, capsys, flags,
                                                message):
@@ -312,6 +315,10 @@ class TestEvaluate:
         ("split_seed", 2.5),
         ("split_seed", "7"),
         ("split_seed", True),
+        ("split_seed", 2**64),
+        # an artifact drawn under another rule would get another split
+        pytest.param("generator", None, id="generator"),
+        ("generator", "numpy-pcg64"),
     ])
     def test_split_needs_split_metadata(self, tmp_path, capsys, key, value):
         csv_path = _separable_csv(tmp_path / "f.csv", n=20)
@@ -334,6 +341,21 @@ class TestEvaluate:
         prefix = "has no " if value is None else "has "
         assert err.startswith(f"error: artifact {artifact_path} {prefix}")
         assert key in err
+        assert key != "generator" or "retrain" in err
+
+    def test_split_all_takes_an_artifact_of_another_generator(self, tmp_path,
+                                                             capsys):
+        # --split all draws nothing, so the generator does not matter
+        csv_path = _separable_csv(tmp_path / "f.csv", n=20)
+        artifact_path = tmp_path / "m.json"
+        assert main(["train", str(csv_path), "--artifact", str(artifact_path),
+                     "--epochs", "1"]) == 0
+        doc = json.loads(artifact_path.read_text())
+        assert doc["metadata"]["generator"] == "splitmix64/1"
+        del doc["metadata"]["generator"]
+        artifact_path.write_text(json.dumps(doc))
+        assert main(["evaluate", str(csv_path), "--artifact",
+                     str(artifact_path)]) == 0
 
 
 class TestReplay:
@@ -719,6 +741,25 @@ def test_replay_and_prepare_leave_hashlib_unloaded(tmp_path, mapping_path,
     assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 2
 
+
+def test_train_and_split_evaluate_leave_numpy_random_unloaded(tmp_path,
+                                                              feature_csv):
+    # every draw comes from model's SplitMix64: numpy.random's import loads
+    # secrets -> hmac -> _hashlib, which maps OpenSSL's libcrypto
+    artifact = tmp_path / "m.json"
+    code = ("import sys; from fallstream.cli import main; "
+            "rc = main(sys.argv[1:6]) or main(sys.argv[6:]); "
+            "sys.exit(rc or ' '.join(m for m in ('numpy.random', 'secrets', "
+            "'_hashlib') if m in sys.modules) or None)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         "train", str(feature_csv), f"--artifact={artifact}",
+         "--epochs", "2",
+         "evaluate", str(feature_csv), "--artifact", str(artifact),
+         "--split", "test"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "accuracy" in proc.stdout
 
 def test_the_hashlib_fallback_gives_the_same_digest(artifact, artifact_path):
     # a build without the built-in hash modules takes hashlib's sha256

@@ -15,6 +15,7 @@ from fallstream.errors import (
 )
 from fallstream.features import Scaler, apply_scaler, fit_scaler
 from fallstream.model import (
+    SEED_LIMIT,
     Metrics,
     ModelArtifact,
     TrainConfig,
@@ -29,6 +30,7 @@ from fallstream.model import (
     stratified_split,
     train,
 )
+from fallstream.model import _permutation, _stream, _words
 from fallstream.synth import separable_clusters
 
 
@@ -89,6 +91,57 @@ class TestInit:
             init_model((58, 64, 32, 2), seed=0)  # non-scalar output
         with pytest.raises(ConfigError):
             init_model((58, 0, 32, 1), seed=0)
+
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+    def test_unusable_seed_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            init_model(seed=seed)
+
+
+def _splitmix64(state: int, n: int) -> list[int]:
+    """The reference splitmix64.c in Python integers."""
+    mask, out = 2**64 - 1, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestGenerator:
+    def test_known_answer(self):
+        # splitmix64.c from state 0; a refactor that changes these words
+        # changes every artifact's bytes
+        assert _words(0, 3).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", [0, 1, 1234, 2**63, SEED_LIMIT - 1])
+    @pytest.mark.parametrize("stream", [0, 2, 150])
+    def test_streams_follow_the_reference(self, seed, stream):
+        key = _splitmix64(seed, stream + 1)[stream]
+        assert _stream(seed, stream, 40).tolist() == _splitmix64(key, 40)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2000), seed=st.integers(0, SEED_LIMIT - 1),
+           stream=st.integers(0, 1000))
+    def test_words_are_distinct_and_sort_to_a_permutation(self, n, seed,
+                                                          stream):
+        words = _stream(seed, stream, n)
+        assert words.dtype == np.uint64 and len(set(words.tolist())) == n
+        order = _permutation(seed, stream, n)
+        assert sorted(order.tolist()) == list(range(n))
+        assert np.all(words[order][1:] > words[order][:-1])
+
+    def test_epoch_streams_and_seeds_differ(self):
+        orders = [tuple(_permutation(seed, epoch, 50))
+                  for seed in (1, 2) for epoch in range(1, 6)]
+        assert len(set(orders)) == len(orders)
+
+    def test_draws_are_deterministic(self):
+        assert np.array_equal(_permutation(9, 3, 100), _permutation(9, 3, 100))
 
 
 class TestForward:
@@ -184,8 +237,51 @@ class TestBackward:
                                          np.concatenate([y, y])))
         np.testing.assert_allclose(once, twice, rtol=1e-12, atol=1e-15)
 
+    def test_gradients_fill_out(self):
+        rng = np.random.default_rng(4)
+        model = init_model((5, 4, 3, 1), seed=4)
+        X = rng.normal(0, 1, (7, 5))
+        y = rng.integers(0, 2, 7).astype(float)
+        out = [np.full_like(p, np.nan) for p in model.weights + model.biases]
+        w_grads, b_grads = backward(model, X, y, out=out)
+        assert all(g is o for g, o in zip(w_grads + b_grads, out))
+        assert np.array_equal(_flatten_grads(w_grads, b_grads),
+                              _flatten_grads(*backward(model, X, y)))
+
+
+def _reference_train(model, X, y, config):
+    """train's Adam loop written with a new array per operation."""
+    theta = np.concatenate([p.ravel() for p in model.weights + model.biases])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    step, n = 0, X.shape[0]
+    for epoch in range(1, config.epochs + 1):
+        order = _permutation(config.shuffle_seed, epoch, n)
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            g = _flatten_grads(*backward(model, X[idx], y[idx]))
+            step += 1
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g ** 2
+            theta = theta - config.learning_rate * (m / (1.0 - 0.9**step)) / (
+                np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
+            end = 0
+            for p in model.weights + model.biases:
+                p[...] = theta[end:end + p.size].reshape(p.shape)
+                end += p.size
+    return theta
+
 
 class TestTrain:
+    def test_in_place_steps_match_the_reference_bits(self):
+        X, y = separable_clusters(70, seed=13)
+        X = apply_scaler(X, fit_scaler(X))
+        config = TrainConfig(epochs=4, batch_size=16, shuffle_seed=21)
+        model, reference = init_model(seed=20), init_model(seed=20)
+        train(model, X, y, config)
+        expected = _reference_train(reference, X, y, config)
+        assert np.array_equal(_flatten_grads(model.weights, model.biases),
+                              expected)
+
     def test_separable_set_reaches_perfect_training_accuracy(self):
         X, y = separable_clusters(300, seed=1)
         scaler = fit_scaler(X)
@@ -235,6 +331,11 @@ class TestStratifiedSplit:
         assert sorted(np.concatenate([train_idx, test_idx]).tolist()) == list(range(100))
         assert int(np.sum(y[test_idx])) == 5  # 25% of the 20 positives
         assert len(test_idx) == 25
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+    def test_unusable_seed_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            stratified_split(np.array([0.0, 1.0] * 10), 0.2, seed=seed)
 
     def test_leaves_numpy_ma_unloaded(self):
         # np.unique imports numpy.ma, which train and evaluate never need
