@@ -46,6 +46,7 @@ from .ingest import (
     BinaryClass,
     load_mapping,
     map_activity_to_class,
+    parse_trial_file,
     parse_trial_path,
 )
 from .model import (
@@ -63,7 +64,6 @@ from .model import (
 )
 from .stream import (
     PipelineConfig,
-    PipelineStats,
     ReplaySpec,
     SocketSpec,
     run_pipeline,
@@ -400,50 +400,42 @@ def _stop_signals(handle):
 
 def cmd_replay(args) -> int:
     shutdown = threading.Event()
-    parsing = True
+    with _stop_signals(lambda signum, frame: shutdown.set()):
+        cfg = _load_config_file(args.config)
+        src_cfg = _section(cfg, "source")
+        mapping_path = _path(_pick(args.mapping, src_cfg, "mapping", None),
+                             "mapping")
+        if mapping_path is None:
+            raise ConfigError(
+                "replay needs --mapping (or source.mapping in --config)")
+        # detections need no labels: the label column is not parsed, so an
+        # empty or unknown label field neither drops a row nor stops a replay
+        mapping = dataclasses.replace(load_mapping(mapping_path), label=None)
+        speed = _parse_speed(_pick(args.speed, src_cfg, "speed", math.inf))
+        trial = Path(args.trial_file)
 
-    def _handle(signum, frame):
-        shutdown.set()
-        if parsing:  # the parse looks for no event: stop it here
-            raise KeyboardInterrupt
+        def rows(emit):  # the trial, block by block, into the pipeline
+            parse_trial_path(trial, mapping, emit=emit)
 
-    with _stop_signals(_handle):
-        try:
-            cfg = _load_config_file(args.config)
-            src_cfg = _section(cfg, "source")
-            mapping_path = _path(_pick(args.mapping, src_cfg, "mapping", None),
-                                 "mapping")
-            if mapping_path is None:
-                raise ConfigError(
-                    "replay needs --mapping (or source.mapping in --config)")
-            # detections need no labels: the label column is not parsed, so
-            # an empty or unknown label field neither drops a row nor stops
-            # a replay
-            mapping = dataclasses.replace(load_mapping(mapping_path),
-                                          label=None)
-            batch, report = parse_trial_path(args.trial_file, mapping)
-            parsing = False
-        except KeyboardInterrupt:
-            # stopped before any row entered the pipeline: none is counted
-            _info(PipelineStats().format_line())
-            return 0
-        if report.malformed:
-            _info(f"note: {report.malformed} malformed rows skipped while "
-                  f"parsing")
+        if not math.isinf(speed) and trial.exists() and not trial.is_file():
+            # a paced replay reads its trial twice; a pipe can be read once
+            data = trial.read_bytes()
+
+            def rows(emit):
+                parse_trial_file(data, mapping, trial.stem, emit=emit)
 
         source = ReplaySpec(
-            samples=batch,
+            samples=rows,
             rate_hz=_number(float,
                             _pick(args.rate_hz, src_cfg, "rate_hz", 20.0),
                             "rate_hz"),
-            speed=_parse_speed(_pick(args.speed, src_cfg, "speed", math.inf)),
+            speed=speed,
         )
         stats = run_pipeline(_pipeline_config(args, cfg, source),
                              shutdown=shutdown)
-        # a malformed row was read too, as serve counts a malformed line
-        stats.samples_in += report.malformed
-        stats.malformed += report.malformed
-        stats.timestamp_regressions += report.timestamp_regressions
+        if stats.malformed:
+            _info(f"note: {stats.malformed} malformed rows skipped while "
+                  f"parsing")
         _info(stats.format_line())
     return 0
 

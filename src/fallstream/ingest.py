@@ -35,9 +35,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import mmap
 import os
-import pickle
 import re
 import select
 import selectors
@@ -77,12 +75,9 @@ ACCEPT_RETRY_S = 0.1
 # newline, so it holds whole lines.
 TRIAL_BLOCK_BYTES = 65536
 # Fewest blocks a trial file spans for its parse to be split between two
-# processes (see _parse_halves): a fork, its pinning and its reaping cost
-# ~3-6 ms, one block ~2.3 ms.
+# processes (see _parse_interleaved): a fork, its pinning and its reaping
+# cost ~3-6 ms, one block ~2.3 ms.
 SPLIT_MIN_BLOCKS = 4
-# Rows of a parsed trial whose synthetic timestamps are made, and whose
-# timestamp steps are compared, at once (~200 KB of temporaries)
-_FILL_ROWS = 8192
 # Line breaks of str.splitlines besides "\n" that UTF-8 writes in more than
 # one byte; the one-byte ones are \v \f \r (11-13) and \x1c-\x1e (28-30).
 _WIDE_BREAKS = ("\x85".encode(), "\u2028".encode(), "\u2029".encode())
@@ -330,8 +325,9 @@ def _resolve_columns(mapping: ColumnMapping, header_fields: list[str] | None):
 
 
 def parse_trial_file(
-    data: bytes, mapping: ColumnMapping, device_id: str = "trial"
-) -> tuple[SampleBatch, ParseReport]:
+    data: bytes, mapping: ColumnMapping, device_id: str = "trial",
+    emit: Callable | None = None,
+) -> tuple[SampleBatch | None, ParseReport]:
     """Parse one trial file into a batch; malformed rows are skipped and counted.
 
     A row is malformed when a field it needs is missing or unparseable,
@@ -344,37 +340,49 @@ def parse_trial_file(
     is UTF-8, count its newlines and note where each block starts, once to
     parse it. Each block is parsed as columns by ``_block_columns``; a
     block it rejects is parsed row by row by ``_block_rows``, so malformed
-    counts stay exact. Its kept rows go straight into the final columns,
-    allocated up front from the newline count. Then one pass over them,
-    _FILL_ROWS rows at a time, writes the synthetic clock (of a mapping
-    without a clock column) and counts the timestamp regressions.
+    counts stay exact. The blocks' kept rows then pass, in file order,
+    through one consumer, which writes the synthetic clock (of a mapping
+    without a clock column: the bits of one ``np.arange`` over the file)
+    from a running row index and counts the timestamp regressions from the
+    last row's ``t_ms``.
+
+    Without ``emit`` the consumer collects the rows into the final columns,
+    allocated from the newline count, and the result is the file's batch.
+    With ``emit``, it calls ``emit(batch, report)`` once per block, in file
+    order, with that block's kept rows (maybe none) and the ParseReport of
+    the blocks so far (one object, updated in place), keeps nothing, and
+    the result is ``(None, report)``. The ParseError of a mostly malformed
+    file comes after the last block either way.
 
     Text of SPLIT_MIN_BLOCKS blocks or more is parsed on two CPUs when the
-    process may run on two (``_parse_halves``): a forked child parses the
-    second half of the blocks into columns it shares with this process.
-    The result, errors included, is the one-process result. Fewer blocks,
-    or one CPU, take one process. Either way memory holds one block per
-    process and 32 B per line, plus the label list.
+    process may run on two (``_parse_interleaved``): a forked child parses
+    every other block and sends each block's rows over a pipe. Rows,
+    report and errors are those of one process. Fewer blocks, or one CPU,
+    take one process. Either way memory holds a few blocks per process and
+    what the consumer keeps: 32 B per row and the label list without
+    ``emit``, nothing with it.
     """
-    return _parse_trial(io.BytesIO(data), mapping, device_id)
+    return _parse_trial(io.BytesIO(data), mapping, device_id, emit)
 
 
 def parse_trial_path(
-    path: str | Path, mapping: ColumnMapping, device_id: str | None = None
-) -> tuple[SampleBatch, ParseReport]:
+    path: str | Path, mapping: ColumnMapping, device_id: str | None = None,
+    emit: Callable | None = None,
+) -> tuple[SampleBatch | None, ParseReport]:
     """``parse_trial_file`` of a file, read a block at a time."""
     path = Path(path)
     try:
         with open(path, "rb") as stream:
             if not stream.seekable():  # a pipe can be read only once
                 stream = io.BytesIO(stream.read())
-            return _parse_trial(stream, mapping, device_id or path.stem)
+            return _parse_trial(stream, mapping, device_id or path.stem, emit)
     except OSError as exc:
         raise ParseError(f"cannot read trial file {path}: {exc}") from exc
 
 
-def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
-                 device_id: str) -> tuple[SampleBatch, ParseReport]:
+def _parse_trial(stream: BinaryIO, mapping: ColumnMapping, device_id: str,
+                 emit: Callable | None) -> tuple[SampleBatch | None,
+                                                  ParseReport]:
     edges, newlines = _count_rows(stream)
     read = _reader(stream)
     spans = list(zip(edges, edges[1:]))
@@ -382,8 +390,9 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
     header_fields = None
     if mapping.header:
         if not spans:
-            return SampleBatch(device_id, np.empty(0, dtype=np.int64),
-                               np.empty((0, 3))), ParseReport()
+            empty = SampleBatch(device_id, np.empty(0, dtype=np.int64),
+                                np.empty((0, 3)))
+            return (empty if emit is None else None), ParseReport()
         start, end = spans[0]
         block = read(start, end)
         head = block[:block.find(b"\n") + 1 or len(block)].decode("utf-8")
@@ -410,76 +419,99 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping,
     # raw label field -> code, interned: one object per code
     codes: dict[str, str] = {}
 
-    def parse(lo: int, hi: int, t_ms: np.ndarray, acc: np.ndarray, n: int,
-              stop: int) -> tuple:
-        """Blocks lo..hi-1 into the columns from row n on: the columns (new
-        arrays once the rows pass ``stop``), the row after the last kept
-        one, the blocks' rows (lines that are not blank) and the kept rows'
-        labels. Without a clock column no timestamp is written."""
-        rows = 0
-        labels: list[str] | None = None if label_col is None else []
-        for start, end in spans[lo:hi]:
-            block = read(start, end)
-            parsed = _block_columns(block, delimiter, cols, number, codes)
-            if parsed is None:
-                block_lines = block.decode("utf-8").splitlines()
-                parsed, blank = _block_rows(block_lines, delimiter, cols,
-                                            number, codes)
-                rows += len(block_lines) - blank
-            else:
-                rows += len(parsed[1])
-            t, x, y, z, block_labels = parsed
-            k = len(x)
-            # a row-parsed block can split lines at breaks other than "\n"
-            # too, and then the columns grow; rows past n are overwritten
-            # or cut
-            if n + k > stop:
-                acc = np.resize(acc, (2 * (n + k), 3))
-                t_ms = np.resize(t_ms, 2 * (n + k))
-                stop = len(acc)
-            new = acc[n:n + k]
-            new[:, 0], new[:, 1], new[:, 2] = x, y, z
-            if accel_factor != 1.0:
-                new *= accel_factor
-            ok = np.isfinite(new).all(axis=1)
+    def parse(index: int) -> tuple:
+        """Block ``index``'s kept rows as (t_ms, acc, labels) and its rows
+        (lines that are not blank); t_ms is all 0 without a clock column,
+        labels None without a label column."""
+        block = read(*spans[index])
+        parsed = _block_columns(block, delimiter, cols, number, codes)
+        if parsed is None:
+            block_lines = block.decode("utf-8").splitlines()
+            parsed, blank = _block_rows(block_lines, delimiter, cols, number,
+                                        codes)
+            rows = len(block_lines) - blank
+        else:
+            rows = len(parsed[1])
+        t, x, y, z, labels = parsed
+        acc = np.empty((len(x), 3))
+        acc[:, 0], acc[:, 1], acc[:, 2] = x, y, z
+        if accel_factor != 1.0:
+            acc *= accel_factor
+        ok = np.isfinite(acc).all(axis=1)
+        if t_col is not None:
+            t = np.rint(np.array(t, dtype=np.float64) * time_factor)
+            ok &= (t >= -_T_LIMIT) & (t < _T_LIMIT)  # False for nan
+        if not ok.all():
+            acc = acc[ok]
             if t_col is not None:
-                t = np.rint(np.array(t, dtype=np.float64) * time_factor)
-                ok &= (t >= -_T_LIMIT) & (t < _T_LIMIT)  # False for nan
-            if not ok.all():
-                k = int(ok.sum())
-                acc[n:n + k] = new[ok]
-                if t_col is not None:
-                    t = t[ok]
-                if label_col is not None:
-                    block_labels = list(compress(block_labels, ok.tolist()))
-            if t_col is not None:
-                t_ms[n:n + k] = t
+                t = t[ok]
             if label_col is not None:
-                labels += block_labels
-            n += k
-        return t_ms, acc, n, rows, labels
+                labels = list(compress(labels, ok.tolist()))
+        t_ms = (np.zeros(len(acc), np.int64) if t_col is None
+                else t.astype(np.int64))
+        return t_ms, acc, None if label_col is None else labels, rows
 
-    size = newlines[-1] + 1  # rows to allocate: one per "\n" and one more
-    if len(spans) >= SPLIT_MIN_BLOCKS and len(cpus := _split_cpus()) >= 2:
-        parsed = _parse_halves(parse, newlines, cpus)
-    else:
-        parsed = parse(0, len(spans), np.empty(size, dtype=np.int64),
-                       np.empty((size, 3)), 0, size)
-    t_ms, acc, n, rows, labels = parsed
-    if rows and (rows - n) * 2 > rows:
-        raise ParseError(
-            f"{rows - n}/{rows} rows malformed; mapping is likely wrong")
-    regressions = 0
-    for i in range(0, n, _FILL_ROWS):
-        j = min(i + _FILL_ROWS, n)
+    report = ParseReport()
+    last = None  # t_ms of the last kept row so far
+
+    def take(t_ms: np.ndarray, acc: np.ndarray, labels: list | None,
+             rows: int) -> None:
+        """The next block's rows, in file order: the synthetic clock, the
+        steps back, the report, then ``emit``."""
+        nonlocal last
+        n, k = report.rows - report.malformed, len(acc)
         if t_col is None:  # the same bits as one np.arange over the file
-            t_ms[i:j] = np.rint(
-                np.arange(i, j) * 1000.0 / mapping.synthetic_rate_hz)
-        # from the previous slice's last row: every adjacent step back
-        seen = t_ms[max(i - 1, 0):j]
-        regressions += int(np.count_nonzero(seen[1:] < seen[:-1]))
-    return SampleBatch(device_id, t_ms[:n], acc[:n], labels), ParseReport(
-        rows=rows, malformed=rows - n, timestamp_regressions=regressions)
+            t_ms = np.rint(np.arange(n, n + k) * 1000.0
+                           / mapping.synthetic_rate_hz).astype(np.int64)
+        if k:
+            report.timestamp_regressions += int(
+                np.count_nonzero(t_ms[1:] < t_ms[:-1])
+                + (last is not None and t_ms[0] < last))
+            last = int(t_ms[-1])
+        report.rows += rows
+        report.malformed += rows - k
+        emit(SampleBatch(device_id, t_ms, acc, labels), report)
+
+    columns = None
+    if emit is None:
+        columns = emit = _Columns(newlines[-1] + 1, label_col is not None)
+    if len(spans) >= SPLIT_MIN_BLOCKS and len(cpus := _split_cpus()) >= 2:
+        _parse_interleaved(parse, take, len(spans), cpus,
+                           label_col is not None)
+    else:
+        for index in range(len(spans)):
+            take(*parse(index))
+    if report.rows and report.malformed * 2 > report.rows:
+        raise ParseError(f"{report.malformed}/{report.rows} rows malformed; "
+                         f"mapping is likely wrong")
+    return (None if columns is None else columns.batch(device_id)), report
+
+
+class _Columns:
+    """Batches collected, in order, into columns allocated for ``size``
+    rows; a row-parsed block can split lines at breaks other than "\\n"
+    too, and then the columns grow."""
+
+    def __init__(self, size: int, labeled: bool):
+        self.t_ms = np.empty(size, dtype=np.int64)
+        self.acc = np.empty((size, 3))
+        self.labels: list[str] | None = [] if labeled else None
+        self.n = 0
+
+    def __call__(self, batch: SampleBatch, _report=None) -> None:
+        n, k = self.n, len(batch)
+        if n + k > len(self.t_ms):
+            self.t_ms = np.resize(self.t_ms, 2 * (n + k))
+            self.acc = np.resize(self.acc, (2 * (n + k), 3))
+        self.t_ms[n:n + k] = batch.t_ms
+        self.acc[n:n + k] = batch.acc
+        if self.labels is not None:
+            self.labels += batch.labels
+        self.n = n + k
+
+    def batch(self, device_id: str) -> SampleBatch:
+        return SampleBatch(device_id, self.t_ms[:self.n], self.acc[:self.n],
+                           self.labels)
 
 
 def _split_cpus() -> list[int]:
@@ -491,78 +523,87 @@ def _split_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _parse_halves(parse: Callable, newlines: list[int],
-                  cpus: list[int]) -> tuple:
-    """What ``parse`` gives for every block, parsed by this process and a
-    forked child, each pinned to a CPU of its own (a forked child left
-    unpinned stays on its parent's CPU).
+def _parse_interleaved(parse: Callable, take: Callable, blocks: int,
+                       cpus: list[int], labeled: bool) -> None:
+    """``take(*parse(i))`` for every block i in order, the even blocks
+    parsed by a forked child; this process and the child are each pinned
+    to a CPU of their own (a forked child left unpinned stays on its
+    parent's CPU).
 
-    The child parses the blocks from the one nearest half the rows on,
-    writes its rows into columns shared with this process, at its own
-    offset (the newlines before its first block: no more rows than that
-    come before), sends how many rows it kept and read, and their labels,
-    over a pipe and ends through ``os._exit``; it reads its blocks by
-    offset, as this process does, so neither moves the file position they
-    share. This process parses the blocks before, then moves the child's
-    rows down behind its own and takes its labels, one object per code.
-    When the child sends nothing (it failed, or was killed), or when this
-    process's rows outgrew the child's offset, this process parses the
-    child's blocks too. The child is reaped on every path."""
-    blocks = len(newlines) - 1
-    half = min(range(1, blocks),
-               key=lambda i: abs(2 * newlines[i] - newlines[-1]))
-    size, at = newlines[-1] + 1, newlines[half]
-    shared = mmap.mmap(-1, 32 * size, flags=mmap.MAP_SHARED)
-    t_ms = np.frombuffer(shared, np.int64, size)
-    acc = np.frombuffer(shared, np.float64, 3 * size, 8 * size).reshape(-1, 3)
+    The child parses blocks 0, 2, 4, ..., reading them by offset as this
+    process does, so neither moves the file position they share, and sends
+    each block's rows as one reader message (``_message``: the rows read so
+    far in the header, the kept rows as columns, their label codes as the
+    names) over a pipe, then ends through ``os._exit``. The pipe's capacity
+    holds the child at most a block or so ahead. This process parses each
+    odd block while the child parses the block before it, then takes the
+    two in order, each label code one object. When the child sends no more
+    (it failed, or was killed), this process parses the blocks it has not
+    received. The child is reaped on every path."""
     readable, writable = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to be had: parse it all here
         os.close(readable)
         os.close(writable)
-        return parse(0, blocks, t_ms, acc, 0, size)
-    if pid == 0:  # the child: the parse, its report, and nothing else
+        for index in range(blocks):
+            take(*parse(index))
+        return
+    if pid == 0:  # the child: its blocks' messages, and nothing else
         code = 1
         try:
             os.sched_setaffinity(0, {cpus[1]})
-            got, _, end, rows, labels = parse(half, blocks, t_ms, acc, at,
-                                              size)
-            if got is t_ms:  # its rows are all in the shared columns
-                _write_all(writable, pickle.dumps((end - at, rows, labels)))
-                code = 0
+            counts = ReadCounts()
+            for index in range(0, blocks, 2):
+                t_ms, acc, labels, rows = parse(index)
+                counts.samples_in += rows
+                counts.malformed += rows - len(acc)
+                names, codes = (_device_index(labels) if labeled
+                                else ([], np.zeros(len(acc), np.uint32)))
+                _write_all(writable, _message(
+                    counts, SampleBatch(names, t_ms, acc, device_index=codes),
+                    final=index + 2 >= blocks))
+            code = 0
         finally:
             os._exit(code)  # flushes no stdio buffer it shares with its parent
     os.close(writable)
+    counts = ReadCounts()
+    pipe = ReaderPipe(readable, counts)
     try:
-        with open(readable, "rb") as pipe:
-            affinity = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {cpus[0]})
-            try:
-                mine = parse(0, half, t_ms, acc, 0, at)
-            finally:
-                os.sched_setaffinity(0, affinity)
-            report = pipe.read()
+        affinity = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpus[0]})
+        try:
+            child, received = True, 0  # rows of the child's blocks taken
+            for index in range(0, blocks, 2):
+                mine = parse(index + 1) if index + 1 < blocks else None
+                batch = None
+                if child:
+                    try:
+                        while (batch := pipe.take(None)) is None:
+                            pass
+                    except OSError:  # it ended before sending this block
+                        child = False
+                if batch is None:
+                    take(*parse(index))
+                else:
+                    labels = None
+                    if labeled:
+                        names = list(map(sys.intern, batch.device_id))
+                        labels = list(map(names.__getitem__,
+                                          batch.device_index.tolist()))
+                    take(batch.t_ms, batch.acc, labels,
+                         counts.samples_in - received)
+                    received = counts.samples_in
+                if mine is not None:
+                    take(*mine)
+        finally:
+            os.sched_setaffinity(0, affinity)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        status = os.waitpid(pid, 0)[1]
-    out_t, out_acc, n, rows, labels = mine
-    if status == 0 and out_t is t_ms:
-        k, theirs, their_labels = pickle.loads(report)
-        # 1-D copies run front to back, so an overlap needs no temporary
-        t_ms[n:n + k] = t_ms[at:at + k]
-        flat = acc.reshape(-1)
-        flat[3 * n:3 * (n + k)] = flat[3 * at:3 * (at + k)]
-        if their_labels is not None:
-            their_labels = list(map(sys.intern, their_labels))
-    else:
-        out_t, out_acc, end, theirs, their_labels = parse(
-            half, blocks, out_t, out_acc, n, len(out_t))
-        k = end - n
-    return (out_t, out_acc, n + k, rows + theirs,
-            None if labels is None else labels + their_labels)
+        pipe.close()
+        os.waitpid(pid, 0)
 
 
 def _blocks(stream: BinaryIO):

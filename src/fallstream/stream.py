@@ -1,14 +1,18 @@
 """The running pipeline: source -> windower -> features -> model -> sinks.
 
-One loop on the calling thread runs replay and serve alike; the pipeline
-starts no thread. Each turn reads from the source, classifies one queued
-window list and prints the stats line when it is due. Replay reads the
-rows due so far, at most REPLAY_CHUNK (12,800 rows, 64 default windows)
-per turn, so a max-speed turn reads a full chunk and classifies its
-windows with one call each; it sleeps until a row is due when none is.
-Serve reads its sockets in a second process (``ingest.ReaderProcess``):
-the reader turns each socket read into one message on a pipe, and the
-loop takes messages, waiting only while nothing is queued, so reading and
+The pipeline runs on the calling thread and starts no thread. Replay is
+driven by its source: a trial parse hands over its rows block by block,
+and each turn feeds the rows of a block due so far, at most REPLAY_CHUNK
+(12,800 rows, 64 default windows), through the pipeline, so a max-speed
+turn feeds a block and classifies its windows with one call each; a
+paced one sleeps until a row is due when none is. A max-speed replay
+holds its detection lines until its source ends, so a trial refused at
+its end (mostly malformed) sends no sink a line; a paced one has its
+source checked first. Serve's loop takes from its source each turn,
+classifies one queued window list and prints the stats line when it is
+due. Serve reads its sockets in a second process
+(``ingest.ReaderProcess``): the reader turns each socket read into one
+message on a pipe, and the loop takes messages, waiting only while nothing is queued, so reading and
 parsing run beside windowing and classification. Either pushes what it
 reads into one WindowAssembler and puts the windows a push completes on
 one queue, bounded in samples. A window list is classified with one
@@ -44,7 +48,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ConfigError
 from .features import apply_scaler, extract_features
@@ -118,11 +122,16 @@ class PipelineStats:
 
 @dataclass
 class ReplaySpec:
-    """Replay an in-memory sample sequence, optionally paced: row i is due
-    ``i / (rate_hz * speed)`` seconds after the start. Pacing never changes
-    which samples come out, only when."""
+    """Replay rows, optionally paced: row i is due ``i / (rate_hz * speed)``
+    seconds after the first. Pacing never changes which samples come out,
+    only when.
 
-    samples: SampleBatch | list[Sample]
+    ``samples`` holds the rows, or is a function that hands them to its
+    argument in order, a batch at a time, as ``emit(batch, report)``:
+    ``ingest.parse_trial_path`` with ``emit``, whose ParseReport counts the
+    rows read so far (the malformed ones too)."""
+
+    samples: SampleBatch | list[Sample] | Callable
     rate_hz: float = 20.0
     speed: float = math.inf  # math.inf = as fast as the loop classifies
 
@@ -133,6 +142,13 @@ class ReplaySpec:
         if not self.speed > 0:
             raise ConfigError(
                 f"speed must be positive or 'max' (inf), got {self.speed}")
+        # rows a second: a product that overflows or underflows has no
+        # schedule
+        if not (math.isinf(self.speed)
+                or 0 < self.rate_hz * self.speed < math.inf):
+            raise ConfigError(
+                f"rate_hz * speed must be positive and finite, got "
+                f"{self.rate_hz} * {self.speed}")
 
 
 @dataclass
@@ -320,9 +336,13 @@ def classify_samples(
 
 
 def _replay_chunks(batch: SampleBatch, spec: ReplaySpec,
-                   stats: PipelineStats):
-    """The rows of ``batch`` as they fall due, at most REPLAY_CHUNK at a
-    time; at max speed every row is due at once and no clock is read.
+                   stats: PipelineStats, start: float | None = None,
+                   first: int = 0):
+    """The rows of ``batch``, rows ``first`` on of the replay, as they fall
+    due, at most REPLAY_CHUNK at a time; at max speed every row is due at
+    once and no clock is read. Row i of the replay is due i / (rate_hz *
+    speed) seconds after ``start``, a time.monotonic() reading (now when
+    None).
 
     When no row is due it sleeps until the next one is, at most WAIT_S, and
     yields an empty chunk, so the caller can look for a shutdown between
@@ -330,22 +350,86 @@ def _replay_chunks(batch: SampleBatch, spec: ReplaySpec,
     n = len(batch)
     paced = not math.isinf(spec.speed)
     if paced:
-        interval = 1.0 / (spec.rate_hz * spec.speed)
-        start = time.monotonic()
+        rate = spec.rate_hz * spec.speed  # rows a second
+        if start is None:
+            start = time.monotonic()
     i = 0
     while i < n:
         due = n
         if paced:
             elapsed = time.monotonic() - start
-            due = min(n, math.floor(elapsed / interval) + 1)
+            # the rows up to elapsed * rate are due; the min keeps it finite
+            due = min(n, math.floor(min(elapsed * rate, first + n)) + 1
+                      - first)
             if due <= i:
-                time.sleep(min(max(i * interval - elapsed, 0.0), WAIT_S))
+                time.sleep(min(max((first + i) / rate - elapsed, 0.0),
+                               WAIT_S))
                 yield batch.rows(i, i)
                 continue
         chunk = batch.rows(i, min(due, i + REPLAY_CHUNK))
         i += len(chunk)
         stats.samples_in += len(chunk)
         yield chunk
+
+
+class _Stopped(Exception):
+    """A shutdown seen by a replay: it unwinds the replay's source."""
+
+
+def _replay(spec: ReplaySpec, feed: Callable, stats: PipelineStats,
+            stopping: Callable) -> None:
+    """Run a replay's source, handing ``feed`` its rows as they fall due
+    (``_replay_chunks``), until the source ends or ``stopping()``; then add
+    the rows its report counts as malformed, and its timestamp
+    regressions, to ``stats``.
+
+    A paced replay first runs the source into nothing, so a file refused
+    at its end (mostly malformed) is refused before any row is due, and
+    its counts are that pass's: the whole file's; a stop before a row was
+    due counts nothing. At max speed the counts are those of the rows
+    read: all of them, unless a stop came first."""
+    source = spec.samples
+    if not callable(source):
+        rows = as_batch(source)
+
+        def source(emit):
+            emit(rows, None)
+
+    paced = not math.isinf(spec.speed)
+    read = None  # the report of the rows read
+    start = None  # when the first row was due
+
+    def check(batch: SampleBatch, report) -> None:
+        nonlocal read
+        if stopping():
+            raise _Stopped
+        read = report
+
+    def take(batch: SampleBatch, report) -> None:
+        nonlocal read, start
+        if not paced:
+            read = report
+        elif start is None:
+            start = time.monotonic()
+        # samples_in counts the rows replayed so far
+        for chunk in _replay_chunks(batch, spec, stats, start,
+                                    stats.samples_in):
+            if len(chunk):
+                feed(chunk)
+            if stopping():
+                raise _Stopped
+
+    try:
+        if paced:
+            source(check)
+        source(take)
+    except _Stopped:
+        if paced and start is None:
+            return
+    if read is not None:
+        stats.samples_in += read.malformed
+        stats.malformed += read.malformed
+        stats.timestamp_regressions += read.timestamp_regressions
 
 
 def _deliver(lines: list[str], sinks: list, stats: PipelineStats) -> None:
@@ -373,14 +457,25 @@ def run_pipeline(
     """Run on the calling thread until the source ends or the shutdown
     event fires, then classify everything read. Artifact, sink, and bind
     problems are fatal at startup, and so is a reader process that ends
-    without its final message; everything else only moves counters."""
+    without its final message; a replay source's ParseError is fatal when
+    it comes, and before it no sink got a line; everything else only moves
+    counters."""
     artifact = load_artifact(config.artifact_path)
     stats = PipelineStats()
     queue = BoundedQueue(config.queue_capacity, config.overflow, stats)
     assembler = WindowAssembler(config.window)
     seqs: dict[str, int] = {}
     sinks = []
-    reader = chunks = None
+    reader = None
+    source = config.source
+    replay = isinstance(source, ReplaySpec)
+    # a max-speed replay holds its detection lines (~1.5 B a row) until its
+    # source ends; a paced one has checked its source before the first row
+    held: list[list[str]] | None = (
+        [] if replay and math.isinf(source.speed) else None)
+
+    def stopping() -> bool:
+        return shutdown is not None and shutdown.is_set()
 
     def assemble(batch: SampleBatch) -> None:
         windows = assembler.push(batch)
@@ -391,48 +486,48 @@ def run_pipeline(
         stats.windows += len(windows)
         detections = classify_windows(artifact, windows, seqs)
         stats.detections += len(detections)
-        _deliver([detection_line(d) for d in detections], sinks, stats)
+        lines = [detection_line(d) for d in detections]
+        if held is None:
+            _deliver(lines, sinks, stats)
+        else:
+            held.append(lines)
+
+    def feed(chunk: SampleBatch) -> None:
+        # one push and one get per chunk: replay never queues up
+        assemble(chunk)
+        windows = queue.get()
+        if windows is not None:
+            classify(windows)
 
     interval = config.stats_interval_s
     next_stats = time.monotonic() + interval if interval else math.inf
     try:
         for spec in config.sinks:  # built one by one, so finally closes each
             sinks.append(build_sink(spec))
-        if isinstance(config.source, ReplaySpec):
-            chunks = _replay_chunks(as_batch(config.source.samples),
-                                    config.source, stats)
+        if replay:
+            _replay(source, feed, stats, stopping)
         else:
-            reader = ReaderProcess(config.source.host, config.source.port,
-                                   stats)
+            reader = ReaderProcess(source.host, source.port, stats)
             print(f"listening on {reader.host}:{reader.port}",
                   file=sys.stderr, flush=True)
-        while True:
-            stopping = shutdown is not None and shutdown.is_set()
-            if chunks is not None:
-                # one chunk and one get per turn: replay never queues up
-                chunk = None if stopping else next(chunks, None)
-                if chunk is None:
-                    break  # every row is read, or a stop
-                if len(chunk):
-                    assemble(chunk)
-            else:
-                if stopping:
-                    reader.stop()  # it closes its sockets, then sends its last
-                if reader.done:
-                    break
-                if not queue.full:
-                    # messages until none waits, the queue is full or a
-                    # queue's worth of lines is taken: taking more before a
-                    # get would only shed what this turn took
-                    wait = 0.0 if queue else min(
-                        WAIT_S, max(next_stats - time.monotonic(), 0.0))
-                    lines = stats.samples_in + config.queue_capacity
-                    while (not reader.done and not queue.full
-                           and stats.samples_in < lines
-                           and (batch := reader.take(wait)) is not None):
-                        wait = 0.0
-                        if len(batch):
-                            assemble(batch)
+        while reader is not None:
+            if stopping():
+                reader.stop()  # it closes its sockets, then sends its last
+            if reader.done:
+                break
+            if not queue.full:
+                # messages until none waits, the queue is full or a queue's
+                # worth of lines is taken: taking more before a get would
+                # only shed what this turn took
+                wait = 0.0 if queue else min(
+                    WAIT_S, max(next_stats - time.monotonic(), 0.0))
+                lines = stats.samples_in + config.queue_capacity
+                while (not reader.done and not queue.full
+                       and stats.samples_in < lines
+                       and (batch := reader.take(wait)) is not None):
+                    wait = 0.0
+                    if len(batch):
+                        assemble(batch)
             windows = queue.get()
             if windows is not None:
                 classify(windows)
@@ -441,6 +536,8 @@ def run_pipeline(
                 next_stats = time.monotonic() + interval
         while (windows := queue.get()) is not None:
             classify(windows)
+        for lines in held or ():
+            _deliver(lines, sinks, stats)
     finally:
         if reader is not None:
             reader.close()

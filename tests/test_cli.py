@@ -378,6 +378,9 @@ class TestReplay:
         ["--rate-hz", "0", "--speed", "1"],
         ["--speed", "-1"],
         ["--speed", "nan"],
+        # rows a second overflow to inf, or underflow to 0
+        ["--rate-hz", "1e200", "--speed", "1e200"],
+        ["--rate-hz", "1e-200", "--speed", "1e-200"],
     ])
     def test_invalid_pacing_exits_2_before_any_output(
             self, tmp_path, mapping_path, artifact_path, capsys, pacing):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import math
@@ -473,9 +474,9 @@ class TestBlockParse:
         assert peak <= 32 * 100_000 + 20 * ingest.TRIAL_BLOCK_BYTES
 
     def test_a_split_parse_holds_a_few_blocks_in_each_process(self, tmp_path):
-        # the split's columns are a shared mapping, which tracemalloc does
-        # not see: what each process allocates past the fork is about one
-        # block's strings, in the child too, never the file
+        # the columns are allocated before the fork: what each process
+        # allocates past it is about one block's strings and messages, in
+        # the child too, never the file
         path = tmp_path / "long.csv"
         path.write_bytes(_trial_bytes(100_000))
         proc = subprocess.run(
@@ -503,6 +504,72 @@ def test_a_pipe_is_read_once_and_parsed_whole(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert got == _outcome(data, BASIC)
+
+
+def test_a_paced_replay_of_a_pipe_equals_one_of_the_file(
+        tmp_path, mapping_path, artifact_path):
+    # a paced replay reads its trial twice; a pipe is read once, whole
+    trial, fifo = tmp_path / "trial.csv", tmp_path / "fifo.csv"
+    write_trial_csv(make_trial("fall", 450, seed=33), trial)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=(trial.read_bytes(),), daemon=True)
+    writer.start()
+    outputs = []
+    for path in (fifo, trial):
+        out = tmp_path / f"{path.stem}.jsonl"
+        assert main(["replay", str(path), "--mapping", str(mapping_path),
+                     "--artifact", str(artifact_path), "--speed", "1000",
+                     "--sink", f"file:{out}"]) == 0
+        outputs.append(out.read_text().replace('"fifo"', '"trial"'))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
+
+
+def _emitted(path, mapping):
+    """The path parse with ``emit``: the batches joined, the reports seen
+    after each and the result."""
+    batches, reports = [], []
+
+    def emit(batch, report):
+        batches.append(batch)
+        reports.append(dataclasses.astuple(report))
+
+    result = parse_trial_path(path, mapping, emit=emit)
+    labels = None if mapping.label is None else [
+        c for b in batches for c in b.labels]
+    return (np.concatenate([b.t_ms for b in batches]).tobytes(),
+            np.concatenate([b.acc for b in batches]).tobytes(), labels,
+            result[1]), reports, result[0]
+
+
+class TestEmit:
+    """With ``emit`` the parse hands over each block's rows in file order
+    and keeps nothing; joined, they are the collected batch."""
+
+    @pytest.mark.parametrize("mapping", [
+        BASIC, ColumnMapping(ax=1, ay=2, az=3, synthetic_rate_hz=30.0)],
+        ids=["clock", "synthetic"])
+    @pytest.mark.parametrize("split", [False, True], ids=["one", "split"])
+    def test_blocks_join_to_the_collected_batch(self, tmp_path, mapping,
+                                                split):
+        lines = _fixed_lines(range(0, 150_000, 50))
+        for i in range(5, 3000, 37):
+            lines[i] = _BAD_LINE
+        lines[1234] = lines[1234].replace("00061700", "00000100")
+        path = tmp_path / "trial.csv"
+        path.write_bytes("".join(lines).encode())
+        with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES",
+                               100 * len(lines[0])), \
+                (_halves() if split else _one_cpu()):
+            got, reports, batch = _emitted(path, mapping)
+            collected = _outcome(path, mapping, parse_trial_path)
+        assert batch is None and got == collected
+        assert len(reports) == 30 and reports[-1] == dataclasses.astuple(
+            collected[3])
+        assert [r[0] for r in reports] == [100 * (i + 1) for i in range(30)]
+        assert collected[3].malformed == 81
 
 
 def _fixed_lines(ts):
@@ -705,7 +772,9 @@ class TestSplitParse:
         ("00000950,1.5,-2.0,nan1,WAL\n", 0),  # malformed: 900 then 920
     ])
     def test_a_step_back_at_the_split(self, tmp_path, last_row, regressions):
-        # 4 blocks of 10 rows: the split is after row 19
+        # 4 blocks of 10 rows, each parsed by the other process than the
+        # one before: row 19 ends the parent's block, row 20 starts the
+        # child's
         ts = [50 * i for i in range(40)]
         ts[20] = 920
         lines = _fixed_lines(ts)
@@ -1016,15 +1085,93 @@ class TestSplitReplay:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-        # the replay stops: no row entered the pipeline, and none counts
+        # the replay stops: the rows read so far are classified and counted
         assert proc.returncode == 0, stderr
         assert "Traceback" not in stderr and "KeyboardInterrupt" not in stderr
-        assert stderr.splitlines()[-1] == PipelineStats().format_line()
+        stats = dict(kv.split("=")
+                     for kv in stderr.splitlines()[-1].split()[1:])
+        stats = {k: int(v) for k, v in stats.items()}
+        assert stats["samples_in"] < 30_000
+        assert stats["samples_in"] == (
+            stats["malformed"] + 200 * stats["windows"]
+            + stats["partial_window_drops"])
         assert time.monotonic() - sent < 3.0  # the child was not waited out
         deadline = time.monotonic() + 10
         while os.path.exists(f"/proc/{child}") and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not os.path.exists(f"/proc/{child}")
+
+
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "one"])
+    def test_a_mostly_malformed_long_file_exits_2_with_no_output(
+            self, tmp_path, mapping_path, artifact_path, split):
+        lines = _fixed_lines(range(0, 1_000_000, 50))
+        lines[8000:] = [_BAD_LINE] * 12_000
+        trial = tmp_path / "long.csv"
+        trial.write_bytes("".join(lines).encode())
+        assert trial.stat().st_size > 4 * ingest.TRIAL_BLOCK_BYTES
+        cpus = _cpu_pair() if split else _cpu_pair()[:1]
+        proc = subprocess.run(
+            _replay_argv(trial, mapping_path, artifact_path, cpus),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "before the parse\n"
+        assert proc.stderr.count("fork\n") == split
+        assert "error: 12000/20000 rows malformed" in proc.stderr
+
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "one"])
+    def test_replay_memory_does_not_grow_with_the_trial(
+            self, tmp_path, mapping_path, artifact_path, split):
+        # 200,000 rows: 6.4 MB as columns. A replay holds a few blocks and
+        # their windows, and the detection lines it has not yet delivered
+        rows = 200_000
+        trial = tmp_path / "long.csv"
+        trial.write_bytes("".join(_fixed_lines(range(0, 50 * rows, 50)))
+                          .encode())
+        cpus = _cpu_pair() if split else _cpu_pair()[:1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPLAY_PEAKS.format(cpus=cpus), "replay",
+             str(trial), "--mapping", str(mapping_path),
+             "--artifact", str(artifact_path), "--speed", "max",
+             "--sink", f"file:{tmp_path / 'out.jsonl'}"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out.jsonl").read_text().count("\n") == rows // 200
+        grown = dict(line.split() for line in proc.stderr.splitlines()
+                     if line.split()[0] in ("parent", "child"))
+        assert sorted(grown) == (["child", "parent"] if split else ["parent"])
+        # the artifact, a few blocks' strings and windows, and the lines
+        # held until the file's totals are known
+        bound = 30 * ingest.TRIAL_BLOCK_BYTES + 2 * rows
+        assert bound < 32 * rows / 2
+        for process, peak in grown.items():
+            assert int(peak) <= bound, (process, peak)
+
+
+# a replay (argv) under tracemalloc, its trial parse split over the given
+# CPUs: the parent writes to stderr the peak it traced from the start, a
+# forked child the peak past the fork, less what it held then
+_REPLAY_PEAKS = """\
+import os, sys, tracemalloc
+from fallstream import cli, ingest
+ingest._split_cpus = lambda: {cpus!r}
+fork, exit = os.fork, os._exit
+forks = []  # (traced, peak) at each fork
+def forked():
+    forks.append(tracemalloc.get_traced_memory())
+    tracemalloc.reset_peak()
+    return fork()
+def exited(code):
+    peak = tracemalloc.get_traced_memory()[1] - forks[-1][0]
+    os.write(2, f"child {{peak}}\\n".encode())
+    exit(code)
+os.fork, os._exit = forked, exited
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+peak = max([tracemalloc.get_traced_memory()[1]] + [p for _, p in forks])
+os.write(2, f"parent {{peak}}\\n".encode())
+sys.exit(code)
+"""
 
 
 class TestSampleBatch:
@@ -1150,7 +1297,9 @@ class TestReplaySource:
     def test_bad_rate_and_speed(self):
         for rate_hz, speed in ((0.0, 1.0), (-20.0, 1.0), (math.inf, 1.0),
                                (math.nan, 1.0), (20.0, 0.0), (20.0, -1.0),
-                               (20.0, math.nan), (20.0, -math.inf)):
+                               (20.0, math.nan), (20.0, -math.inf),
+                               # rows a second overflow, or underflow to 0
+                               (1e200, 1e200), (1e-200, 1e-200)):
             with pytest.raises(ConfigError):
                 ReplaySpec(samples=[], rate_hz=rate_hz, speed=speed)
 
