@@ -108,7 +108,7 @@ def read_feature_csv(path: str | Path):
             raise SchemaMismatch(
                 f"{path}: header does not match feature schema v{SCHEMA_V1.version}"
             )
-        values, codes, classes = [], [], []
+        values, codes, classes, lines = [], [], [], []
         for row in reader:
             if not row:
                 continue
@@ -121,7 +121,13 @@ def read_feature_csv(path: str | Path):
                 raise ParseError(
                     f"{path}, line {reader.line_num}: {exc}") from None
             codes.append(row[58])
+            lines.append(reader.line_num)
     X = np.asarray(values, dtype=np.float64)
+    # a nan or inf would train an artifact no command loads, or be scored
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
+    if bad.size:
+        raise ParseError(f"{path}, line {lines[bad[0]]}: non-finite "
+                         f"feature value")
     return X, codes, classes
 
 
@@ -403,6 +409,10 @@ def cmd_replay(args) -> int:
     with _stop_signals(lambda signum, frame: shutdown.set()):
         cfg = _load_config_file(args.config)
         src_cfg = _section(cfg, "source")
+        if "rate_hz" in src_cfg:
+            raise ConfigError(
+                "source.rate_hz is not a replay setting: a paced replay "
+                "follows the trial's own t_ms clock")
         mapping_path = _path(_pick(args.mapping, src_cfg, "mapping", None),
                              "mapping")
         if mapping_path is None:
@@ -424,14 +434,8 @@ def cmd_replay(args) -> int:
             def rows(emit):
                 parse_trial_file(data, mapping, trial.stem, emit=emit)
 
-        source = ReplaySpec(
-            samples=rows,
-            rate_hz=_number(float,
-                            _pick(args.rate_hz, src_cfg, "rate_hz", 20.0),
-                            "rate_hz"),
-            speed=speed,
-        )
-        stats = run_pipeline(_pipeline_config(args, cfg, source),
+        stats = run_pipeline(_pipeline_config(args, cfg,
+                                              ReplaySpec(rows, speed)),
                              shutdown=shutdown)
         if stats.malformed:
             _info(f"note: {stats.malformed} malformed rows skipped while "
@@ -494,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping")
     p.add_argument("--artifact")
     p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--speed", help="pacing factor or 'max'")
-    p.add_argument("--rate-hz", type=float)
+    p.add_argument("--speed",
+                   help="multiple of the trial's own clock, or 'max'")
     p.add_argument("--window-size", type=int)
     p.add_argument("--stride", type=int)
     p.add_argument("--sink", action="append",

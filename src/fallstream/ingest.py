@@ -32,6 +32,7 @@ write end.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import math
@@ -335,7 +336,8 @@ def parse_trial_file(
     label is empty. Raises ParseError when the input is not UTF-8 or more
     than half of the data rows are malformed (which signals a wrong mapping).
 
-    Lines are those of ``str.splitlines``. The text is read in blocks of
+    Lines are those of ``str.splitlines``, after a UTF-8 byte-order mark
+    at the start if there is one. The text is read in blocks of
     about TRIAL_BLOCK_BYTES cut after a newline, twice: once to check it
     is UTF-8, count its newlines and note where each block starts, once to
     parse it. Each block is parsed as columns by ``_block_columns``; a
@@ -343,8 +345,8 @@ def parse_trial_file(
     counts stay exact. The blocks' kept rows then pass, in file order,
     through one consumer, which writes the synthetic clock (of a mapping
     without a clock column: the bits of one ``np.arange`` over the file)
-    from a running row index and counts the timestamp regressions from the
-    last row's ``t_ms``.
+    from a running row index and counts the timestamp regressions with
+    the reader's rule (``_count_regressions``).
 
     Without ``emit`` the consumer collects the rows into the final columns,
     allocated from the newline count, and the result is the file's batch.
@@ -385,7 +387,12 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping, device_id: str,
                                                   ParseReport]:
     edges, newlines = _count_rows(stream)
     read = _reader(stream)
-    spans = list(zip(edges, edges[1:]))
+    bom = codecs.BOM_UTF8
+    if read(0, len(bom)) == bom:  # a byte-order mark is no part of any line
+        edges[0] = len(bom)
+    # a file of only the mark leaves an empty span: no line
+    spans = [(start, end) for start, end in zip(edges, edges[1:])
+             if start < end]
     delimiter = mapping.delimiter
     header_fields = None
     if mapping.header:
@@ -452,25 +459,21 @@ def _parse_trial(stream: BinaryIO, mapping: ColumnMapping, device_id: str,
         return t_ms, acc, None if label_col is None else labels, rows
 
     report = ParseReport()
-    last = None  # t_ms of the last kept row so far
+    last_t: dict[str, int] = {}  # t_ms of the last kept row so far
 
     def take(t_ms: np.ndarray, acc: np.ndarray, labels: list | None,
              rows: int) -> None:
         """The next block's rows, in file order: the synthetic clock, the
         steps back, the report, then ``emit``."""
-        nonlocal last
         n, k = report.rows - report.malformed, len(acc)
         if t_col is None:  # the same bits as one np.arange over the file
             t_ms = np.rint(np.arange(n, n + k) * 1000.0
                            / mapping.synthetic_rate_hz).astype(np.int64)
-        if k:
-            report.timestamp_regressions += int(
-                np.count_nonzero(t_ms[1:] < t_ms[:-1])
-                + (last is not None and t_ms[0] < last))
-            last = int(t_ms[-1])
+        batch = SampleBatch(device_id, t_ms, acc, labels)
+        report.timestamp_regressions += _count_regressions(batch, last_t)
         report.rows += rows
         report.malformed += rows - k
-        emit(SampleBatch(device_id, t_ms, acc, labels), report)
+        emit(batch, report)
 
     columns = None
     if emit is None:

@@ -2,13 +2,15 @@
 
 The pipeline runs on the calling thread and starts no thread. Replay is
 driven by its source: a trial parse hands over its rows block by block,
-and each turn feeds the rows of a block due so far, at most REPLAY_CHUNK
-(12,800 rows, 64 default windows), through the pipeline, so a max-speed
-turn feeds a block and classifies its windows with one call each; a
-paced one sleeps until a row is due when none is. A max-speed replay
-holds its detection lines until its source ends, so a trial refused at
-its end (mostly malformed) sends no sink a line; a paced one has its
-source checked first. Serve's loop takes from its source each turn,
+and each turn feeds the rows of a block due so far through the pipeline,
+so a max-speed turn feeds a block and classifies its windows with one
+call each; a paced one sleeps until a row is due when none is. A paced
+replay follows the trial's own clock: row i is due (m_i - t_0) / (1000 *
+speed) seconds after the first, t_0 being the first row's t_ms and m_i
+the largest t_ms of rows 0..i. A max-speed replay holds its detection
+lines until its source ends, so a trial refused at its end (mostly
+malformed) sends no sink a line; a paced one has its source checked
+first. Serve's loop takes from its source each turn,
 classifies one queued window list and prints the stats line when it is
 due. Serve reads its sockets in a second process
 (``ingest.ReaderProcess``): the reader turns each socket read into one
@@ -50,6 +52,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
+import numpy as np
+
 from .errors import ConfigError
 from .features import apply_scaler, extract_features
 from .ingest import (
@@ -62,9 +66,6 @@ from .ingest import (
 from .model import ModelArtifact, forward, load_artifact
 from .windowing import Window, WindowAssembler, WindowConfig
 
-# rows a replay turn reads at most: at max speed a turn completes 64
-# default (200-sample) windows, stacked features.STACK_BLOCK at a time
-REPLAY_CHUNK = 12_800
 # longest wait for input, so a shutdown event is seen within it
 WAIT_S = 0.2
 WEBHOOK_TIMEOUT_S = 2.0
@@ -122,33 +123,24 @@ class PipelineStats:
 
 @dataclass
 class ReplaySpec:
-    """Replay rows, optionally paced: row i is due ``i / (rate_hz * speed)``
-    seconds after the first. Pacing never changes which samples come out,
-    only when.
+    """A trial's rows, replayed at max speed or paced by the trial's clock:
+    row i is due ``(m_i - t_0) / (1000 * speed)`` seconds after the first,
+    where t_0 is the first row's t_ms and m_i the largest t_ms of rows
+    0..i, so a step back is due at once. Pacing never changes which samples
+    come out, only when.
 
-    ``samples`` holds the rows, or is a function that hands them to its
-    argument in order, a batch at a time, as ``emit(batch, report)``:
+    ``samples`` is a function that hands the rows to its argument in
+    order, a batch at a time, as ``emit(batch, report)``:
     ``ingest.parse_trial_path`` with ``emit``, whose ParseReport counts the
     rows read so far (the malformed ones too)."""
 
-    samples: SampleBatch | list[Sample] | Callable
-    rate_hz: float = 20.0
+    samples: Callable
     speed: float = math.inf  # math.inf = as fast as the loop classifies
 
     def __post_init__(self):
-        if not (0 < self.rate_hz < math.inf):
-            raise ConfigError(
-                f"rate_hz must be positive and finite, got {self.rate_hz}")
         if not self.speed > 0:
             raise ConfigError(
                 f"speed must be positive or 'max' (inf), got {self.speed}")
-        # rows a second: a product that overflows or underflows has no
-        # schedule
-        if not (math.isinf(self.speed)
-                or 0 < self.rate_hz * self.speed < math.inf):
-            raise ConfigError(
-                f"rate_hz * speed must be positive and finite, got "
-                f"{self.rate_hz} * {self.speed}")
 
 
 @dataclass
@@ -335,41 +327,39 @@ def classify_samples(
     return classify_windows(artifact, windows, {})
 
 
-def _replay_chunks(batch: SampleBatch, spec: ReplaySpec,
-                   stats: PipelineStats, start: float | None = None,
-                   first: int = 0):
-    """The rows of ``batch``, rows ``first`` on of the replay, as they fall
-    due, at most REPLAY_CHUNK at a time; at max speed every row is due at
-    once and no clock is read. Row i of the replay is due i / (rate_hz *
-    speed) seconds after ``start``, a time.monotonic() reading (now when
-    None).
+def _replay_chunks(batch: SampleBatch, speed: float, clock: list):
+    """The rows of ``batch`` as they fall due; at max speed all of them at
+    once, and no clock is read. Paced, row i of the replay is due (m_i -
+    t_0) / (1000 * speed) seconds after the first (see ReplaySpec), in
+    float ms, so no difference overflows. ``clock`` carries the schedule
+    from block to block: empty before the first row, then the
+    time.monotonic() reading when the first row was due, and t_0. The
+    running maximum m_i restarts with each block: a row below an earlier
+    block's largest t_ms is overdue either way.
 
     When no row is due it sleeps until the next one is, at most WAIT_S, and
     yields an empty chunk, so the caller can look for a shutdown between
     sleeps."""
     n = len(batch)
-    paced = not math.isinf(spec.speed)
-    if paced:
-        rate = spec.rate_hz * spec.speed  # rows a second
-        if start is None:
-            start = time.monotonic()
+    if math.isinf(speed) or not n:
+        if n:
+            yield batch
+        return
+    t_ms = batch.t_ms.astype(np.float64)
+    if not clock:
+        clock += [time.monotonic(), t_ms[0]]
+    start, t0 = clock
+    with np.errstate(over="ignore"):  # a tiny speed puts rows due at inf
+        due = (np.maximum.accumulate(t_ms) - t0) / (1000.0 * speed)
     i = 0
     while i < n:
-        due = n
-        if paced:
-            elapsed = time.monotonic() - start
-            # the rows up to elapsed * rate are due; the min keeps it finite
-            due = min(n, math.floor(min(elapsed * rate, first + n)) + 1
-                      - first)
-            if due <= i:
-                time.sleep(min(max((first + i) / rate - elapsed, 0.0),
-                               WAIT_S))
-                yield batch.rows(i, i)
-                continue
-        chunk = batch.rows(i, min(due, i + REPLAY_CHUNK))
-        i += len(chunk)
-        stats.samples_in += len(chunk)
-        yield chunk
+        elapsed = time.monotonic() - start
+        j = int(due.searchsorted(elapsed, "right"))
+        if j <= i:
+            time.sleep(min(due[i] - elapsed, WAIT_S))
+            j = i
+        yield batch.rows(i, j)
+        i = j
 
 
 class _Stopped(Exception):
@@ -388,16 +378,9 @@ def _replay(spec: ReplaySpec, feed: Callable, stats: PipelineStats,
     its counts are that pass's: the whole file's; a stop before a row was
     due counts nothing. At max speed the counts are those of the rows
     read: all of them, unless a stop came first."""
-    source = spec.samples
-    if not callable(source):
-        rows = as_batch(source)
-
-        def source(emit):
-            emit(rows, None)
-
     paced = not math.isinf(spec.speed)
     read = None  # the report of the rows read
-    start = None  # when the first row was due
+    clock: list = []  # the paced schedule, carried from block to block
 
     def check(batch: SampleBatch, report) -> None:
         nonlocal read
@@ -406,25 +389,22 @@ def _replay(spec: ReplaySpec, feed: Callable, stats: PipelineStats,
         read = report
 
     def take(batch: SampleBatch, report) -> None:
-        nonlocal read, start
+        nonlocal read
         if not paced:
             read = report
-        elif start is None:
-            start = time.monotonic()
-        # samples_in counts the rows replayed so far
-        for chunk in _replay_chunks(batch, spec, stats, start,
-                                    stats.samples_in):
+        for chunk in _replay_chunks(batch, spec.speed, clock):
             if len(chunk):
+                stats.samples_in += len(chunk)
                 feed(chunk)
             if stopping():
                 raise _Stopped
 
     try:
         if paced:
-            source(check)
-        source(take)
+            spec.samples(check)
+        spec.samples(take)
     except _Stopped:
-        if paced and start is None:
+        if paced and not clock:
             return
     if read is not None:
         stats.samples_in += read.malformed

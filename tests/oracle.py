@@ -4,6 +4,8 @@ Written before the production feature code and kept independent of it:
 pure Python loops and ``math`` only, no numpy, no imports from the
 package. Used by the feature tests and the acceptance suite to check the
 vectorized implementation against a second, slower derivation.
+``replay_source``, the tests' way to replay rows held in memory, is the
+one helper here that touches the package.
 
 Conventions (must match the published schema):
   - SD uses the n-1 denominator.
@@ -167,3 +169,16 @@ def oracle_sisfall(rows, dt_s):
     c9 = math.sqrt(sx * sx + sy * sy + sz * sz)
     c13 = math.fsum(math.sqrt(x * x + z * z) for x, z in zip(xs, zs)) * dt_s
     return {"c2": c2, "c3": c3, "c8": c8, "c9": c9, "c13": c13}
+
+
+def replay_source(samples):
+    """A ``ReplaySpec`` source of rows held in memory (a list of Samples or
+    a SampleBatch): it hands them over as one batch."""
+    from fallstream.ingest import ParseReport, as_batch
+
+    batch = as_batch(samples)
+
+    def source(emit):
+        emit(batch, ParseReport(rows=len(batch)))
+
+    return source

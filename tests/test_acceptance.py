@@ -45,6 +45,7 @@ from fallstream.stream import (
 )
 from fallstream.synth import make_trial, separable_clusters
 from fallstream.windowing import WindowConfig
+from oracle import replay_source
 from test_model import _make_artifact
 
 SEED = 20250810
@@ -181,7 +182,7 @@ def test_criterion_06_stream_batch_equivalence(artifact, artifact_path,
         batch = classify_samples(artifact, samples)
         out = tmp_path / f"replay_{i}.jsonl"
         stats = run_pipeline(PipelineConfig(
-            source=ReplaySpec(samples=samples, speed=math.inf),
+            source=ReplaySpec(samples=replay_source(samples), speed=math.inf),
             artifact_path=artifact_path,
             sinks=(f"file:{out}",),
             overflow="block",
@@ -252,7 +253,7 @@ def test_criterion_09_throughput(artifact_path, tmp_path):
                                   seed=SEED + i, device_id=f"dev{i % 4}"))
     out = tmp_path / "throughput.jsonl"
     config = PipelineConfig(
-        source=ReplaySpec(samples=samples, speed=math.inf),
+        source=ReplaySpec(samples=replay_source(samples), speed=math.inf),
         artifact_path=artifact_path,
         sinks=(f"file:{out}",),
         overflow="block",

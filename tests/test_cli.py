@@ -227,6 +227,28 @@ class TestTrain:
         assert not artifact_path.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_non_finite_feature_value_exits_2(tmp_path, feature_csv,
+                                            artifact_path, capsys, command):
+    # train would write an artifact no command loads; evaluate would score
+    # the row
+    lines = feature_csv.read_text().splitlines(keepends=True)
+    row = lines[3].split(",")
+    row[FEATURE_HEADER.index("x_skew")] = "nan"
+    lines[3] = ",".join(row)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    out = tmp_path / "model.json"
+    argv = {"train": ["train", str(bad), "--artifact", str(out),
+                      "--epochs", "1"],
+            "evaluate": ["evaluate", str(bad), "--artifact",
+                         str(artifact_path), "--out", str(out)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}, line 4: non-finite feature value\n")
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_split_test_matches_train_report(self, tmp_path, capsys):
         csv_path = _separable_csv(tmp_path / "f.csv", seed=3)
@@ -375,12 +397,11 @@ class TestReplay:
         assert len(outputs[0].splitlines()) == 2
 
     @pytest.mark.parametrize("pacing", [
-        ["--rate-hz", "0", "--speed", "1"],
+        ["--speed", "0"],
         ["--speed", "-1"],
         ["--speed", "nan"],
-        # rows a second overflow to inf, or underflow to 0
-        ["--rate-hz", "1e200", "--speed", "1e200"],
-        ["--rate-hz", "1e-200", "--speed", "1e-200"],
+        ["--speed=-inf"],
+        ["--speed", "1e-400"],  # 0 as a float
     ])
     def test_invalid_pacing_exits_2_before_any_output(
             self, tmp_path, mapping_path, artifact_path, capsys, pacing):
@@ -393,6 +414,36 @@ class TestReplay:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_rate_flag_exits_2(self, tmp_path, mapping_path,
+                                 artifact_path):
+        # a paced replay follows the trial's clock: there is no rate
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("fall", 400, seed=23), trial)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(trial), "--mapping", str(mapping_path),
+                  "--artifact", str(artifact_path), "--rate-hz", "20",
+                  "--sink", f"file:{out}"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_a_paced_replay_follows_the_trial_clock(self, tmp_path,
+                                                    mapping_path,
+                                                    artifact_path):
+        # 400 rows 10 ms apart at speed 8: 399 steps of 1.25 ms, about
+        # 0.5 s; a 20 Hz schedule would take 2.5 s
+        samples = [dataclasses.replace(s, t_ms=10 * i)
+                   for i, s in enumerate(make_trial("fall", 400, seed=21))]
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(samples, trial)
+        out = tmp_path / "out.jsonl"
+        t0 = time.monotonic()
+        assert main(["replay", str(trial), "--mapping", str(mapping_path),
+                     "--artifact", str(artifact_path), "--speed", "8",
+                     "--sink", f"file:{out}"]) == 0
+        assert 0.49 <= time.monotonic() - t0 < 1.5
+        assert len(out.read_text().splitlines()) == 2
 
     def test_fall_trial_raises_fall_detection(self, tmp_path, mapping_path,
                                               artifact_path):
@@ -527,7 +578,7 @@ class TestReplay:
         proc = subprocess.Popen(
             [sys.executable, "-m", "fallstream", "replay", str(trial),
              "--mapping", str(mapping_path), "--artifact", str(artifact_path),
-             "--speed", "1", "--rate-hz", "400", "--sink", f"file:{out}"],
+             "--speed", "20", "--sink", f"file:{out}"],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         try:
             _wait_for_detections(out, 1)
@@ -699,6 +750,7 @@ class TestWrongTypedConfig:
         {"source": {"speed": [1]}},
         {"source": {"speed": True}},
         {"sinks": "stdout"},
+        {"source": {"rate_hz": 20}},  # a paced replay follows the t_ms clock
     ])
     def test_replay_exits_2_without_output(self, tmp_path, mapping_path,
                                            artifact_path, capsys, doc):

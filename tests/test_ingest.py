@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import dataclasses
 import errno
@@ -45,6 +46,7 @@ from fallstream.stream import (
     run_pipeline,
 )
 from fallstream.synth import make_trial, write_trial_csv
+from oracle import replay_source
 
 BASIC = ColumnMapping(timestamp=0, ax=1, ay=2, az=3, label=4)
 
@@ -797,6 +799,30 @@ class TestSplitParse:
             [i % 3, i % 5, i % 7] for i in range(200)]
         assert labels == ["WAL"] * 200
 
+    @pytest.mark.parametrize("mapping", [
+        BASIC, ColumnMapping(timestamp="t", ax="x", ay="y", az="z",
+                             label="label", header=True),
+    ], ids=["index", "header"])
+    def test_a_byte_order_mark_is_no_part_of_the_first_line(self, tmp_path,
+                                                            mapping):
+        lines = _fixed_lines(range(0, 2000, 50))
+        if mapping.header:
+            lines.insert(0, "t,x,y,z,label\n")
+        data = "".join(lines).encode()
+        outcomes = []
+        for i, text in enumerate((data, codecs.BOM_UTF8 + data)):
+            path = tmp_path / f"trial{i}.csv"
+            path.write_bytes(text)
+            with mock.patch.object(ingest, "TRIAL_BLOCK_BYTES", 260):
+                with _one_cpu():
+                    outcomes.append(_outcome(path, mapping, parse_trial_path))
+                with _halves() as reaped:
+                    outcomes.append(_outcome(path, mapping, parse_trial_path))
+            assert [status for _, status in reaped] == [0]
+        assert outcomes[0][3] == ingest.ParseReport(rows=40)
+        assert outcomes == outcomes[:1] * 4
+        assert _outcome(codecs.BOM_UTF8, mapping) == _outcome(b"", mapping)
+
     def test_synthetic_timestamps(self, tmp_path):
         mapping = ColumnMapping(ax=0, ay=1, az=2, synthetic_rate_hz=30.0)
         lines = [f"{i:04d},2.5,-1.0\n" if i % 37 else "bad,2.5,-1.0\n"
@@ -1251,10 +1277,10 @@ def _mk_samples(n):
     return [Sample("d", i * 50, float(i), 0.0, 0.0) for i in range(n)]
 
 
-def _replay(artifact_path, out, samples, rate_hz, speed):
+def _replay(artifact_path, out, samples, speed):
     """Replay samples through the pipeline into a file sink."""
     return run_pipeline(PipelineConfig(
-        source=ReplaySpec(samples=samples, rate_hz=rate_hz, speed=speed),
+        source=ReplaySpec(samples=replay_source(samples), speed=speed),
         artifact_path=artifact_path, sinks=(f"file:{out}",)))
 
 
@@ -1265,9 +1291,9 @@ class TestReplaySource:
     def test_content_independent_of_pacing(self, artifact_path, tmp_path):
         samples = make_trial("fall", 450, seed=31, device_id="d")
         fast = _replay(artifact_path, tmp_path / "fast.jsonl", samples,
-                       rate_hz=20, speed=math.inf)
+                       speed=math.inf)
         paced = _replay(artifact_path, tmp_path / "paced.jsonl", samples,
-                        rate_hz=5000, speed=10)
+                        speed=2500)
         assert fast == paced
         assert (fast.samples_in, fast.windows, fast.partial_window_drops) \
             == (450, 2, 50)
@@ -1277,31 +1303,28 @@ class TestReplaySource:
     def test_pacing_duration(self, artifact_path, tmp_path):
         t0 = time.monotonic()
         stats = _replay(artifact_path, tmp_path / "out.jsonl",
-                        _mk_samples(100), rate_hz=1000, speed=1.0)
+                        _mk_samples(100), speed=50.0)
         elapsed = time.monotonic() - t0
         assert stats.samples_in == stats.partial_window_drops == 100
-        assert elapsed >= 0.09  # 100 samples at 1 kHz span about 0.1 s
+        # rows 50 ms apart at 50 times their clock: 99 steps in about 0.1 s
+        assert elapsed >= 0.09
 
     def test_max_speed_is_immediate(self, artifact_path, tmp_path):
         t0 = time.monotonic()
         stats = _replay(artifact_path, tmp_path / "out.jsonl",
-                        _mk_samples(2000), rate_hz=1.0, speed=math.inf)
+                        _mk_samples(2000), speed=math.inf)
         assert time.monotonic() - t0 < 0.5
         assert stats.samples_in == 2000 and stats.windows == 10
 
     def test_empty_sequence(self, artifact_path, tmp_path):
         stats = _replay(artifact_path, tmp_path / "out.jsonl", [],
-                        rate_hz=20.0, speed=1.0)
+                        speed=1.0)
         assert stats.samples_in == stats.detections == 0
 
-    def test_bad_rate_and_speed(self):
-        for rate_hz, speed in ((0.0, 1.0), (-20.0, 1.0), (math.inf, 1.0),
-                               (math.nan, 1.0), (20.0, 0.0), (20.0, -1.0),
-                               (20.0, math.nan), (20.0, -math.inf),
-                               # rows a second overflow, or underflow to 0
-                               (1e200, 1e200), (1e-200, 1e-200)):
+    def test_bad_speed(self):
+        for speed in (0.0, -1.0, math.nan, -math.inf, -0.0):
             with pytest.raises(ConfigError):
-                ReplaySpec(samples=[], rate_hz=rate_hz, speed=speed)
+                ReplaySpec(samples=replay_source([]), speed=speed)
 
 
 class TestWireProtocol:

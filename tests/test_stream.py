@@ -31,7 +31,6 @@ from fallstream.ingest import (
 )
 from fallstream.model import evaluate, forward
 from fallstream.stream import (
-    REPLAY_CHUNK,
     BoundedQueue,
     Detection,
     PipelineConfig,
@@ -45,6 +44,7 @@ from fallstream.stream import (
 )
 from fallstream.synth import make_trial
 from fallstream.windowing import Window, WindowAssembler, WindowConfig
+from oracle import replay_source
 
 
 class TestDetectionLine:
@@ -272,6 +272,41 @@ def _fall_trial(seed=0, n=450, device="dev"):
     return make_trial("fall", n, seed=seed, device_id=device)
 
 
+class _FakeTime:
+    """``stream.time`` on a clock that only a sleep moves."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def _paced_replay(monkeypatch, blocks, speed, stop_at=math.inf):
+    """A replay of one block per t_ms list in ``blocks`` on a fake clock,
+    stopped once it reads ``stop_at``: the (time, t_ms) of each chunk fed,
+    the stats and the clock."""
+    clock = _FakeTime()
+    monkeypatch.setattr(stream, "time", clock)
+
+    def source(emit):
+        for t_ms in blocks:
+            emit(SampleBatch("dev", np.array(t_ms, np.int64),
+                             np.zeros((len(t_ms), 3))),
+                 ingest.ParseReport(rows=len(t_ms)))
+
+    fed, stats = [], PipelineStats()
+    stream._replay(ReplaySpec(source, speed),
+                   lambda chunk: fed.append((clock.now, chunk.t_ms.tolist())),
+                   stats, lambda: clock.now >= stop_at)
+    return fed, stats, clock
+
+
 class TestReplayPipeline:
     def test_stream_equals_batch_bit_for_bit(self, artifact, artifact_path,
                                              tmp_path):
@@ -279,7 +314,7 @@ class TestReplayPipeline:
         batch = classify_samples(artifact, samples)
         out = tmp_path / "detections.jsonl"
         config = PipelineConfig(
-            source=ReplaySpec(samples=samples),
+            source=ReplaySpec(samples=replay_source(samples)),
             artifact_path=artifact_path,
             sinks=(f"file:{out}",),
             overflow="block",
@@ -298,7 +333,7 @@ class TestReplayPipeline:
         for speed in (math.inf, 40.0):
             out = tmp_path / f"s{speed}.jsonl"
             config = PipelineConfig(
-                source=ReplaySpec(samples=samples, rate_hz=20.0, speed=speed),
+                source=ReplaySpec(samples=replay_source(samples), speed=speed),
                 artifact_path=artifact_path,
                 sinks=(f"file:{out}",),
             )
@@ -308,7 +343,7 @@ class TestReplayPipeline:
 
     def test_empty_source_shuts_down_cleanly(self, artifact_path):
         config = PipelineConfig(
-            source=ReplaySpec(samples=[]),
+            source=ReplaySpec(samples=replay_source([])),
             artifact_path=artifact_path,
             sinks=("stdout",),
         )
@@ -319,7 +354,7 @@ class TestReplayPipeline:
                                                    tmp_path):
         samples = _fall_trial(seed=13, n=1234)
         config = PipelineConfig(
-            source=ReplaySpec(samples=samples),
+            source=ReplaySpec(samples=replay_source(samples)),
             artifact_path=artifact_path,
             sinks=(f"file:{tmp_path / 'out.jsonl'}",),
             overflow="block",
@@ -336,7 +371,7 @@ class TestReplayPipeline:
             self, artifact_path, tmp_path):
         samples = _fall_trial(seed=13, n=1234)
         config = PipelineConfig(
-            source=ReplaySpec(samples=samples),
+            source=ReplaySpec(samples=replay_source(samples)),
             artifact_path=artifact_path,
             sinks=(f"file:{tmp_path / 'out.jsonl'}",),
             overflow="drop_oldest",
@@ -353,7 +388,7 @@ class TestReplayPipeline:
         batch = SampleBatch("dev", 50 * np.arange(20_000, dtype=np.int64),
                             rng.normal((0.0, 9.8, 0.0), 2.0, (20_000, 3)))
         stats = run_pipeline(PipelineConfig(
-            source=ReplaySpec(samples=batch, rate_hz=20.0, speed=1e4),
+            source=ReplaySpec(samples=replay_source(batch), speed=1e4),
             artifact_path=artifact_path,
             sinks=(f"file:{tmp_path / 'out.jsonl'}",),
             overflow="drop_oldest",
@@ -377,8 +412,9 @@ class TestReplayPipeline:
                             lambda spec: ThreadCountingSink())
         before = threading.active_count()
         stats = run_pipeline(PipelineConfig(
-            source=ReplaySpec(samples=_fall_trial(seed=17, n=600),
-                              rate_hz=20.0, speed=400.0),
+            source=ReplaySpec(samples=replay_source(_fall_trial(seed=17,
+                                                                n=600)),
+                              speed=400.0),
             artifact_path=artifact_path,
         ))
         assert stats.detections == 3
@@ -391,35 +427,60 @@ class TestReplayPipeline:
         timer.start()
         t0 = time.monotonic()
         stats = run_pipeline(PipelineConfig(
-            source=ReplaySpec(samples=_fall_trial(seed=17, n=600),
-                              rate_hz=1.0, speed=1.0),
+            source=ReplaySpec(samples=replay_source(_fall_trial(seed=17,
+                                                                n=600)),
+                              speed=0.05),
             artifact_path=artifact_path,
             sinks=(f"file:{tmp_path / 'out.jsonl'}",),
         ), shutdown=shutdown)
         timer.join()
         assert time.monotonic() - t0 < 1.0
-        # row 0 is due at once, row 1 only after a second
+        # row 0 is due at once, row 1 (50 ms on, at speed 0.05) only after
+        # a second
         assert stats.samples_in == stats.partial_window_drops <= 1
 
     def test_due_chunk_schedule(self, monkeypatch):
-        batch = SampleBatch.from_samples(_fall_trial(seed=17, n=20_000))
-        paced = PipelineStats()
-        spec = ReplaySpec(samples=batch, rate_hz=20.0, speed=1e4)
-        chunks = list(stream._replay_chunks(batch, spec, paced))
-        assert max(len(c) for c in chunks) <= REPLAY_CHUNK
-        assert np.concatenate([c.t_ms for c in chunks]).tobytes() == \
-            batch.t_ms.tobytes()
-        assert paced.samples_in == 20_000
-        # at max speed every row is due at once: no clock is read
+        # an irregular clock at speed 1: row i is due (m_i - t_0) / 1000 s
+        # after the first, m_i the largest t_ms so far, across both blocks;
+        # 1100 and 1150 step back and are due with the 1500 before them,
+        # and 1200 is due as soon as the second block comes, while the
+        # loop wakes every WAIT_S in between
+        fed, stats, clock = _paced_replay(
+            monkeypatch, [[1000, 1020, 1500, 1100, 1150, 1500, 1500],
+                          [1200, 1700, 2000, 2000, 2150]], speed=1.0)
+        assert [t for _, t in fed] == [
+            [1000], [1020], [1500, 1100, 1150, 1500, 1500], [1200], [1700],
+            [2000, 2000], [2150]]
+        assert [at for at, _ in fed] == pytest.approx(
+            [0.0, 0.02, 0.5, 0.5, 0.7, 1.0, 1.15])
+        assert max(clock.sleeps) <= stream.WAIT_S
+        assert stats.samples_in == 12
+
+    def test_a_stop_is_seen_within_wait_s_of_a_far_row(self, monkeypatch):
+        # row 1 is due at inf: the widest t_ms step at a speed this small
+        # overflows no int64 and raises no numpy warning
+        fed, stats, clock = _paced_replay(
+            monkeypatch, [[-2**63, 2**63 - 1]], speed=1e-310, stop_at=0.5)
+        assert fed == [(0.0, [-2**63])]
+        assert max(clock.sleeps) <= stream.WAIT_S
+        assert 0.5 <= clock.now < 0.5 + stream.WAIT_S
+        assert stats.samples_in == 1
+
+    def test_max_speed_feeds_each_block_whole(self, monkeypatch):
+        # every row is due at once: no clock is read, and a turn is one
+        # block, however long
         monkeypatch.setattr(stream, "time", None)
-        fast = PipelineStats()
-        n = len(batch)  # more than one chunk, not a whole number of them
-        chunks = list(stream._replay_chunks(batch, ReplaySpec(samples=batch),
-                                            fast))
-        full, rest = divmod(n, REPLAY_CHUNK)
-        assert full >= 1 and rest > 0
-        assert [len(c) for c in chunks] == [REPLAY_CHUNK] * full + [rest]
-        assert fast.samples_in == n
+        fed, stats = [], PipelineStats()
+        blocks = [SampleBatch.from_samples(_fall_trial(seed=17, n=n))
+                  for n in (20_000, 450)]
+
+        def source(emit):
+            for batch in blocks:
+                emit(batch, ingest.ParseReport(rows=len(batch)))
+
+        stream._replay(ReplaySpec(source), fed.append, stats, lambda: False)
+        assert fed == blocks
+        assert stats.samples_in == 20_450
 
     def test_per_device_order_and_sequences(self, artifact_path, tmp_path):
         a = make_trial("adl", 650, seed=14, device_id="dev_a")
@@ -427,7 +488,7 @@ class TestReplayPipeline:
         interleaved = [s for pair in zip(a, b) for s in pair]
         out = tmp_path / "out.jsonl"
         config = PipelineConfig(
-            source=ReplaySpec(samples=interleaved),
+            source=ReplaySpec(samples=replay_source(interleaved)),
             artifact_path=artifact_path,
             sinks=(f"file:{out}",),
         )
@@ -460,7 +521,7 @@ class TestReplayPipeline:
                               (batch, 400.0)):
             out = tmp_path / f"out{len(outputs)}.jsonl"
             run_pipeline(PipelineConfig(
-                source=ReplaySpec(samples=source, rate_hz=20.0, speed=speed),
+                source=ReplaySpec(samples=replay_source(source), speed=speed),
                 artifact_path=artifact_path, sinks=(f"file:{out}",)))
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1] == outputs[2]
@@ -468,7 +529,7 @@ class TestReplayPipeline:
 
     def test_missing_artifact_is_fatal(self, tmp_path):
         config = PipelineConfig(
-            source=ReplaySpec(samples=[]),
+            source=ReplaySpec(samples=replay_source([])),
             artifact_path=tmp_path / "nowhere.json",
             sinks=("stdout",),
         )
@@ -487,7 +548,7 @@ class TestReplayPipeline:
         holder.bind(("127.0.0.1", 0))
         holder.listen()
         source = (SocketSpec(port=holder.getsockname()[1]) if busy_port
-                  else ReplaySpec(samples=[]))
+                  else ReplaySpec(samples=replay_source([])))
         try:
             with _no_resource_warnings(), pytest.raises(error):
                 run_pipeline(PipelineConfig(source, artifact_path,
@@ -524,13 +585,13 @@ class TestReplayPipeline:
 
     def test_config_invariants(self, artifact_path):
         with pytest.raises(ConfigError):
-            PipelineConfig(source=ReplaySpec(samples=[]),
+            PipelineConfig(source=ReplaySpec(samples=replay_source([])),
                            artifact_path=artifact_path, sinks=())
         with pytest.raises(ConfigError):
-            PipelineConfig(source=ReplaySpec(samples=[]),
+            PipelineConfig(source=ReplaySpec(samples=replay_source([])),
                            artifact_path=artifact_path, queue_capacity=0)
         with pytest.raises(ConfigError):
-            PipelineConfig(source=ReplaySpec(samples=[]),
+            PipelineConfig(source=ReplaySpec(samples=replay_source([])),
                            artifact_path=artifact_path, overflow="panic")
 
 
@@ -1155,7 +1216,7 @@ class TestWebhookSink:
         out = tmp_path / "out.jsonl"
         samples = make_trial("adl", 200, seed=17)
         config = PipelineConfig(
-            source=ReplaySpec(samples=samples),
+            source=ReplaySpec(samples=replay_source(samples)),
             artifact_path=artifact_path,
             sinks=(f"webhook:http://127.0.0.1:{http_server.server_port}/hook",
                    f"file:{out}"),
@@ -1170,7 +1231,7 @@ class TestWebhookSink:
                                               artifact_path):
         samples = make_trial("fall", 400, seed=18)
         config = PipelineConfig(
-            source=ReplaySpec(samples=samples),
+            source=ReplaySpec(samples=replay_source(samples)),
             artifact_path=artifact_path,
             sinks=(f"webhook:http://127.0.0.1:{http_server.server_port}/hook",),
         )
