@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -90,6 +89,8 @@ def _info(msg: str) -> None:
 def write_feature_csv(path: str | Path, X, codes, classes) -> None:
     """Write what read_feature_csv returns: a (n, 58) feature matrix plus
     its label code and class columns, each value as repr(float)."""
+    import csv  # only prepare, train and evaluate read or write a CSV
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_HEADER)
@@ -101,6 +102,8 @@ def write_feature_csv(path: str | Path, X, codes, classes) -> None:
 
 def read_feature_csv(path: str | Path):
     """Feature matrix plus label code/class columns of a prepare output."""
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -305,6 +308,25 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _check_config_keys(cfg: dict) -> None:
+    """Refuse a key that neither replay nor serve reads, so a misspelt one
+    is not ignored; one command's keys pass the other, so one file can
+    serve both. A section of the wrong type is left to ``_section``."""
+    known = {"source": {"mapping", "speed", "listen"}, "artifact": None,
+             "window": {"size", "stride"}, "sinks": None,
+             "queue_capacity": None, "overflow": None,
+             "stats_interval_s": None}
+    for key, value in cfg.items():
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}: not a replay "
+                              f"or serve setting")
+        if known[key] is not None and isinstance(value, dict):
+            for sub in value:
+                if sub not in known[key]:
+                    raise ConfigError(f"unknown config key '{key}.{sub}': "
+                                      f"not a replay or serve setting")
+
+
 def _pick(flag, cfg: dict, key: str, default):
     if flag is not None:
         return flag
@@ -413,6 +435,7 @@ def cmd_replay(args) -> int:
             raise ConfigError(
                 "source.rate_hz is not a replay setting: a paced replay "
                 "follows the trial's own t_ms clock")
+        _check_config_keys(cfg)
         mapping_path = _path(_pick(args.mapping, src_cfg, "mapping", None),
                              "mapping")
         if mapping_path is None:
@@ -446,6 +469,7 @@ def cmd_replay(args) -> int:
 
 def cmd_serve(args) -> int:
     cfg = _load_config_file(args.config)
+    _check_config_keys(cfg)
     listen = _pick(args.listen, _section(cfg, "source"), "listen", None)
     if listen is None:
         raise ConfigError("serve needs --listen (or source.listen in --config)")

@@ -10,11 +10,12 @@ speed) seconds after the first, t_0 being the first row's t_ms and m_i
 the largest t_ms of rows 0..i. A max-speed replay holds its detection
 lines until its source ends, so a trial refused at its end (mostly
 malformed) sends no sink a line; a paced one has its source checked
-first. Serve's loop takes from its source each turn,
-classifies one queued window list and prints the stats line when it is
-due. Serve reads its sockets in a second process
-(``ingest.ReaderProcess``): the reader turns each socket read into one
-message on a pipe, and the loop takes messages, waiting only while nothing is queued, so reading and
+first. Serve's loop takes from its source each turn, classifies one
+queued window list and prints the stats line when it is due. Serve reads
+its sockets in a second process (``reader.ReaderProcess``, which starts
+``python -m fallstream.reader``; only serve imports that module): the
+reader turns each socket read into one message on a pipe, and the loop
+takes messages, waiting only while nothing is queued, so reading and
 parsing run beside windowing and classification. Either pushes what it
 reads into one WindowAssembler and puts the windows a push completes on
 one queue, bounded in samples. A window list is classified with one
@@ -58,7 +59,6 @@ from .errors import ConfigError
 from .features import apply_scaler, extract_features
 from .ingest import (
     BinaryClass,
-    ReaderProcess,
     Sample,
     SampleBatch,
     as_batch,
@@ -487,6 +487,8 @@ def run_pipeline(
         if replay:
             _replay(source, feed, stats, stopping)
         else:
+            from .reader import ReaderProcess  # serve's alone: see reader.py
+
             reader = ReaderProcess(source.host, source.port, stats)
             print(f"listening on {reader.host}:{reader.port}",
                   file=sys.stderr, flush=True)

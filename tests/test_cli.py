@@ -20,9 +20,9 @@ from fallstream.cli import FEATURE_HEADER, main, read_feature_csv, write_feature
 from fallstream.features import SCHEMA_V1, STACK_BLOCK, extract_features
 from fallstream.ingest import BinaryClass, map_activity_to_class
 from fallstream.model import load_artifact
-from fallstream.stream import classify_samples, detection_line
+from fallstream.stream import PipelineStats, classify_samples, detection_line
 from fallstream.synth import make_trial, separable_clusters, write_trial_csv
-from fallstream.windowing import majority_label
+from fallstream.windowing import WindowConfig, majority_label
 
 
 def _write_mapping(path):
@@ -765,6 +765,72 @@ class TestWrongTypedConfig:
         assert captured.err.startswith("error: ") and captured.out == ""
 
 
+class TestUnknownConfigKey:
+    """A --config key that neither replay nor serve reads is refused with
+    exit 2, naming it, before any output; a key of the other command is
+    accepted, so one file can configure both."""
+
+    DOCS = [
+        ({"windw": {"size": 100}}, "'windw'"),
+        ({"source": {"sped": 1}}, "'source.sped'"),
+        ({"window": {"sise": 100}}, "'window.sise'"),
+        ({"source": {"speed": 1}, "queue_capasity": 8}, "'queue_capasity'"),
+    ]
+
+    @pytest.mark.parametrize("doc,key", DOCS)
+    def test_replay_exits_2_without_output(self, tmp_path, mapping_path,
+                                           artifact_path, capsys, doc, key):
+        trial = tmp_path / "trial.csv"
+        write_trial_csv(make_trial("adl", 300, seed=23), trial)
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["replay", str(trial), "--mapping", str(mapping_path),
+                   "--artifact", str(artifact_path), "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown config key " + key)
+
+    @pytest.mark.parametrize("doc,key", DOCS)
+    def test_serve_exits_2_before_listening(self, tmp_path, artifact_path,
+                                            capsys, monkeypatch, doc, key):
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps(doc))
+
+        def serve(config, shutdown=None):  # a served config would never end
+            raise AssertionError(f"{doc} was accepted")
+
+        monkeypatch.setattr(cli, "run_pipeline", serve)
+        rc = main(["serve", "--listen", "127.0.0.1:0",
+                   "--artifact", str(artifact_path), "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown config key " + key)
+
+    def test_the_serve_example_configures_both_commands(
+            self, tmp_path, mapping_path, monkeypatch):
+        example = Path(__file__).resolve().parents[1] / "configs/serve_example.json"
+        seen = []
+
+        def run(config, shutdown=None):
+            seen.append(config)
+            return PipelineStats()
+
+        monkeypatch.setattr(cli, "run_pipeline", run)
+        assert main(["serve", "--config", str(example)]) == 0
+        assert main(["replay", str(tmp_path / "trial.csv"),
+                     "--mapping", str(mapping_path),
+                     "--config", str(example)]) == 0
+        serve, replay = seen
+        assert (serve.source.host, serve.source.port) == ("127.0.0.1", 7007)
+        assert serve.queue_capacity == 1024
+        for config in seen:
+            assert config.window == WindowConfig(200, 200)
+            assert config.sinks == ("stdout", "file:detections.jsonl")
+            assert config.artifact_path == "model.json"
+
+
 def test_cli_import_leaves_urllib_request_unloaded():
     # only a webhook sink needs it; it is ~10% of the CLI's start-up
     proc = subprocess.run(
@@ -773,6 +839,53 @@ def test_cli_import_leaves_urllib_request_unloaded():
          "sys.exit('urllib.request' in sys.modules)"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_the_socket_side_and_csv_unloaded():
+    # only serve reads sockets (fallstream.reader), and only prepare, train
+    # and evaluate read or write CSV; an import freezes nothing, so the
+    # importer's collector sees every object as before
+    code = ("import gc, sys, fallstream.cli; "
+            "print(*[m for m in ('socket', 'selectors', 'csv', "
+            "'fallstream.reader') if m in sys.modules], "
+            "gc.get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_the_entry_point_freezes_import_objects_before_main():
+    # python -m fallstream moves what import built to the permanent
+    # generation, which no collection and not the exit walks again; the
+    # collector stays on for what main creates
+    code = ("import gc, runpy, fallstream.cli; "
+            "fallstream.cli.main = lambda: print(gc.get_freeze_count(), "
+            "gc.isenabled()) or 0; "
+            "runpy.run_module('fallstream', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled = proc.stdout.split()
+    assert int(frozen) > 10_000 and enabled == "True"
+
+
+def test_the_reader_entry_freezes_import_objects():
+    # python -m fallstream.reader does the same after its imports; a closed
+    # control pipe ends its loop at once, with its final message sent
+    code = ("import atexit, gc, os, runpy, socket, sys; "
+            "listener = socket.create_server(('127.0.0.1', 0)); "
+            "data_r, data_w = os.pipe(); control_r, control_w = os.pipe(); "
+            "os.close(control_w); os.set_blocking(data_r, False); "
+            "atexit.register(lambda: print(gc.get_freeze_count(), "
+            "gc.isenabled(), len(os.read(data_r, 4096)))); "
+            "sys.argv[1:] = map(str, (listener.fileno(), data_w, control_r)); "
+            "runpy.run_module('fallstream.reader', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled, final = proc.stdout.split()
+    assert int(frozen) > 10_000 and enabled == "True" and int(final) > 0
 
 
 def test_replay_and_prepare_leave_hashlib_unloaded(tmp_path, mapping_path,

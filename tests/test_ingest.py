@@ -19,19 +19,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fallstream import ingest
+from fallstream import ingest, reader
 from fallstream.cli import main
 from fallstream.errors import ConfigError, ParseError, UnknownActivity
 from fallstream.ingest import (
     MAX_LINE_BYTES,
     MOBIACT_ACTIVITIES,
-    READ_BYTES,
     STANDARD_GRAVITY_MS2,
     BinaryClass,
     ColumnMapping,
     Sample,
     SampleBatch,
-    SocketSource,
     convert_adc_to_g,
     map_activity_to_class,
     parse_trial_file,
@@ -39,6 +37,7 @@ from fallstream.ingest import (
     parse_wire_block,
     parse_wire_line,
 )
+from fallstream.reader import READ_BYTES, SocketSource
 from fallstream.stream import (
     PipelineConfig,
     PipelineStats,
@@ -1406,7 +1405,7 @@ def _through(handler: str, block: bytes):
                 device_index=np.array([ids.index(r[0]) for r in rows],
                                       dtype=np.uint32)))
         return got, stats, last_t
-    source = SocketSource(ingest.bind_listener("127.0.0.1", 0),
+    source = SocketSource(reader.bind_listener("127.0.0.1", 0),
                           emit=got.append, stats=PipelineStats())
     try:
         source._handle_block(block, last_t)
@@ -1527,7 +1526,7 @@ def _collecting_source():
     """A SocketSource on a free port, the list its batches land in and the
     port."""
     got = []
-    listener = ingest.bind_listener("127.0.0.1", 0)
+    listener = reader.bind_listener("127.0.0.1", 0)
     source = SocketSource(listener,
                           emit=lambda batch: got.extend(_rows(batch)),
                           stats=PipelineStats())
@@ -1761,6 +1760,6 @@ class TestSocketSource:
         port = holder.getsockname()[1]
         try:
             with pytest.raises(OSError):
-                ingest.bind_listener("127.0.0.1", port)
+                reader.bind_listener("127.0.0.1", port)
         finally:
             holder.close()

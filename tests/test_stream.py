@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fallstream import ingest, stream
+from fallstream import ingest, reader, stream
 from fallstream.cli import read_feature_csv
 from fallstream.errors import ArtifactError, ConfigError
 from fallstream.features import apply_scaler
@@ -616,13 +616,13 @@ def _reader_on_a_thread():
     reach (serve runs it in another process). Yields its port, the
     ReaderPipe that takes its messages as serve does, and ``stop``, which
     closes its control pipe."""
-    listener = ingest.bind_listener("127.0.0.1", 0)
+    listener = reader.bind_listener("127.0.0.1", 0)
     port = listener.getsockname()[1]
     data_r, data_w = os.pipe()
     control_r, control_w = os.pipe()
     control = open(control_w, "wb", buffering=0)
     pipe = ingest.ReaderPipe(data_r, PipelineStats())
-    loop = threading.Thread(target=ingest.serve_reader,
+    loop = threading.Thread(target=reader.serve_reader,
                             args=(listener, data_w, control_r))
     loop.start()
     try:
@@ -839,7 +839,7 @@ class TestColumnarReads:
         # serve's reader is another process, which a patch here never
         # reaches: this drives its SocketSource on this thread instead, and
         # windows and classifies what it emits as the serving loop does
-        monkeypatch.setattr(ingest, "parse_wire_block", counting)
+        monkeypatch.setattr(reader, "parse_wire_block", counting)
         assembler = WindowAssembler(WindowConfig())
         seqs, got = {}, []
 
@@ -848,8 +848,8 @@ class TestColumnarReads:
             if windows:
                 got.extend(stream.classify_windows(artifact, windows, seqs))
 
-        listener = ingest.bind_listener("127.0.0.1", 0)
-        source = ingest.SocketSource(listener, emit=emit,
+        listener = reader.bind_listener("127.0.0.1", 0)
+        source = reader.SocketSource(listener, emit=emit,
                                      stats=PipelineStats())
         sender = threading.Thread(
             target=_send_in_pieces,
@@ -957,7 +957,7 @@ class TestReaderFaults:
             return real_accept(sock)
 
         monkeypatch.setattr(socket.socket, "accept", accept)
-        real_poll = ingest.SocketSource.poll
+        real_poll = reader.SocketSource.poll
         polls = []
 
         def poll(source, timeout):
@@ -966,7 +966,7 @@ class TestReaderFaults:
 
         # after a failed accept the listener sits out a pause instead of
         # making every select return at once
-        monkeypatch.setattr(ingest.SocketSource, "poll", poll)
+        monkeypatch.setattr(reader.SocketSource, "poll", poll)
         assembler = WindowAssembler(WindowConfig())
         rows, windows = [], []
         waiting = []
